@@ -31,7 +31,13 @@ from .estimator import (
 )
 from .matkernel import SymMatrix
 from .model import LINK_KINDS, LinkFamily, LongitudinalDataset
-from .simulator import SimConfig, mix_seed, monte_carlo_run, per_replicate_rows
+from .simulator import (
+    SimConfig,
+    mix_seed,
+    replicate_rows,
+    run_replicates,
+    summarize_replicates,
+)
 
 MAX_FAILURE_FRACTION = 0.02
 
@@ -244,10 +250,11 @@ def cmd_simulate(args):
     with open(args.config, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     config = SimConfig.from_json(doc)
-    report = monte_carlo_run(config, workers=args.workers)
+    results = run_replicates(config, workers=args.workers)
+    report = summarize_replicates(config, results)
     _write_json(report.to_json(), args.out)
     if args.replicates_csv:
-        rows = per_replicate_rows(config, workers=args.workers)
+        rows = replicate_rows(results)
         with open(args.replicates_csv, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             cols = (["rep", "converged"]

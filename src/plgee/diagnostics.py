@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matkernel
-from .errors import LinkOverflowError, NotPositiveDefiniteError, ShapeError
+from .errors import LinkOverflowError, ShapeError
 from .estimator import estimate_correlation
-from .matkernel import SymMatrix, sym_eigen, sym_sqrt_pair
+from .matkernel import SymMatrix, require_spd, sym_eigen, sym_sqrt_pair
 from .model import _link_arrays, eval_model
 
 DEFAULT_DET_FLOOR = 1e-6
@@ -69,16 +68,6 @@ class DiagnosticsReport:
         return out
 
 
-def _spd_stats(a, what):
-    eig = sym_eigen(a)
-    if eig.values[0] <= matkernel.pd_tolerance(a):
-        raise NotPositiveDefiniteError(
-            f"{what} is singular (lambda_min={eig.values[0]:.6g})",
-            lambda_min=float(eig.values[0]),
-        )
-    return eig
-
-
 def smoothness_maxima(data, family, beta_center, radius_r=0.0):
     """Max |mu''/mu'| and |mu'''/mu'| over the center plus 2p+1 probe points.
 
@@ -93,7 +82,7 @@ def smoothness_maxima(data, family, beta_center, radius_r=0.0):
     if radius_r > 0:
         ev = eval_model(data, family, beta_center)
         H = np.einsum("nmp,nm,nmq->pq", data.X, ev.var, data.X)
-        eig = _spd_stats(0.5 * (H + H.T), "independence scoring matrix")
+        eig = require_spd(sym_eigen(H), H, "independence scoring matrix")
         scale = radius_r * math.sqrt(data.m)
         for k in range(data.p):
             d = (scale / math.sqrt(eig.values[k])) * eig.vectors[:, k]
@@ -128,9 +117,9 @@ def design_diagnostics(data, family, beta, R, M_hat=None, true_corr=None):
 
     H_indep = np.einsum("nmp,nm,nmq->pq", data.X, ev.var, data.X)
     H_indep = 0.5 * (H_indep + H_indep.T)
-    eig_Hi = _spd_stats(H_indep, "independence scoring matrix")
+    eig_Hi = require_spd(sym_eigen(H_indep), H_indep, "independence scoring matrix")
 
-    eig_R = _spd_stats(R, "correlation matrix")
+    eig_R = require_spd(sym_eigen(R), R, "correlation matrix")
     Q = (eig_R.vectors / eig_R.values) @ eig_R.vectors.T   # R^{-1}
     q_min, q_max = 1.0 / eig_R.values[-1], 1.0 / eig_R.values[0]
     pi_n = float(q_max / q_min)
@@ -140,7 +129,7 @@ def design_diagnostics(data, family, beta, R, M_hat=None, true_corr=None):
     B = sd[:, :, None] * data.X
     H = np.einsum("njp,jk,nkq->pq", B, Q, B)
     H = 0.5 * (H + H.T)
-    eig_H = _spd_stats(H, "general scoring matrix")
+    eig_H = require_spd(sym_eigen(H), H, "general scoring matrix")
 
     Hi_inv = (eig_Hi.vectors / eig_Hi.values) @ eig_Hi.vectors.T
     H_inv = (eig_H.vectors / eig_H.values) @ eig_H.vectors.T

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import matkernel
 from .errors import (
     DegenerateVarianceError,
     LineSearchFailure,
@@ -19,7 +18,7 @@ from .errors import (
     PreconditionError,
     SingularDesignError,
 )
-from .matkernel import SymMatrix, solve_spd, spd_inverse, sym_eigen
+from .matkernel import SymMatrix, require_spd, solve_spd, spd_inverse, sym_eigen
 from .model import eval_model, gauss_quantile
 
 METHOD_INDEPENDENCE = "independence"
@@ -121,7 +120,7 @@ def _newton_solve(data, family, beta_init, opts, system, method):
                 scale *= 0.5
                 continue
             gnorm_new = float(np.linalg.norm(g_new))
-            if gnorm_new < gnorm or gnorm <= tol:
+            if gnorm_new < gnorm:
                 accepted = True
                 break
             scale *= 0.5
@@ -153,12 +152,12 @@ def gee_independence_fit(data, family, beta_init=None, opts=SolverOptions()):
     if beta_init is None:
         beta_init = np.zeros(data.p)
     _, H0, _ = _independence_system(data, family, np.asarray(beta_init, dtype=float))
-    eig = sym_eigen(H0)
-    if eig.values[0] <= matkernel.pd_tolerance(H0):
+    try:
+        require_spd(sym_eigen(H0), H0, "scoring matrix")
+    except NotPositiveDefiniteError as exc:
         raise SingularDesignError(
-            f"design is rank deficient at the initial point "
-            f"(lambda_min(H)={eig.values[0]:.6g})"
-        )
+            f"design is rank deficient at the initial point: {exc}"
+        ) from exc
     return _newton_solve(
         data, family, beta_init, opts,
         lambda b: _independence_system(data, family, b),
@@ -192,13 +191,8 @@ def pseudo_likelihood_fit(data, family, corr, beta_init=None, opts=SolverOptions
     checked in diagnostics, not used for stepping).
     """
     R = corr.R_tilde.a
-    eig = sym_eigen(R)
-    if eig.values[0] <= matkernel.pd_tolerance(R):
-        raise NotPositiveDefiniteError(
-            f"correlation estimate is singular (lambda_min={eig.values[0]:.6g})",
-            lambda_min=float(eig.values[0]),
-        )
-    Q = spd_inverse(R)
+    eig = require_spd(sym_eigen(R), R, "correlation estimate")
+    Q = (eig.vectors / eig.values) @ eig.vectors.T
     if beta_init is None:
         beta_init = np.zeros(data.p)
     result = _newton_solve(
@@ -225,12 +219,7 @@ def sandwich_covariance(data, family, beta_hat, corr):
     t = sd * ((ev.eps / sd) @ Q.T)
     V = np.einsum("nmp,nm->np", data.X, t)      # per-subject score contributions
     M = V.T @ V
-    eig = sym_eigen(H)
-    if eig.values[0] <= matkernel.pd_tolerance(H):
-        raise NotPositiveDefiniteError(
-            f"scoring matrix singular at beta_hat (lambda_min={eig.values[0]:.6g})",
-            lambda_min=float(eig.values[0]),
-        )
+    eig = require_spd(sym_eigen(H), H, "scoring matrix at beta_hat")
     H_inv = (eig.vectors / eig.values) @ eig.vectors.T
     cov = H_inv @ M @ H_inv
     return SandwichParts(M_hat=SymMatrix(M), H_tilde=SymMatrix(H), cov_beta=SymMatrix(cov))
@@ -243,9 +232,9 @@ def two_step_fit(data, family, opts=SolverOptions()):
     """
     indep = gee_independence_fit(data, family, beta_init=None, opts=opts)
     corr = estimate_correlation(data, family, indep.beta_hat)
-
-    eig = sym_eigen(corr.R_tilde.a)
-    if eig.values[0] <= matkernel.pd_tolerance(corr.R_tilde.a):
+    try:
+        fit = pseudo_likelihood_fit(data, family, corr, beta_init=indep.beta_hat, opts=opts)
+    except NotPositiveDefiniteError:
         identity = CorrelationEstimate(
             R_tilde=SymMatrix(np.eye(data.m)),
             computed_at_beta=indep.beta_hat.copy(),
@@ -256,8 +245,6 @@ def two_step_fit(data, family, opts=SolverOptions()):
         indep.correlation_used = corr
         indep.fallback_to_independence = True
         return indep
-
-    fit = pseudo_likelihood_fit(data, family, corr, beta_init=indep.beta_hat, opts=opts)
     fit.cov_beta = sandwich_covariance(data, family, fit.beta_hat, corr).cov_beta
     return fit
 

@@ -2,9 +2,11 @@
 
 Everything downstream (estimating-equation solves, correlation handling,
 diagnostics) funnels through this module.  Matrices here are tiny (cluster
-size and covariate dimension, both well under ~50), so the eigensolver is a
-cyclic Jacobi iteration: unconditionally symmetric, deterministic, and with a
-sign convention that makes golden tests stable.
+size and covariate dimension, both well under ~50).  The eigensolver is
+LAPACK's symmetric ``eigh`` with a sign convention that makes golden tests
+stable, and ``require_spd`` is the single positive-definiteness check: every
+caller that needs an SPD matrix decomposes it with ``sym_eigen`` and passes
+the result through it.
 """
 
 from dataclasses import dataclass
@@ -12,8 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NotPositiveDefiniteError
-
-JACOBI_SWEEP_CAP = 100
 
 
 def _as_matrix(a):
@@ -48,21 +48,6 @@ def _sym_array(S):
     return 0.5 * (arr + arr.T)
 
 
-def _require_finite(a):
-    if not np.all(np.isfinite(a)):
-        raise InvalidInputError("matrix has non-finite entries")
-
-
-def pd_tolerance(a):
-    """Eigenvalue floor below which a matrix is treated as not SPD.
-
-    Scaled by trace/dim so well-conditioned problems in natural units are
-    never falsely rejected.
-    """
-    a = _sym_array(a)
-    return 1e-12 * max(1.0, float(np.trace(a)) / a.shape[0])
-
-
 @dataclass(frozen=True)
 class EigenDecomposition:
     values: np.ndarray   # nondecreasing
@@ -70,77 +55,43 @@ class EigenDecomposition:
 
 
 def sym_eigen(S):
-    """Eigendecomposition of a symmetric matrix via cyclic Jacobi sweeps.
+    """Eigendecomposition of a symmetric matrix (LAPACK ``eigh``).
 
-    Eigenvalues are returned in nondecreasing order (stable sort).  Each
-    eigenvector's largest-magnitude component is made positive so the output
-    is deterministic up to exact ties.
+    Eigenvalues are returned in nondecreasing order.  Each eigenvector's
+    largest-magnitude component is made positive so the output is
+    deterministic up to exact ties.
     """
-    a = _sym_array(S).copy()
-    _require_finite(a)
-    d = a.shape[0]
-    v = np.eye(d)
-    norm = np.linalg.norm(a)
-    threshold = 1e-14 * max(norm, 1e-300)
-
-    for _ in range(JACOBI_SWEEP_CAP):
-        off = np.sqrt(np.sum(np.square(a - np.diag(np.diag(a)))))
-        if off <= threshold:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if abs(apq) == 0.0:
-                    continue
-                # classic Jacobi rotation zeroing a[p, q]
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rot_p = a[:, p].copy()
-                rot_q = a[:, q].copy()
-                a[:, p] = c * rot_p - s * rot_q
-                a[:, q] = s * rot_p + c * rot_q
-                rot_p = a[p, :].copy()
-                rot_q = a[q, :].copy()
-                a[p, :] = c * rot_p - s * rot_q
-                a[q, :] = s * rot_p + c * rot_q
-                rot_p = v[:, p].copy()
-                rot_q = v[:, q].copy()
-                v[:, p] = c * rot_p - s * rot_q
-                v[:, q] = s * rot_p + c * rot_q
-
-    values = np.diag(a).copy()
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    vectors = v[:, order]
-    for k in range(d):
-        col = vectors[:, k]
-        j = int(np.argmax(np.abs(col)))
-        if col[j] < 0:
-            vectors[:, k] = -col
-    return EigenDecomposition(values=values, vectors=vectors)
+    a = _sym_array(S)
+    if not np.all(np.isfinite(a)):
+        raise InvalidInputError("matrix has non-finite entries")
+    values, vectors = np.linalg.eigh(a)
+    lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(a.shape[0])]
+    return EigenDecomposition(values=values, vectors=np.where(lead < 0, -vectors, vectors))
 
 
-def _check_spd(eig, a):
-    tol = pd_tolerance(a)
+def require_spd(eig, S, what):
+    """Return ``eig``, the decomposition of S, if S is numerically SPD.
+
+    The eigenvalue floor is 1e-12 * max(1, trace/dim), scaled so that
+    well-conditioned problems in natural units are never falsely rejected.
+    Below it, raises NotPositiveDefiniteError naming ``what`` and carrying
+    lambda_min.
+    """
+    a = _sym_array(S)
+    tol = 1e-12 * max(1.0, float(np.trace(a)) / a.shape[0])
     lam_min = float(eig.values[0])
     if lam_min <= tol:
         raise NotPositiveDefiniteError(
-            f"matrix is not positive definite (lambda_min={lam_min:.6g}, tol={tol:.6g})",
+            f"{what} is not positive definite (lambda_min={lam_min:.6g}, tol={tol:.6g})",
             lambda_min=lam_min,
         )
+    return eig
 
 
 def sym_sqrt_pair(S):
     """Return (S^{1/2}, S^{-1/2}) for SPD S, both as SymMatrix."""
     a = _sym_array(S)
-    _require_finite(a)
-    eig = sym_eigen(a)
-    _check_spd(eig, a)
+    eig = require_spd(sym_eigen(a), a, "matrix")
     root = np.sqrt(eig.values)
     half = (eig.vectors * root) @ eig.vectors.T
     inv_half = (eig.vectors / root) @ eig.vectors.T
@@ -150,23 +101,19 @@ def sym_sqrt_pair(S):
 def spd_inverse(S):
     """Inverse of an SPD matrix, as an ndarray."""
     a = _sym_array(S)
-    _require_finite(a)
-    eig = sym_eigen(a)
-    _check_spd(eig, a)
+    eig = require_spd(sym_eigen(a), a, "matrix")
     return (eig.vectors / eig.values) @ eig.vectors.T
 
 
 def solve_spd(S, b):
     """Solve S x = b for SPD S."""
     a = _sym_array(S)
-    _require_finite(a)
     b = np.asarray(b, dtype=float)
     if b.shape[0] != a.shape[0]:
         raise InvalidInputError(
             f"right-hand side length {b.shape[0]} does not match dim {a.shape[0]}"
         )
-    eig = sym_eigen(a)
-    _check_spd(eig, a)
+    eig = require_spd(sym_eigen(a), a, "matrix")
     return eig.vectors @ ((eig.vectors.T @ b) / eig.values)
 
 
@@ -181,7 +128,6 @@ class MatrixStats:
 
 def matrix_stats(S):
     a = _sym_array(S)
-    _require_finite(a)
     eig = sym_eigen(a)
     lam_min = float(eig.values[0])
     lam_max = float(eig.values[-1])

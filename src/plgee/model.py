@@ -3,12 +3,14 @@ longitudinal dataset container, and per-subject model evaluation.
 
 Canonical links mean the per-cell variance equals the first derivative of
 the mean function, so ``d1`` doubles as the variance everywhere downstream.
+Probit follows the same convention as in the paper: its variance is
+mu'(theta) = phi(theta), not the Bernoulli variance Phi(theta)(1 - Phi(theta)).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import ndtr, ndtri
 
 from .errors import InvalidInputError, LinkOverflowError
 
@@ -20,7 +22,6 @@ LOG_THETA_LIMIT = 700.0
 # clamped here instead of underflowing to zero.
 _TINY = np.finfo(float).tiny
 
-_SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
@@ -30,45 +31,15 @@ def gauss_pdf(x):
 
 
 def gauss_cdf(x):
-    x = np.asarray(x, dtype=float)
-    return 0.5 * erfc(-x / _SQRT2)
+    return ndtr(np.asarray(x, dtype=float))
 
 
 def gauss_quantile_array(q):
-    """Vectorized standard normal quantile: Acklam's rational approximation
-    as the starting point, polished with two Newton steps against gauss_cdf
-    so quantiles and CDF come from the same expansion."""
+    """Vectorized standard normal quantile."""
     q = np.asarray(q, dtype=float)
     if np.any((q <= 0.0) | (q >= 1.0)):
         raise InvalidInputError("quantile arguments must be in (0,1)")
-    a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
-    p_low = 0.02425
-
-    def _tail(u):
-        return (((((c[0] * u + c[1]) * u + c[2]) * u + c[3]) * u + c[4]) * u + c[5]) / \
-               ((((d[0] * u + d[1]) * u + d[2]) * u + d[3]) * u + 1.0)
-
-    qc = np.clip(q, p_low, 1.0 - p_low)
-    u = qc - 0.5
-    r = u * u
-    x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * u / \
-        (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    lo = q < p_low
-    if np.any(lo):
-        x = np.where(lo, _tail(np.sqrt(-2.0 * np.log(np.where(lo, q, 0.5)))), x)
-    hi = q > 1.0 - p_low
-    if np.any(hi):
-        x = np.where(hi, -_tail(np.sqrt(-2.0 * np.log1p(-np.where(hi, q, 0.5)))), x)
-    for _ in range(2):
-        x = x - (gauss_cdf(x) - q) / np.maximum(gauss_pdf(x), _TINY)
-    return x
+    return ndtri(q)
 
 
 def gauss_quantile(q):

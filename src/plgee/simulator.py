@@ -22,7 +22,7 @@ from .estimator import (
     two_step_fit,
     wald_intervals,
 )
-from .matkernel import SymMatrix, sym_eigen, sym_sqrt_pair
+from .matkernel import SymMatrix, require_spd, sym_eigen, sym_sqrt_pair
 from .model import (
     LinkFamily,
     LongitudinalDataset,
@@ -57,6 +57,13 @@ def _standard_normals(seed, shape):
     u = _uniforms(seed, shape)
     u = np.clip(u, 1e-300, 1.0 - 1e-16)
     return gauss_quantile_array(u)
+
+
+def _correlated_normals(R_bar, seed, shape):
+    """Gaussian (n, m) array whose rows are N(0, R_bar); R_bar must be SPD."""
+    R_bar = SymMatrix(R_bar).a
+    require_spd(sym_eigen(R_bar), R_bar, "correlation matrix")
+    return _standard_normals(seed, shape) @ np.linalg.cholesky(R_bar).T
 
 
 def exchangeable_matrix(m, rho):
@@ -103,8 +110,10 @@ class CorrelationSpec:
                 raise ConfigError(f"custom correlation must be {m}x{m}, got {R.shape}")
             if np.max(np.abs(np.diag(R) - 1.0)) > 1e-10:
                 raise ConfigError("custom correlation must have unit diagonal")
-            if sym_eigen(SymMatrix(R)).values[0] <= 0:
-                raise ConfigError("custom correlation must be positive definite")
+            try:
+                require_spd(sym_eigen(R), R, "custom correlation")
+            except NotPositiveDefiniteError as exc:
+                raise ConfigError(str(exc)) from exc
         else:
             raise ConfigError(f"unknown correlation kind {self.kind!r}")
 
@@ -113,8 +122,7 @@ class CorrelationSpec:
             return exchangeable_matrix(m, self.rho)
         if self.kind == "ar1":
             return ar1_matrix(m, self.rho)
-        return 0.5 * (np.asarray(self.R_bar, dtype=float) +
-                      np.asarray(self.R_bar, dtype=float).T)
+        return SymMatrix(self.R_bar).a
 
 
 @dataclass(frozen=True)
@@ -232,19 +240,12 @@ def gen_gaussian(X, beta0, R_bar, subject_dependence="independent", seed=0):
     """
     X = np.asarray(X, dtype=float)
     beta0 = np.asarray(beta0, dtype=float)
-    n, m, _ = X.shape
-    R_bar = 0.5 * (np.asarray(R_bar, dtype=float) + np.asarray(R_bar, dtype=float).T)
-    if sym_eigen(SymMatrix(R_bar)).values[0] <= 0:
-        raise NotPositiveDefiniteError("correlation matrix is not positive definite")
-    L = np.linalg.cholesky(R_bar)
-    z = _standard_normals(seed, (n, m))
-    eps = z @ L.T
+    eps = _correlated_normals(R_bar, seed, X.shape[:2])
     if subject_dependence == "sign_modulated":
         running = 0.0
-        for i in range(n):
-            s = 1.0 if running >= 0.0 else -1.0
-            eps[i] *= s
-            running += eps[i, 0]
+        for row in eps:
+            row *= 1.0 if running >= 0.0 else -1.0
+            running += row[0]
     theta = X @ beta0
     return LongitudinalDataset(X, theta + eps)
 
@@ -280,11 +281,7 @@ def gen_discrete(X, beta0, family, R_bar, seed=0):
         )
     X = np.asarray(X, dtype=float)
     beta0 = np.asarray(beta0, dtype=float)
-    n, m, _ = X.shape
-    R_bar = 0.5 * (np.asarray(R_bar, dtype=float) + np.asarray(R_bar, dtype=float).T)
-    L = np.linalg.cholesky(R_bar)
-    z = _standard_normals(seed, (n, m))
-    v = gauss_cdf(z @ L.T)
+    v = gauss_cdf(_correlated_normals(R_bar, seed, X.shape[:2]))
     theta = X @ beta0
     if family.kind == "log":
         y = _poisson_quantile_grid(v, np.exp(theta))
@@ -389,21 +386,25 @@ def _run_replicate(config, r):
     return out
 
 
-def monte_carlo_run(config, workers=1):
-    """Run all replicates and aggregate bias/variance/coverage/normality.
+def run_replicates(config, workers=1):
+    """Run every replicate once, in a process pool when workers > 1.
 
-    Replicates that fail to converge (or error out of the solver) are
-    counted and excluded from the moment statistics.  Aggregation is in
-    replicate order, so worker count does not affect the output.
+    Results come back in replicate order either way, so worker count does
+    not affect anything built from them.
     """
     reps = range(config.replications)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_replicate, [config] * config.replications, reps))
-    else:
-        results = [_run_replicate(config, r) for r in reps]
-    results.sort(key=lambda d: d["rep"])
+            return list(pool.map(_run_replicate, [config] * config.replications, reps))
+    return [_run_replicate(config, r) for r in reps]
 
+
+def summarize_replicates(config, results):
+    """Aggregate bias/variance/coverage/normality over replicate results.
+
+    Replicates that fail to converge (or error out of the solver) are
+    counted and excluded from the moment statistics.
+    """
     ok = [d for d in results if d["ok"]]
     n_fail = config.replications - len(ok)
     if not ok:
@@ -451,15 +452,13 @@ def monte_carlo_run(config, workers=1):
     )
 
 
-def per_replicate_rows(config, workers=1):
+def monte_carlo_run(config, workers=1):
+    """Run all replicates and aggregate them into an MCReport."""
+    return summarize_replicates(config, run_replicates(config, workers))
+
+
+def replicate_rows(results):
     """Per-replicate (beta_hat, z, covered) rows for external plotting."""
-    reps = range(config.replications)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_replicate, [config] * config.replications, reps))
-    else:
-        results = [_run_replicate(config, r) for r in reps]
-    results.sort(key=lambda d: d["rep"])
     rows = []
     for d in results:
         if not d["ok"]:
@@ -470,3 +469,8 @@ def per_replicate_rows(config, workers=1):
                 "beta_hat": d["beta_two"], "z": d["z"], "covered": d["covered"],
             })
     return rows
+
+
+def per_replicate_rows(config, workers=1):
+    """Run all replicates and return their rows (see replicate_rows)."""
+    return replicate_rows(run_replicates(config, workers))

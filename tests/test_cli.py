@@ -275,6 +275,22 @@ class TestSimulate:
         assert lines[0] == "rep,converged,beta1,beta2,z1,z2,covered1,covered2"
         assert len(lines) == 1 + 6
 
+    def test_replicates_csv_runs_each_replicate_once(self, config_json, tmp_path,
+                                                     capsys, monkeypatch):
+        import plgee.simulator as simulator
+        calls = []
+        run_one = simulator._run_replicate
+
+        def counted(config, r):
+            calls.append(r)
+            return run_one(config, r)
+
+        monkeypatch.setattr(simulator, "_run_replicate", counted)
+        code, _, _ = run_cli(["simulate", "--config", config_json,
+                              "--replicates-csv", str(tmp_path / "reps.csv")], capsys)
+        assert code == 0
+        assert calls == list(range(6))
+
     def test_invalid_config(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"n": 5}))

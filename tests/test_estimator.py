@@ -201,6 +201,23 @@ class TestTwoStep:
         assert fit.method == "independence"
         assert fit.cov_beta is not None
 
+    def test_correlation_decomposed_twice(self, monkeypatch):
+        # once for the pseudo-likelihood step matrix, once in the sandwich
+        import plgee.estimator as estimator
+        import plgee.matkernel as matkernel
+        shapes = []
+        real = matkernel.sym_eigen
+
+        def recording(S):
+            shapes.append(np.shape(S))
+            return real(S)
+
+        monkeypatch.setattr(estimator, "sym_eigen", recording)
+        monkeypatch.setattr(matkernel, "sym_eigen", recording)
+        fit = two_step_fit(gaussian_dataset(n=60, m=3, p=2, seed=25), IDENTITY)
+        assert fit.method == "pseudo_likelihood"
+        assert shapes.count((3, 3)) == 2
+
     def test_scale_equivariance_of_root(self):
         data = gaussian_dataset(n=100, seed=22)
         fit = two_step_fit(data, IDENTITY)

@@ -5,6 +5,7 @@ from plgee.errors import InvalidInputError, NotPositiveDefiniteError
 from plgee.matkernel import (
     SymMatrix,
     matrix_stats,
+    require_spd,
     solve_spd,
     spd_inverse,
     sym_eigen,
@@ -62,17 +63,24 @@ class TestSymEigen:
     def test_reconstruction_random(self):
         rng = np.random.default_rng(7)
         s = random_sym(rng, 5)
-        e = sym_eigen(s)
-        rec = (e.vectors * e.values) @ e.vectors.T
-        tol = 1e-10 * max(1.0, np.linalg.norm(s))
-        assert np.max(np.abs(rec - s)) < tol
-        assert np.max(np.abs(e.vectors.T @ e.vectors - np.eye(5))) < 1e-10
+        # the same random basis with a triple eigenvalue in the spectrum
+        basis, _ = np.linalg.qr(s)
+        repeated = (basis * [-1.0, 2.0, 2.0, 2.0, 5.0]) @ basis.T
+        for a in (s, repeated):
+            e = sym_eigen(a)
+            assert np.allclose(e.values, np.linalg.eigvalsh(a), rtol=0, atol=1e-12)
+            rec = (e.vectors * e.values) @ e.vectors.T
+            tol = 1e-10 * max(1.0, np.linalg.norm(a))
+            assert np.max(np.abs(rec - a)) < tol
+            assert np.max(np.abs(e.vectors.T @ e.vectors - np.eye(5))) < 1e-10
 
     def test_values_sorted(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
-            e = sym_eigen(random_sym(rng, 6))
+            s = random_sym(rng, 6)
+            e = sym_eigen(s)
             assert np.all(np.diff(e.values) >= 0)
+            assert np.allclose(e.values, np.linalg.eigvalsh(s), rtol=0, atol=1e-12)
 
     def test_sign_convention_deterministic(self):
         rng = np.random.default_rng(3)
@@ -117,6 +125,20 @@ class TestSqrtPair:
         with pytest.raises(NotPositiveDefiniteError) as exc:
             sym_sqrt_pair(np.diag([1.0, -2.0]))
         assert exc.value.lambda_min == pytest.approx(-2.0)
+
+
+class TestRequireSpd:
+    def test_passes_spd_decomposition_through(self):
+        s = np.array([[2.0, 1.0], [1.0, 2.0]])
+        e = sym_eigen(s)
+        assert require_spd(e, s, "widget") is e
+
+    @pytest.mark.parametrize("lam_min", [-2.0, 0.0, 1e-13])
+    def test_error_names_matrix_and_lambda_min(self, lam_min):
+        s = np.diag([1.0, lam_min])
+        with pytest.raises(NotPositiveDefiniteError, match="widget") as exc:
+            require_spd(sym_eigen(s), s, "widget")
+        assert exc.value.lambda_min == pytest.approx(lam_min, abs=1e-15)
 
 
 class TestSolveSpd:

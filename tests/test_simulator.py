@@ -219,6 +219,11 @@ class TestDiscreteGenerators:
         with pytest.raises(ConfigError):
             gen_discrete(np.zeros((2, 2, 1)), np.zeros(1), IDENTITY, np.eye(2))
 
+    def test_rejects_non_pd_correlation(self):
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            gen_discrete(np.zeros((2, 2, 1)), np.zeros(1), LOG, [[1, 2], [2, 1]])
+        assert exc.value.lambda_min == pytest.approx(-1.0)
+
 
 class TestConfigValidation:
     def test_probit_rejected(self):
