@@ -7,8 +7,11 @@ or too many failed replicates).
 """
 
 import argparse
+import array
 import csv
+import itertools
 import json
+import operator
 import sys
 
 import numpy as np
@@ -101,11 +104,84 @@ def _emit_error(exc):
 # CSV dataset interface
 # ---------------------------------------------------------------------------
 
+# Records read and converted per block.  One block of cell strings (about
+# 0.8 kB a record at p=8) is alive at a time; larger blocks parse no faster.
+CSV_BLOCK_RECORDS = 512
+
+_TIME_CELL = operator.itemgetter(1)
+_NUMBER_CELLS = operator.itemgetter(slice(2, None))   # y, x1..xp
+
+
+def _to_array(convert, cells, dtype):
+    """np.fromiter(map(convert, cells)), None.  When `convert` or the dtype's
+    range rejects a cell, returns the converted cells before the first such
+    cell and (its index, the error)."""
+    try:
+        return np.fromiter(map(convert, cells), dtype, len(cells)), None
+    except (ValueError, OverflowError):
+        for k, cell in enumerate(cells):
+            try:
+                np.fromiter((convert(cell),), dtype, 1)
+            except (ValueError, OverflowError) as exc:
+                return np.fromiter(map(convert, cells[:k]), dtype, k), (k, exc)
+        raise
+
+
+def _convert_records(rows, numbers, width):
+    """Field-count and numeric checks of non-blank records, in file order.
+
+    Returns (k, times, values, error): the first k records passed and are
+    converted (times (k,), values (k * (width - 2),) row-major); error is
+    the message for record k, or None when every record passed.
+    """
+    lens = np.fromiter(map(len, rows), np.intp, len(rows))
+    wrong = np.flatnonzero(lens != width)
+    k = int(wrong[0]) if wrong.size else len(rows)
+    failures = []                       # (record index, rank in record, message)
+    if wrong.size:
+        failures.append((k, 0, f"row {numbers[k]} has {lens[k]} fields, expected {width}"))
+    times, bad_time = _to_array(int, list(map(_TIME_CELL, rows[:k])), np.int64)
+    values, bad_value = _to_array(
+        float, list(itertools.chain.from_iterable(map(_NUMBER_CELLS, rows[:k]))), float)
+    for rank, bad, per_record in ((1, bad_time, 1), (2, bad_value, width - 2)):
+        if bad is not None:
+            r = bad[0] // per_record
+            failures.append((r, rank, f"non-numeric cell at row {numbers[r]}: {bad[1]}"))
+    if not failures:
+        return k, times, values, None
+    k, _, error = min(failures)
+    return k, times[:k], values[:k * (width - 2)], error
+
+
+def _first_duplicate(subject, time):
+    """Position of the first record whose (subject, time) occurred before, or None."""
+    order = np.lexsort((time, subject))     # stable: equal keys stay in file order
+    s, t = subject[order], time[order]
+    repeats = order[1:][(s[1:] == s[:-1]) & (t[1:] == t[:-1])]
+    return int(repeats.min()) if repeats.size else None
+
+
 def parse_dataset_csv(path):
     """Long-format CSV `subject,time,y,x1,...,xp` -> LongitudinalDataset.
 
     Subjects are ordered by first appearance (the filtration order); every
     subject must contribute exactly the same set of time indices 1..m.
+
+    Cell grammar: the `csv` module splits records, so quoted cells and
+    CRLF endings parse, and a blank line is a record with no data.  Subject
+    ids are stripped of surrounding whitespace.  `time` is read by Python's
+    `int`, `y` and x1..xp by Python's `float`; a time outside the signed
+    64-bit range is reported as a non-numeric cell.
+
+    Error order: the first offending record wins, and its message names its
+    record number (the header is record 1).  Within a record the checks run
+    in this order: field count, then numeric (time, y, x1..xp), then
+    duplicate (subject, time).  The subject-level checks run last, in
+    first-appearance order: each subject needs as many rows as the first
+    subject, m, and then time values 1..m.
+
+    The file is read in blocks of CSV_BLOCK_RECORDS records, each converted
+    to numpy at once; one scatter places the rows into C-contiguous X and y.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -124,46 +200,53 @@ def parse_dataset_csv(path):
             raise SchemaError(f"covariate columns must be x1..xp, got {xcols}")
         p = len(xcols)
 
-        order = []                 # subjects by first appearance
-        rows = {}                  # subject -> {time: (y, x)}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3 + p:
-                raise SchemaError(f"row {lineno} has {len(row)} fields, expected {3 + p}")
-            subject = row[0].strip()
-            try:
-                time = int(row[1])
-                y = float(row[2])
-                x = [float(v) for v in row[3:]]
-            except ValueError as exc:
-                raise SchemaError(f"non-numeric cell at row {lineno}: {exc}") from None
-            if subject not in rows:
-                rows[subject] = {}
-                order.append(subject)
-            if time in rows[subject]:
-                raise SchemaError(f"duplicate (subject,time) = ({subject},{time})")
-            rows[subject][time] = (y, x)
+        index = {}                 # subject -> first-appearance index
+        # accepted records in file order; an array.array grows in place, so
+        # no concatenation of per-block parts doubles the memory at the end
+        subject, time, values = array.array("q"), array.array("q"), array.array("d")
+        first, error = 2, None     # record number of the block's first record
+        while error is None:
+            block = list(itertools.islice(reader, CSV_BLOCK_RECORDS))
+            if not block:
+                break
+            numbers = range(first, first + len(block))
+            first += len(block)
+            if not all(block):
+                numbers = [n for n, row in zip(numbers, block) if row]
+                block = [row for row in block if row]
+            k, t, v, error = _convert_records(block, numbers, 3 + p)
+            subject.extend(index.setdefault(row[0].strip(), len(index))
+                           for row in block[:k])
+            time.frombytes(t.tobytes())
+            values.frombytes(v.tobytes())
 
-    if not order:
+    subject, time = np.frombuffer(subject, np.int64), np.frombuffer(time, np.int64)
+    names = list(index)
+    dup = _first_duplicate(subject, time)
+    if dup is not None:
+        raise SchemaError(f"duplicate (subject,time) = ({names[subject[dup]]},{time[dup]})")
+    if error is not None:
+        raise SchemaError(error)
+    if not names:
         raise SchemaError("CSV contains no data rows")
-    m = len(rows[order[0]])
-    times = list(range(1, m + 1))
-    for subject in order:
-        got = rows[subject]
-        if len(got) != m:
-            raise SchemaError(f"subject {subject} has {len(got)} rows, expected {m}")
-        if sorted(got) != times:
-            raise SchemaError(
-                f"subject {subject} must have time values 1..{m}, got {sorted(got)}"
-            )
-    X = np.empty((len(order), m, p))
-    y = np.empty((len(order), m))
-    for i, subject in enumerate(order):
-        for j, t in enumerate(times):
-            y[i, j], xs = rows[subject][t]
-            X[i, j] = xs
-    return LongitudinalDataset(X, y)
+    n = len(names)
+    counts = np.bincount(subject, minlength=n)
+    m = int(counts[0])
+    off_grid = (time < 1) | (time > m)
+    bad = (counts != m) | (np.bincount(subject[off_grid], minlength=n) > 0)
+    if bad.any():
+        s = int(np.argmax(bad))
+        if counts[s] != m:
+            raise SchemaError(f"subject {names[s]} has {counts[s]} rows, expected {m}")
+        raise SchemaError(f"subject {names[s]} must have time values 1..{m}, "
+                          f"got {sorted(time[subject == s].tolist())}")
+    cells = subject * m + (time - 1)
+    values = np.frombuffer(values, float).reshape(-1, 1 + p)
+    X = np.empty((n * m, p))
+    y = np.empty(n * m)
+    X[cells] = values[:, 1:]
+    y[cells] = values[:, 0]
+    return LongitudinalDataset(X.reshape(n, m, p), y.reshape(n, m))
 
 
 def write_dataset_csv(data, path):

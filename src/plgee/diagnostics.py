@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LinkOverflowError, ShapeError
-from .estimator import estimate_correlation
+from .estimator import _sandwiched_gram, _weighted_gram, estimate_correlation
 from .matkernel import SymMatrix, require_spd, sym_eigen, sym_sqrt_pair
 from .model import _link_arrays, eval_model
 
@@ -81,7 +81,7 @@ def smoothness_maxima(data, family, beta_center, radius_r=0.0):
     probes = [beta_center]
     if radius_r > 0:
         ev = eval_model(data, family, beta_center)
-        H = np.einsum("nmp,nm,nmq->pq", data.X, ev.var, data.X)
+        H = _weighted_gram(data.X, ev.var)
         eig = require_spd(sym_eigen(H), H, "independence scoring matrix")
         scale = radius_r * math.sqrt(data.m)
         for k in range(data.p):
@@ -104,6 +104,11 @@ def smoothness_maxima(data, family, beta_center, radius_r=0.0):
     return {"k2": k2, "k3": k3}
 
 
+def _max_quad_form(Xf, A):
+    """max over the rows x_c of the (cells, p) matrix Xf of x_c' A x_c."""
+    return float(np.max(np.sum((Xf @ A) * Xf, axis=1)))
+
+
 def design_diagnostics(data, family, beta, R, M_hat=None, true_corr=None):
     """Evaluate all regularity quantities at (beta, R).
 
@@ -115,7 +120,7 @@ def design_diagnostics(data, family, beta, R, M_hat=None, true_corr=None):
     R = R.a if isinstance(R, SymMatrix) else np.asarray(R, dtype=float)
     ev = eval_model(data, family, beta)
 
-    H_indep = np.einsum("nmp,nm,nmq->pq", data.X, ev.var, data.X)
+    H_indep = _weighted_gram(data.X, ev.var)
     H_indep = 0.5 * (H_indep + H_indep.T)
     eig_Hi = require_spd(sym_eigen(H_indep), H_indep, "independence scoring matrix")
 
@@ -127,15 +132,15 @@ def design_diagnostics(data, family, beta, R, M_hat=None, true_corr=None):
 
     sd = ev.sd
     B = sd[:, :, None] * data.X
-    H = np.einsum("njp,jk,nkq->pq", B, Q, B)
+    H = _sandwiched_gram(B, Q)
     H = 0.5 * (H + H.T)
     eig_H = require_spd(sym_eigen(H), H, "general scoring matrix")
 
     Hi_inv = (eig_Hi.vectors / eig_Hi.values) @ eig_Hi.vectors.T
     H_inv = (eig_H.vectors / eig_H.values) @ eig_H.vectors.T
     x_flat = data.X.reshape(-1, data.p)
-    gamma0_indep = float(np.max(np.einsum("cp,pq,cq->c", x_flat, Hi_inv, x_flat)))
-    gamma0 = float(np.max(np.einsum("cp,pq,cq->c", x_flat, H_inv, x_flat)))
+    gamma0_indep = _max_quad_form(x_flat, Hi_inv)
+    gamma0 = _max_quad_form(x_flat, H_inv)
     gamma_tilde = tau_tilde * gamma0
 
     H_inv_half = (eig_H.vectors / np.sqrt(eig_H.values)) @ eig_H.vectors.T
@@ -228,7 +233,7 @@ def example2_closed_form(data, family, beta):
     nu = np.zeros(data.p)
     for k in range(data.p):
         nu[k] = float(np.sum(ev.var[level == k]))
-    H = np.einsum("nmp,nm,nmq->pq", X, ev.var, X)
+    H = _weighted_gram(X, ev.var)
     if np.max(np.abs(H - np.diag(nu))) > 1e-12 * max(1.0, float(np.max(nu))):
         raise ShapeError("independence scoring matrix is not diagonal with the level sums")
     return {"nu": nu, "nu_min": float(np.min(nu))}

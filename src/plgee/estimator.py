@@ -57,29 +57,59 @@ class FitResult:
     cov_beta: SymMatrix | None = None
     correlation_used: CorrelationEstimate | None = None
     fallback_to_independence: bool = False
+    # step-1 independence fit of two_step_fit (the fit itself on fallback)
+    preliminary: "FitResult | None" = field(default=None, repr=False)
+    # (g, H, ModelEval) of the solver's system at beta_hat
+    final_system: tuple | None = field(default=None, repr=False)
+
+
+# Sums over the (n, m, p) subject stack, each one BLAS call on the (n*m, p)
+# flattening.  The reshapes are views only when the stacks are C-contiguous.
+
+def _flat(A):
+    return A.reshape(-1, A.shape[-1])
+
+
+def _score(X, t):
+    """sum_i X_i' t_i (a GEMV)."""
+    return t.ravel() @ _flat(X)
+
+
+def _weighted_gram(X, w):
+    """sum_i X_i' diag(w_i) X_i (a GEMM)."""
+    return _flat(X * w[:, :, None]).T @ _flat(X)
+
+
+def _sandwiched_gram(B, Q):
+    """sum_i B_i' Q B_i (a batched matmul, then a GEMM)."""
+    return _flat(B).T @ _flat(np.matmul(Q, B))
+
+
+def _subject_scores(X, t):
+    """Per-subject X_i' t_i as an (n, p) array (a batched matmul)."""
+    return np.matmul(t[:, None, :], X)[:, 0, :]
 
 
 def _independence_system(data, family, beta):
     ev = eval_model(data, family, beta)
-    g = np.einsum("nmp,nm->p", data.X, ev.eps)
-    H = np.einsum("nmp,nm,nmq->pq", data.X, ev.var, data.X)
-    return g, H, ev
+    return _score(data.X, ev.eps), _weighted_gram(data.X, ev.var), ev
+
+
+def _working_residuals(ev, Q):
+    """A^{1/2} Q A^{-1/2} eps, per subject."""
+    sd = ev.sd
+    return sd * ((ev.eps / sd) @ Q.T)
 
 
 def _general_system(data, family, beta, Q):
     """Estimating function and scoring matrix for a fixed correlation inverse Q."""
     ev = eval_model(data, family, beta)
-    sd = ev.sd
-    s = ev.eps / sd                       # standardized residuals, (n, m)
-    t = sd * (s @ Q.T)                    # A^{1/2} Q A^{-1/2} eps
-    g = np.einsum("nmp,nm->p", data.X, t)
-    B = sd[:, :, None] * data.X           # A^{1/2} X_i
-    H = np.einsum("njp,jk,nkq->pq", B, Q, B)
-    return g, H, ev
+    B = ev.sd[:, :, None] * data.X       # A^{1/2} X_i
+    return _score(data.X, _working_residuals(ev, Q)), _sandwiched_gram(B, Q), ev
 
 
 def _convergence_scale(data, opts):
-    xty = np.einsum("nmp,nm->p", data.X, data.y)
+    xty = _score(data.X, data.y)
     return opts.grad_tol * (1.0 + float(np.linalg.norm(xty)))
 
 
@@ -87,12 +117,13 @@ def _newton_solve(data, family, beta_init, opts, system, method):
     """Damped Newton / Fisher scoring on the estimating function.
 
     Full step first; halved whenever the estimating-function norm fails to
-    decrease or the link overflows along the way.
+    decrease or the link overflows along the way.  The result carries the
+    system (g, H, ModelEval) at its beta_hat as ``final_system``.
     """
     beta = np.asarray(beta_init, dtype=float).copy()
     tol = _convergence_scale(data, opts)
     try:
-        g, H, _ = system(beta)
+        g, H, ev = system(beta)
     except LinkOverflowError as exc:
         raise LineSearchFailure(f"link overflow at the initial point: {exc}") from exc
     gnorm = float(np.linalg.norm(g))
@@ -100,7 +131,8 @@ def _newton_solve(data, family, beta_init, opts, system, method):
 
     if gnorm <= tol:
         return FitResult(beta_hat=beta, converged=True, iterations=0,
-                         final_gnorm=gnorm, trace=trace, method=method)
+                         final_gnorm=gnorm, trace=trace, method=method,
+                         final_system=(g, H, ev))
 
     for it in range(1, opts.max_iter + 1):
         try:
@@ -115,7 +147,7 @@ def _newton_solve(data, family, beta_init, opts, system, method):
         for _ in range(opts.step_halving_max + 1):
             cand = beta + scale * step
             try:
-                g_new, H_new, _ = system(cand)
+                g_new, H_new, ev_new = system(cand)
             except LinkOverflowError:
                 scale *= 0.5
                 continue
@@ -131,16 +163,18 @@ def _newton_solve(data, family, beta_init, opts, system, method):
             )
 
         step_size = float(np.linalg.norm(scale * step))
-        beta, g, H, gnorm = cand, g_new, H_new, gnorm_new
+        beta, g, H, ev, gnorm = cand, g_new, H_new, ev_new, gnorm_new
         trace.append((beta.copy(), gnorm))
         if gnorm <= tol:
             return FitResult(beta_hat=beta, converged=True, iterations=it,
-                             final_gnorm=gnorm, trace=trace, method=method)
+                             final_gnorm=gnorm, trace=trace, method=method,
+                             final_system=(g, H, ev))
         if step_size <= opts.step_tol * (1.0 + float(np.linalg.norm(beta))):
             break
 
     return FitResult(beta_hat=beta, converged=False, iterations=len(trace) - 1,
-                     final_gnorm=gnorm, trace=trace, method=method)
+                     final_gnorm=gnorm, trace=trace, method=method,
+                     final_system=(g, H, ev))
 
 
 def gee_independence_fit(data, family, beta_init=None, opts=SolverOptions()):
@@ -211,13 +245,9 @@ class SandwichParts:
     cov_beta: SymMatrix
 
 
-def sandwich_covariance(data, family, beta_hat, corr):
-    """Robust covariance H^{-1} M H^{-1} at beta_hat under correlation corr."""
-    Q = spd_inverse(corr.R_tilde.a)
-    _, H, ev = _general_system(data, family, np.asarray(beta_hat, dtype=float), Q)
-    sd = ev.sd
-    t = sd * ((ev.eps / sd) @ Q.T)
-    V = np.einsum("nmp,nm->np", data.X, t)      # per-subject score contributions
+def _sandwich(data, ev, H, Q):
+    """H^{-1} M H^{-1} from the system (H, ev) at beta_hat under Q = R^{-1}."""
+    V = _subject_scores(data.X, _working_residuals(ev, Q))   # per-subject scores
     M = V.T @ V
     eig = require_spd(sym_eigen(H), H, "scoring matrix at beta_hat")
     H_inv = (eig.vectors / eig.values) @ eig.vectors.T
@@ -225,10 +255,21 @@ def sandwich_covariance(data, family, beta_hat, corr):
     return SandwichParts(M_hat=SymMatrix(M), H_tilde=SymMatrix(H), cov_beta=SymMatrix(cov))
 
 
+def sandwich_covariance(data, family, beta_hat, corr):
+    """Robust covariance H^{-1} M H^{-1} at beta_hat under correlation corr."""
+    Q = spd_inverse(corr.R_tilde.a)
+    _, H, ev = _general_system(data, family, np.asarray(beta_hat, dtype=float), Q)
+    return _sandwich(data, ev, H, Q)
+
+
 def two_step_fit(data, family, opts=SolverOptions()):
     """Independence fit from zero, correlation estimate, pseudo-likelihood
     refit, sandwich covariance.  Falls back to the (sandwich-equipped)
     independence fit when the correlation estimate is numerically singular.
+
+    The step-1 fit is kept as ``preliminary``; the sandwich reuses the
+    refit's final system, so it equals ``sandwich_covariance`` at beta_hat
+    bit for bit.
     """
     indep = gee_independence_fit(data, family, beta_init=None, opts=opts)
     corr = estimate_correlation(data, family, indep.beta_hat)
@@ -244,8 +285,11 @@ def two_step_fit(data, family, opts=SolverOptions()):
             data, family, indep.beta_hat, identity).cov_beta
         indep.correlation_used = corr
         indep.fallback_to_independence = True
+        indep.preliminary = indep
         return indep
-    fit.cov_beta = sandwich_covariance(data, family, fit.beta_hat, corr).cov_beta
+    _, H, ev = fit.final_system
+    fit.cov_beta = _sandwich(data, ev, H, spd_inverse(corr.R_tilde.a)).cov_beta
+    fit.preliminary = indep
     return fit
 
 

@@ -143,8 +143,10 @@ class LongitudinalDataset:
             raise InvalidInputError(f"need n, m, p >= 1, got {(n, m, p)}")
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
             raise InvalidInputError("dataset contains non-finite entries")
-        self.X = X
-        self.y = y
+        # C order keeps the (n*m, p) flattening that every sum over subjects
+        # uses a view rather than a copy
+        self.X = np.ascontiguousarray(X)
+        self.y = np.ascontiguousarray(y)
 
     @property
     def n(self):

@@ -18,7 +18,6 @@ from .errors import ConfigError, EmptyReportError, NotPositiveDefiniteError, Plg
 from .estimator import (
     SolverOptions,
     estimate_correlation,
-    gee_independence_fit,
     two_step_fit,
     wald_intervals,
 )
@@ -361,10 +360,10 @@ def _run_replicate(config, r):
     opts = SolverOptions()
     out = {"rep": r, "ok": False}
     try:
-        indep = gee_independence_fit(data, config.family, opts=opts)
         two = two_step_fit(data, config.family, opts=opts)
     except PlgeeError:
         return out
+    indep = two.preliminary
     if not (indep.converged and two.converged):
         return out
     beta0 = np.asarray(config.beta0, dtype=float)

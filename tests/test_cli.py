@@ -9,7 +9,7 @@ from plgee.cli import (
     parse_dataset_csv,
     write_dataset_csv,
 )
-from plgee.errors import SchemaError
+from plgee.errors import InvalidInputError, SchemaError
 from plgee.simulator import SimConfig, exchangeable_matrix, gen_gaussian
 
 
@@ -97,6 +97,124 @@ class TestCsv:
         path.write_text("")
         with pytest.raises(SchemaError, match="empty"):
             parse_dataset_csv(path)
+
+
+def _schema_message(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(SchemaError) as info:
+        parse_dataset_csv(path)
+    return str(info.value)
+
+
+def _records(n_subjects, m, start=0):
+    return "".join(f"{i},{j},0.5,{0.25 * j}\n"
+                   for i in range(start, start + n_subjects) for j in range(1, m + 1))
+
+
+HEAD = "subject,time,y,x1\n"
+
+
+class TestCsvErrorMessages:
+    """Exact SchemaError texts: the first offending record wins; within a
+    record, field count, then numeric cells (time, y, x), then duplicate;
+    subject-level checks run last, in first-appearance order."""
+
+    @pytest.mark.parametrize("text, message", [
+        (HEAD + "1,1,0.0,0.0\n1,2,0.0\n", "row 3 has 3 fields, expected 4"),
+        (HEAD + "1,1,0.0,0.0,9\n", "row 2 has 5 fields, expected 4"),
+        (HEAD + "1,1.0,0.0,0.0\n",
+         "non-numeric cell at row 2: invalid literal for int() with base 10: '1.0'"),
+        (HEAD + "1,1,oops,0.0\n",
+         "non-numeric cell at row 2: could not convert string to float: 'oops'"),
+        ("subject,time,y,x1,x2\n1,1,0.5,0.0,1e\n",
+         "non-numeric cell at row 2: could not convert string to float: '1e'"),
+        (HEAD + "1,x,y,0.0\n",
+         "non-numeric cell at row 2: invalid literal for int() with base 10: 'x'"),
+        (HEAD + "1,x,y\n", "row 2 has 3 fields, expected 4"),
+        (HEAD + " 7 ,1,0.0,0.0\n7,1,0.5,0.0\n", "duplicate (subject,time) = (7,1)"),
+        (HEAD + "1,1,0.0,0.0\n1,1,bad,0.0\n",
+         "non-numeric cell at row 3: could not convert string to float: 'bad'"),
+        (HEAD + "1,1,0.0,0.0\n1,2,0.0,0.0\n2,1,0.0,0.0\n",
+         "subject 2 has 1 rows, expected 2"),
+        (HEAD + "1,1,0.0,0.0\n1,2,0.0,0.0\n2,3,0.0,0.0\n2,1,0.0,0.0\n",
+         "subject 2 must have time values 1..2, got [1, 3]"),
+        (HEAD + "1,1,0.0,0.0\n1,0,0.0,0.0\n",
+         "subject 1 must have time values 1..2, got [0, 1]"),
+        (HEAD + "a,1,0,0\na,3,0,0\nb,1,0,0\n",
+         "subject a must have time values 1..2, got [1, 3]"),
+        (HEAD, "CSV contains no data rows"),
+        (HEAD + "\n\n", "CSV contains no data rows"),
+        (HEAD + "1,1,0.0,0.0\n\n1,2,zz,0.0\n",
+         "non-numeric cell at row 4: could not convert string to float: 'zz'"),
+    ], ids=["short-record", "long-record", "time", "y", "x", "time-before-y",
+            "fields-before-numeric", "duplicate", "numeric-before-duplicate",
+            "ragged", "time-set", "time-zero", "first-subject-first",
+            "header-only", "blank-only", "blank-line-shifts-rows"])
+    def test_message(self, tmp_path, text, message):
+        assert _schema_message(tmp_path, text) == message
+
+    def test_early_duplicate_beats_later_bad_cell(self, tmp_path):
+        text = (HEAD + "1,1,0.0,0.0\n1,1,0.0,0.0\n" + _records(1500, 4, start=2)
+                + "9999,1,nope,0.0\n")
+        assert _schema_message(tmp_path, text) == "duplicate (subject,time) = (1,1)"
+
+    def test_early_bad_cell_beats_later_duplicate(self, tmp_path):
+        text = (HEAD + "1,1,nope,0.0\n" + _records(1500, 4, start=2)
+                + "2,1,0.0,0.0\n")
+        assert _schema_message(tmp_path, text) == (
+            "non-numeric cell at row 2: could not convert string to float: 'nope'")
+
+    def test_late_duplicate_and_late_bad_cell(self, tmp_path):
+        records = _records(2000, 4, start=1)
+        text = HEAD + records + "5,2,0.0,0.0\n" + "6,1,0.0,x\n"
+        assert _schema_message(tmp_path, text) == "duplicate (subject,time) = (5,2)"
+        text = HEAD + records + "6,1,0.0,x\n" + "5,2,0.0,0.0\n"
+        assert _schema_message(tmp_path, text) == (
+            f"non-numeric cell at row {2 + 8000}: could not convert string to float: 'x'")
+
+    def test_ragged_subject_after_many_records(self, tmp_path):
+        text = HEAD + _records(3000, 3) + "3000,1,0,0\n"
+        assert _schema_message(tmp_path, text) == "subject 3000 has 1 rows, expected 3"
+
+
+class TestCsvCellGrammar:
+    def test_quoted_cells_crlf_and_padded_ids(self, tmp_path):
+        path = tmp_path / "q.csv"
+        path.write_bytes(b'subject,time,y,x1\r\n'
+                         b'" a ","1","2.5"," 0.5 "\r\n'
+                         b'a,2,1e-3,-0\r\n'
+                         b'b ,2,+4,1_000.5\r\n'
+                         b' b,1, 3 ,inf\r\n')
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            parse_dataset_csv(path)
+        path.write_bytes(path.read_bytes().replace(b"inf", b"7"))
+        d = parse_dataset_csv(path)
+        assert d.y.tolist() == [[2.5, 0.001], [3.0, 4.0]]
+        assert d.X[:, :, 0].tolist() == [[0.5, -0.0], [7.0, 1000.5]]
+
+    def test_arrays_are_c_contiguous(self, data_csv):
+        d = parse_dataset_csv(data_csv)
+        assert d.X.flags.c_contiguous and d.y.flags.c_contiguous
+
+    def test_shuffled_records_across_blocks(self, tmp_path):
+        rng = np.random.default_rng(3)
+        n, m = 1500, 5
+        X = rng.normal(size=(n, m, 2))
+        y = rng.normal(size=(n, m))
+        cells = [(i, j) for i in range(n) for j in range(m)]
+        order = rng.permutation(len(cells))
+        lines = ["subject,time,y,x1,x2"]
+        for k in order:
+            i, j = cells[k]
+            lines.append(",".join([f"s{i}", str(j + 1)]
+                                  + [repr(float(v)) for v in (y[i, j], *X[i, j])]))
+        path = tmp_path / "shuffled.csv"
+        path.write_text("\n".join(lines) + "\n")
+        d = parse_dataset_csv(path)
+        first_seen = list(dict.fromkeys(cells[k][0] for k in order))
+        assert np.array_equal(d.X, X[first_seen])
+        assert np.array_equal(d.y, y[first_seen])
 
 
 def run_cli(argv, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from plgee.diagnostics import (
+    _max_quad_form,
     condition_trend_report,
     design_diagnostics,
     example1_closed_form,
@@ -20,6 +21,16 @@ def gaussian_dataset(n=60, m=3, p=2, rho=0.4, beta0=(1.0, -0.5), seed=0):
     rng = np.random.default_rng(seed)
     X = rng.uniform(-1, 1, size=(n, m, p))
     return gen_gaussian(X, np.array(beta0), exchangeable_matrix(m, rho), seed=seed)
+
+
+@pytest.mark.parametrize("cells, p", [(1, 1), (5, 1), (1, 4), (37, 6)])
+def test_max_quad_form_matches_einsum(cells, p):
+    rng = np.random.default_rng(cells * 10 + p)
+    Xf = rng.normal(size=(cells, p))
+    A = rng.normal(size=(p, p))
+    A = A @ A.T + np.eye(p)
+    want = float(np.max(np.einsum("cp,pq,cq->c", Xf, A, Xf)))
+    assert _max_quad_form(Xf, A) == pytest.approx(want, rel=1e-12)
 
 
 class TestDesignDiagnostics:

@@ -8,6 +8,10 @@ from plgee.errors import (
 )
 from plgee.estimator import (
     CorrelationEstimate,
+    _sandwiched_gram,
+    _score,
+    _subject_scores,
+    _weighted_gram,
     SolverOptions,
     estimate_correlation,
     gee_independence_fit,
@@ -17,7 +21,7 @@ from plgee.estimator import (
     wald_intervals,
 )
 from plgee.matkernel import SymMatrix, sym_eigen
-from plgee.model import IDENTITY, LOGIT, LongitudinalDataset, eval_model
+from plgee.model import IDENTITY, LOG, LOGIT, LongitudinalDataset, eval_model
 from plgee.simulator import exchangeable_matrix, gen_gaussian
 
 
@@ -176,7 +180,70 @@ class TestPseudoLikelihoodFit:
             pseudo_likelihood_fit(data, IDENTITY, corr)
 
 
+def assert_rel_close(got, want, rel=1e-12):
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= rel * np.linalg.norm(want)
+
+
+class TestAssemblyHelpers:
+    """The BLAS assembly helpers against their einsum definitions."""
+
+    @pytest.mark.parametrize("n, m, p", [
+        (1, 1, 1), (1, 4, 3), (9, 1, 2), (11, 5, 1), (40, 6, 4), (3, 2, 7),
+    ])
+    def test_match_einsum_definitions(self, n, m, p):
+        rng = np.random.default_rng(100 * n + 10 * m + p)
+        X = rng.normal(size=(n, m, p))
+        t = rng.normal(size=(n, m))
+        w = rng.uniform(0.1, 2.0, size=(n, m))
+        A = rng.normal(size=(m, m))
+        Q = A @ A.T + m * np.eye(m)
+        assert_rel_close(_score(X, t), np.einsum("nmp,nm->p", X, t))
+        assert_rel_close(_weighted_gram(X, w), np.einsum("nmp,nm,nmq->pq", X, w, X))
+        assert_rel_close(_sandwiched_gram(X, Q), np.einsum("njp,jk,nkq->pq", X, Q, X))
+        assert_rel_close(_subject_scores(X, t), np.einsum("nmp,nm->np", X, t))
+
+
 class TestTwoStep:
+    @pytest.mark.parametrize("family, data", [
+        (IDENTITY, gaussian_dataset(n=70, m=4, p=2, seed=40)),
+        (LOGIT, logit_dataset(n=90, seed=41)),
+    ])
+    def test_preliminary_is_the_standalone_independence_fit(self, family, data):
+        fit = two_step_fit(data, family)
+        alone = gee_independence_fit(data, family)
+        assert fit.method == "pseudo_likelihood"
+        assert np.array_equal(fit.preliminary.beta_hat, alone.beta_hat)
+        assert fit.preliminary.iterations == alone.iterations
+
+    def test_preliminary_on_fallback_is_the_fit_itself(self):
+        rng = np.random.default_rng(20)
+        data = gen_gaussian(rng.uniform(-1, 1, size=(2, 4, 2)), np.array([0.5, 0.5]),
+                            np.eye(4), seed=21)
+        fit = two_step_fit(data, IDENTITY)
+        assert fit.fallback_to_independence
+        assert fit.preliminary is fit
+
+    @pytest.mark.parametrize("family, data", [
+        (IDENTITY, gaussian_dataset(n=70, m=4, p=2, seed=42)),
+        (LOGIT, logit_dataset(n=90, seed=43)),
+        (LOG, LongitudinalDataset(
+            np.random.default_rng(44).uniform(-1, 1, size=(80, 3, 2)),
+            np.random.default_rng(45).poisson(1.5, size=(80, 3)).astype(float))),
+    ])
+    def test_sandwich_equals_public_sandwich_bit_for_bit(self, family, data):
+        fit = two_step_fit(data, family)
+        assert fit.method == "pseudo_likelihood"
+        parts = sandwich_covariance(data, family, fit.beta_hat, fit.correlation_used)
+        assert np.array_equal(fit.cov_beta.a, parts.cov_beta.a)
+
+    def test_final_system_is_at_beta_hat(self):
+        data = logit_dataset(n=90, seed=46)
+        fit = gee_independence_fit(data, LOGIT)
+        g, H, ev = fit.final_system
+        assert np.array_equal(ev.theta, data.X @ fit.beta_hat)
+        assert np.linalg.norm(g) == fit.final_gnorm
+
     def test_zero_residual_both_stages(self):
         rng = np.random.default_rng(19)
         X = rng.uniform(-1, 1, size=(20, 3, 2))

@@ -132,6 +132,12 @@ class TestDataset:
         with pytest.raises(InvalidInputError):
             LongitudinalDataset(X, y)
 
+    def test_stores_c_contiguous_arrays(self):
+        buf = np.arange(4 * 3 * 3, dtype=float).reshape(4, 3, 3)
+        d = LongitudinalDataset(buf[:, :, 1:], buf[:, :, 0])
+        assert d.X.flags.c_contiguous and d.y.flags.c_contiguous
+        assert np.array_equal(d.X, buf[:, :, 1:]) and np.array_equal(d.y, buf[:, :, 0])
+
 
 class TestEvalModel:
     def test_identity_single_cell(self):

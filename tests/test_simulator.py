@@ -315,6 +315,25 @@ class TestHarness:
         assert 0.0 <= rep.z_within_1960_frac <= 1.0
         assert rep.lambda_min_R_bar == pytest.approx(0.7, abs=1e-10)
 
+    def test_one_independence_fit_per_replicate(self, monkeypatch):
+        import plgee.estimator as estimator
+        from plgee.simulator import _run_replicate
+        c = config(n=60, replications=3)
+        calls = []
+        real = estimator.gee_independence_fit
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(estimator, "gee_independence_fit", counted)
+        results = [_run_replicate(c, r) for r in range(c.replications)]
+        assert len(calls) == c.replications
+        monkeypatch.undo()
+        for r, res in enumerate(results):
+            alone = real(generate_dataset(c, mix_seed(c.base_seed, r)), c.family)
+            assert res["beta_indep"] == alone.beta_hat.tolist()
+
     def test_per_replicate_rows(self):
         c = config(n=60, replications=6)
         rows = per_replicate_rows(c)
