@@ -18,21 +18,16 @@ import numpy as np
 
 from .diagnostics import (
     condition_trend_report,
-    design_diagnostics,
     example1_closed_form,
     trend_flags,
 )
-from .errors import PlgeeError, SchemaError, ShapeError
+from .errors import ConfigError, PlgeeError, SchemaError, ShapeError
 from .estimator import (
     METHOD_INDEPENDENCE,
-    CorrelationEstimate,
-    estimate_correlation,
     gee_independence_fit,
-    sandwich_covariance,
     two_step_fit,
     wald_intervals,
 )
-from .matkernel import SymMatrix
 from .model import LINK_KINDS, LinkFamily, LongitudinalDataset
 from .simulator import (
     SimConfig,
@@ -282,11 +277,6 @@ def cmd_fit(args):
                    if fit.correlation_used is not None else None)
     else:
         fit = gee_independence_fit(data, family)
-        identity = CorrelationEstimate(R_tilde=SymMatrix(np.eye(data.m)),
-                                       computed_at_beta=fit.beta_hat,
-                                       n_used=data.n)
-        fit.cov_beta = sandwich_covariance(data, family, fit.beta_hat,
-                                           identity).cov_beta
         R_tilde = None
     stderr = np.sqrt(np.maximum(np.diag(fit.cov_beta.a), 0.0))
     payload = {
@@ -305,24 +295,32 @@ def cmd_fit(args):
     return 0 if fit.converged else 2
 
 
+def _parse_list(text, convert, flag):
+    try:
+        return [convert(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise SchemaError(f"{flag} must be comma-separated numbers: {exc}") from exc
+
+
 def cmd_diagnose(args):
     data = _load_dataset(args)
     family = LinkFamily(args.link)
     if args.beta is not None:
-        beta = np.asarray([float(v) for v in args.beta.split(",")], dtype=float)
+        beta = np.asarray(_parse_list(args.beta, float, "--beta"), dtype=float)
         if beta.shape != (data.p,):
             raise SchemaError(f"--beta must have {data.p} comma-separated values")
     else:
         beta = gee_independence_fit(data, family).beta_hat
-    corr = estimate_correlation(data, family, beta)
-    report = design_diagnostics(data, family, beta, corr.R_tilde)
+    grid = _parse_list(args.grid, int, "--grid") if args.grid else [data.n]
+    # the full-n report is the trend's last row, computed once
+    full_grid = grid if grid[-1] == data.n else grid + [data.n]
+    reports = condition_trend_report(data, family, beta, R=None, n_grid=full_grid)
+    report, trend = reports[-1], reports[:len(grid)]
     payload = {"report": report.to_json(), "beta": beta.tolist()}
     try:
         payload["example1"] = example1_closed_form(data, family, beta)
     except ShapeError:
         payload["example1"] = None
-    grid = ([int(v) for v in args.grid.split(",")] if args.grid else [data.n])
-    trend = condition_trend_report(data, family, beta, R=None, n_grid=grid)
     payload["trend"] = [r.to_json() for r in trend]
     payload["trend_flags"] = trend_flags(trend, det_floor=args.det_floor)
     _write_json(payload, args.out)
@@ -331,7 +329,10 @@ def cmd_diagnose(args):
 
 def cmd_simulate(args):
     with open(args.config, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"config is not valid JSON: {exc}") from exc
     config = SimConfig.from_json(doc)
     results = run_replicates(config, workers=args.workers)
     report = summarize_replicates(config, results)

@@ -8,13 +8,13 @@ along a grid of subject prefixes, leaving judgment to the user.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import LinkOverflowError, ShapeError
 from .estimator import _sandwiched_gram, _weighted_gram, estimate_correlation
-from .matkernel import SymMatrix, require_spd, sym_eigen, sym_sqrt_pair
+from .matkernel import SymMatrix, max_relative_eigenvalue, require_spd, sym_eigen
 from .model import _link_arrays, eval_model
 
 DEFAULT_DET_FLOOR = 1e-6
@@ -45,27 +45,8 @@ class DiagnosticsReport:
 
     def to_json(self):
         """Flat dict of the scalar fields, ready for JSON output."""
-        out = {
-            "n_used": self.n_used,
-            "lambda_min_H_indep": self.lambda_min_H_indep,
-            "gamma0_indep": self.gamma0_indep,
-            "pi_n": self.pi_n,
-            "tau_tilde_n": self.tau_tilde_n,
-            "gamma0": self.gamma0,
-            "gamma_tilde": self.gamma_tilde,
-            "gamma_D": self.gamma_D,
-            "c_n": self.c_n,
-            "k2": self.k2,
-            "k3": self.k3,
-            "sqrt_n_times_gamma0_indep": self.sqrt_n_times_gamma0_indep,
-            "pi2_gamma_tilde": self.pi2_gamma_tilde,
-            "sqrt_n_pi_gamma_tilde": self.sqrt_n_pi_gamma_tilde,
-            "det_R": self.det_R,
-            "lambda_min_R": self.lambda_min_R,
-            "tau_oracle": self.tau_oracle,
-            "lambda_min_R_bar": self.lambda_min_R_bar,
-        }
-        return out
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {name: v for name, v in values if not isinstance(v, SymMatrix)}
 
 
 def smoothness_maxima(data, family, beta_center, radius_r=0.0):
@@ -125,7 +106,7 @@ def design_diagnostics(data, family, beta, R, M_hat=None, true_corr=None):
     eig_Hi = require_spd(sym_eigen(H_indep), H_indep, "independence scoring matrix")
 
     eig_R = require_spd(sym_eigen(R), R, "correlation matrix")
-    Q = (eig_R.vectors / eig_R.values) @ eig_R.vectors.T   # R^{-1}
+    Q = eig_R.power(-1)
     q_min, q_max = 1.0 / eig_R.values[-1], 1.0 / eig_R.values[0]
     pi_n = float(q_max / q_min)
     tau_tilde = float(data.m * q_max)
@@ -136,26 +117,18 @@ def design_diagnostics(data, family, beta, R, M_hat=None, true_corr=None):
     H = 0.5 * (H + H.T)
     eig_H = require_spd(sym_eigen(H), H, "general scoring matrix")
 
-    Hi_inv = (eig_Hi.vectors / eig_Hi.values) @ eig_Hi.vectors.T
-    H_inv = (eig_H.vectors / eig_H.values) @ eig_H.vectors.T
     x_flat = data.X.reshape(-1, data.p)
-    gamma0_indep = _max_quad_form(x_flat, Hi_inv)
-    gamma0 = _max_quad_form(x_flat, H_inv)
+    gamma0_indep = _max_quad_form(x_flat, eig_Hi.power(-1))
+    gamma0 = _max_quad_form(x_flat, eig_H.power(-1))
     gamma_tilde = tau_tilde * gamma0
 
-    H_inv_half = (eig_H.vectors / np.sqrt(eig_H.values)) @ eig_H.vectors.T
-    gamma_D = 0.0
-    for i in range(data.n):
-        Gi = B[i].T @ Q @ B[i]
-        W = H_inv_half @ Gi @ H_inv_half
-        gamma_D = max(gamma_D, float(sym_eigen(0.5 * (W + W.T)).values[-1]))
+    # largest eigenvalue of H^{-1/2} B_i' Q B_i H^{-1/2} over the subjects
+    gamma_D = max_relative_eigenvalue(np.matmul(np.swapaxes(B, 1, 2), np.matmul(Q, B)), eig_H)
 
     c_n = None
     if M_hat is not None:
         M = M_hat.a if isinstance(M_hat, SymMatrix) else np.asarray(M_hat, dtype=float)
-        _, M_inv_half = sym_sqrt_pair(M)
-        W = M_inv_half.a @ H @ M_inv_half.a
-        c_n = float(sym_eigen(0.5 * (W + W.T)).values[-1])
+        c_n = max_relative_eigenvalue(H, require_spd(sym_eigen(M), M, "M_hat"))
 
     km = smoothness_maxima(data, family, beta, 0.0)
 
@@ -163,9 +136,7 @@ def design_diagnostics(data, family, beta, R, M_hat=None, true_corr=None):
     lam_min_rbar = None
     if true_corr is not None:
         R_bar = true_corr.a if isinstance(true_corr, SymMatrix) else np.asarray(true_corr, dtype=float)
-        _, R_inv_half = sym_sqrt_pair(R)
-        W = R_inv_half.a @ R_bar @ R_inv_half.a   # similar to R^{-1} R_bar
-        tau_oracle = float(sym_eigen(0.5 * (W + W.T)).values[-1])
+        tau_oracle = max_relative_eigenvalue(R_bar, eig_R)   # lambda_max(R^{-1} R_bar)
         lam_min_rbar = float(sym_eigen(R_bar).values[0])
 
     sqrt_n = math.sqrt(data.n)

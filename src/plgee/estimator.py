@@ -2,8 +2,9 @@
 
 Pipeline: working-independence Newton solve, empirical average-correlation
 estimate from the standardized residuals, Fisher-scoring solve of the
-pseudo-likelihood equation built on that correlation, and the
-Liang-Zeger-style sandwich covariance with Wald intervals on top.
+pseudo-likelihood equation built on that correlation, and Wald intervals
+on top.  Every solve returns the Liang-Zeger sandwich covariance of its
+estimate, built from the decomposition of the scoring matrix it already made.
 """
 
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ from .errors import (
     PreconditionError,
     SingularDesignError,
 )
-from .matkernel import SymMatrix, require_spd, solve_spd, spd_inverse, sym_eigen
+from .matkernel import SymMatrix, require_spd, sym_eigen
 from .model import eval_model, gauss_quantile
 
 METHOD_INDEPENDENCE = "independence"
@@ -59,8 +60,6 @@ class FitResult:
     fallback_to_independence: bool = False
     # step-1 independence fit of two_step_fit (the fit itself on fallback)
     preliminary: "FitResult | None" = field(default=None, repr=False)
-    # (g, H, ModelEval) of the solver's system at beta_hat
-    final_system: tuple | None = field(default=None, repr=False)
 
 
 # Sums over the (n, m, p) subject stack, each one BLAS call on the (n*m, p)
@@ -90,9 +89,12 @@ def _subject_scores(X, t):
     return np.matmul(t[:, None, :], X)[:, 0, :]
 
 
+# A system maps beta to (g, H, t): the estimating function g = sum_i X_i' t_i,
+# the scoring matrix H and the working residuals t, one row per subject.
+
 def _independence_system(data, family, beta):
     ev = eval_model(data, family, beta)
-    return _score(data.X, ev.eps), _weighted_gram(data.X, ev.var), ev
+    return _score(data.X, ev.eps), _weighted_gram(data.X, ev.var), ev.eps
 
 
 def _working_residuals(ev, Q):
@@ -105,7 +107,8 @@ def _general_system(data, family, beta, Q):
     """Estimating function and scoring matrix for a fixed correlation inverse Q."""
     ev = eval_model(data, family, beta)
     B = ev.sd[:, :, None] * data.X       # A^{1/2} X_i
-    return _score(data.X, _working_residuals(ev, Q)), _sandwiched_gram(B, Q), ev
+    t = _working_residuals(ev, Q)
+    return _score(data.X, t), _sandwiched_gram(B, Q), t
 
 
 def _convergence_scale(data, opts):
@@ -113,41 +116,50 @@ def _convergence_scale(data, opts):
     return opts.grad_tol * (1.0 + float(np.linalg.norm(xty)))
 
 
+def _scoring_inverse(H, where):
+    """H^{-1} from the one decomposition of the scoring matrix H."""
+    try:
+        return require_spd(sym_eigen(H), H, "scoring matrix").power(-1)
+    except NotPositiveDefiniteError as exc:
+        raise SingularDesignError(f"{exc} {where}") from exc
+
+
+def _sandwich(X, t, H_inv):
+    """(M, H^{-1} M H^{-1}), M the sum of the subjects' score outer products."""
+    V = _subject_scores(X, t)
+    M = V.T @ V
+    return M, H_inv @ M @ H_inv
+
+
 def _newton_solve(data, family, beta_init, opts, system, method):
     """Damped Newton / Fisher scoring on the estimating function.
 
     Full step first; halved whenever the estimating-function norm fails to
-    decrease or the link overflows along the way.  The result carries the
-    system (g, H, ModelEval) at its beta_hat as ``final_system``.
+    decrease or the link overflows along the way.  Each accepted point's H
+    is decomposed once: at the initial point that is the rank check, and at
+    beta_hat it gives H^{-1} for the sandwich covariance the result carries.
     """
     beta = np.asarray(beta_init, dtype=float).copy()
     tol = _convergence_scale(data, opts)
     try:
-        g, H, ev = system(beta)
+        g, H, t = system(beta)
     except LinkOverflowError as exc:
         raise LineSearchFailure(f"link overflow at the initial point: {exc}") from exc
     gnorm = float(np.linalg.norm(g))
     trace = [(beta.copy(), gnorm)]
+    H_inv = _scoring_inverse(H, "at the initial point")
+    converged = gnorm <= tol
 
-    if gnorm <= tol:
-        return FitResult(beta_hat=beta, converged=True, iterations=0,
-                         final_gnorm=gnorm, trace=trace, method=method,
-                         final_system=(g, H, ev))
-
-    for it in range(1, opts.max_iter + 1):
-        try:
-            step = solve_spd(H, g)
-        except NotPositiveDefiniteError as exc:
-            raise SingularDesignError(
-                f"scoring matrix singular at iteration {it}: {exc}"
-            ) from exc
-
+    it = 0
+    while not converged and it < opts.max_iter:
+        it += 1
+        step = H_inv @ g
         accepted = False
         scale = 1.0
         for _ in range(opts.step_halving_max + 1):
             cand = beta + scale * step
             try:
-                g_new, H_new, ev_new = system(cand)
+                g_new, H_new, t_new = system(cand)
             except LinkOverflowError:
                 scale *= 0.5
                 continue
@@ -163,35 +175,29 @@ def _newton_solve(data, family, beta_init, opts, system, method):
             )
 
         step_size = float(np.linalg.norm(scale * step))
-        beta, g, H, ev, gnorm = cand, g_new, H_new, ev_new, gnorm_new
+        beta, g, H, t, gnorm = cand, g_new, H_new, t_new, gnorm_new
         trace.append((beta.copy(), gnorm))
-        if gnorm <= tol:
-            return FitResult(beta_hat=beta, converged=True, iterations=it,
-                             final_gnorm=gnorm, trace=trace, method=method,
-                             final_system=(g, H, ev))
+        H_inv = _scoring_inverse(H, f"after iteration {it}")
+        converged = gnorm <= tol
         if step_size <= opts.step_tol * (1.0 + float(np.linalg.norm(beta))):
             break
 
-    return FitResult(beta_hat=beta, converged=False, iterations=len(trace) - 1,
+    _, cov = _sandwich(data.X, t, H_inv)
+    return FitResult(beta_hat=beta, converged=converged, iterations=len(trace) - 1,
                      final_gnorm=gnorm, trace=trace, method=method,
-                     final_system=(g, H, ev))
+                     cov_beta=SymMatrix(cov))
 
 
 def gee_independence_fit(data, family, beta_init=None, opts=SolverOptions()):
     """Newton solve of the working-independence estimating equation.
 
     For canonical links the scoring matrix sum X_i' A_i X_i is the exact
-    Jacobian of the estimating function.
+    Jacobian of the estimating function.  The result carries the sandwich
+    covariance H^{-1} M H^{-1} at beta_hat.  A rank-deficient design raises
+    SingularDesignError at the initial point.
     """
     if beta_init is None:
         beta_init = np.zeros(data.p)
-    _, H0, _ = _independence_system(data, family, np.asarray(beta_init, dtype=float))
-    try:
-        require_spd(sym_eigen(H0), H0, "scoring matrix")
-    except NotPositiveDefiniteError as exc:
-        raise SingularDesignError(
-            f"design is rank deficient at the initial point: {exc}"
-        ) from exc
     return _newton_solve(
         data, family, beta_init, opts,
         lambda b: _independence_system(data, family, b),
@@ -217,16 +223,21 @@ def estimate_correlation(data, family, beta):
     )
 
 
+def _correlation_inverse(corr):
+    R = corr.R_tilde.a
+    return require_spd(sym_eigen(R), R, "correlation estimate").power(-1)
+
+
 def pseudo_likelihood_fit(data, family, corr, beta_init=None, opts=SolverOptions()):
     """Fisher-scoring solve of the pseudo-likelihood estimating equation.
 
     The step matrix is sum X_i' A_i^{1/2} R^{-1} A_i^{1/2} X_i; the extra
     derivative terms of the exact Jacobian are dropped (their effect is
-    checked in diagnostics, not used for stepping).
+    checked in diagnostics, not used for stepping).  The result carries the
+    sandwich covariance at beta_hat, equal to ``sandwich_covariance`` there
+    bit for bit.
     """
-    R = corr.R_tilde.a
-    eig = require_spd(sym_eigen(R), R, "correlation estimate")
-    Q = (eig.vectors / eig.values) @ eig.vectors.T
+    Q = _correlation_inverse(corr)
     if beta_init is None:
         beta_init = np.zeros(data.p)
     result = _newton_solve(
@@ -245,50 +256,32 @@ class SandwichParts:
     cov_beta: SymMatrix
 
 
-def _sandwich(data, ev, H, Q):
-    """H^{-1} M H^{-1} from the system (H, ev) at beta_hat under Q = R^{-1}."""
-    V = _subject_scores(data.X, _working_residuals(ev, Q))   # per-subject scores
-    M = V.T @ V
-    eig = require_spd(sym_eigen(H), H, "scoring matrix at beta_hat")
-    H_inv = (eig.vectors / eig.values) @ eig.vectors.T
-    cov = H_inv @ M @ H_inv
-    return SandwichParts(M_hat=SymMatrix(M), H_tilde=SymMatrix(H), cov_beta=SymMatrix(cov))
-
-
 def sandwich_covariance(data, family, beta_hat, corr):
-    """Robust covariance H^{-1} M H^{-1} at beta_hat under correlation corr."""
-    Q = spd_inverse(corr.R_tilde.a)
-    _, H, ev = _general_system(data, family, np.asarray(beta_hat, dtype=float), Q)
-    return _sandwich(data, ev, H, Q)
+    """Robust covariance H^{-1} M H^{-1} at any beta_hat under correlation corr."""
+    Q = _correlation_inverse(corr)
+    _, H, t = _general_system(data, family, np.asarray(beta_hat, dtype=float), Q)
+    M, cov = _sandwich(data.X, t, _scoring_inverse(H, "at beta_hat"))
+    return SandwichParts(M_hat=SymMatrix(M), H_tilde=SymMatrix(H), cov_beta=SymMatrix(cov))
 
 
 def two_step_fit(data, family, opts=SolverOptions()):
     """Independence fit from zero, correlation estimate, pseudo-likelihood
-    refit, sandwich covariance.  Falls back to the (sandwich-equipped)
-    independence fit when the correlation estimate is numerically singular.
+    refit.  Falls back to the independence fit, with its own sandwich, when
+    the correlation estimate is numerically singular.
 
-    The step-1 fit is kept as ``preliminary``; the sandwich reuses the
-    refit's final system, so it equals ``sandwich_covariance`` at beta_hat
-    bit for bit.
+    The step-1 fit is kept as ``preliminary``.  Only the correlation
+    estimate's SPD check triggers the fallback: a singular scoring matrix
+    raises SingularDesignError.
     """
     indep = gee_independence_fit(data, family, beta_init=None, opts=opts)
     corr = estimate_correlation(data, family, indep.beta_hat)
     try:
         fit = pseudo_likelihood_fit(data, family, corr, beta_init=indep.beta_hat, opts=opts)
     except NotPositiveDefiniteError:
-        identity = CorrelationEstimate(
-            R_tilde=SymMatrix(np.eye(data.m)),
-            computed_at_beta=indep.beta_hat.copy(),
-            n_used=data.n,
-        )
-        indep.cov_beta = sandwich_covariance(
-            data, family, indep.beta_hat, identity).cov_beta
         indep.correlation_used = corr
         indep.fallback_to_independence = True
         indep.preliminary = indep
         return indep
-    _, H, ev = fit.final_system
-    fit.cov_beta = _sandwich(data, ev, H, spd_inverse(corr.R_tilde.a)).cov_beta
     fit.preliminary = indep
     return fit
 
@@ -296,8 +289,9 @@ def two_step_fit(data, family, opts=SolverOptions()):
 def wald_intervals(fit, level=0.95):
     """Per-coordinate Wald interval beta_k +/- z * se_k."""
     if fit.cov_beta is None:
-        raise PreconditionError("fit carries no covariance; run two_step_fit "
-                                "or attach a sandwich covariance first")
+        raise PreconditionError("fit carries no covariance; every fit returned by "
+                                "gee_independence_fit, pseudo_likelihood_fit or "
+                                "two_step_fit has one")
     if not 0.0 < level < 1.0:
         raise PreconditionError(f"level must be in (0,1), got {level}")
     z = gauss_quantile(0.5 * (1.0 + level))

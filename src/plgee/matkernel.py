@@ -5,8 +5,11 @@ diagnostics) funnels through this module.  Matrices here are tiny (cluster
 size and covariate dimension, both well under ~50).  The eigensolver is
 LAPACK's symmetric ``eigh`` with a sign convention that makes golden tests
 stable, and ``require_spd`` is the single positive-definiteness check: every
-caller that needs an SPD matrix decomposes it with ``sym_eigen`` and passes
-the result through it.
+caller that needs an SPD matrix decomposes it once with ``sym_eigen`` and
+passes the result through it.  Every matrix function of an SPD matrix
+(inverse, square root, inverse square root) is ``EigenDecomposition.power``
+of that one decomposition, and ``max_relative_eigenvalue`` gives the largest
+eigenvalue of a matrix, or of a stack of them, relative to it.
 """
 
 from dataclasses import dataclass
@@ -53,6 +56,11 @@ class EigenDecomposition:
     values: np.ndarray   # nondecreasing
     vectors: np.ndarray  # orthonormal columns, vectors[:, k] <-> values[k]
 
+    def power(self, k):
+        """S^k = V diag(values**k) V' of the decomposed S.  Negative or
+        fractional k need S SPD, which ``require_spd`` checks."""
+        return (self.vectors * self.values ** k) @ self.vectors.T
+
 
 def sym_eigen(S):
     """Eigendecomposition of a symmetric matrix (LAPACK ``eigh``).
@@ -88,33 +96,15 @@ def require_spd(eig, S, what):
     return eig
 
 
-def sym_sqrt_pair(S):
-    """Return (S^{1/2}, S^{-1/2}) for SPD S, both as SymMatrix."""
-    a = _sym_array(S)
-    eig = require_spd(sym_eigen(a), a, "matrix")
-    root = np.sqrt(eig.values)
-    half = (eig.vectors * root) @ eig.vectors.T
-    inv_half = (eig.vectors / root) @ eig.vectors.T
-    return SymMatrix(half), SymMatrix(inv_half)
+def max_relative_eigenvalue(A, eig):
+    """lambda_max(S^{-1/2} A S^{-1/2}), where ``eig`` decomposes the SPD S.
 
-
-def spd_inverse(S):
-    """Inverse of an SPD matrix, as an ndarray."""
-    a = _sym_array(S)
-    eig = require_spd(sym_eigen(a), a, "matrix")
-    return (eig.vectors / eig.values) @ eig.vectors.T
-
-
-def solve_spd(S, b):
-    """Solve S x = b for SPD S."""
-    a = _sym_array(S)
-    b = np.asarray(b, dtype=float)
-    if b.shape[0] != a.shape[0]:
-        raise InvalidInputError(
-            f"right-hand side length {b.shape[0]} does not match dim {a.shape[0]}"
-        )
-    eig = require_spd(sym_eigen(a), a, "matrix")
-    return eig.vectors @ ((eig.vectors.T @ b) / eig.values)
+    A is one symmetric matrix or an (n, p, p) stack of them; for a stack the
+    result is the largest eigenvalue over the whole stack.
+    """
+    root = eig.power(-0.5)
+    W = root @ np.asarray(A, dtype=float) @ root
+    return float(np.max(np.linalg.eigvalsh(0.5 * (W + np.swapaxes(W, -1, -2)))))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ bit for bit.
 
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .estimator import (
     two_step_fit,
     wald_intervals,
 )
-from .matkernel import SymMatrix, require_spd, sym_eigen, sym_sqrt_pair
+from .matkernel import SymMatrix, max_relative_eigenvalue, require_spd, sym_eigen
 from .model import (
     LinkFamily,
     LongitudinalDataset,
@@ -322,24 +322,7 @@ class MCReport:
     tau_oracle: float
 
     def to_json(self):
-        return {
-            "replications": self.replications,
-            "n_failures": self.n_failures,
-            "ci_level": self.ci_level,
-            "bias": self.bias,
-            "emp_var": self.emp_var,
-            "rmse": self.rmse,
-            "coverage": self.coverage,
-            "indep_emp_var": self.indep_emp_var,
-            "efficiency_ratio": self.efficiency_ratio,
-            "z_within_1960_frac": self.z_within_1960_frac,
-            "ks_distance": self.ks_distance,
-            "median_beta_error_norm": self.median_beta_error_norm,
-            "mean_corr_max_abs_error": self.mean_corr_max_abs_error,
-            "max_corr_max_abs_error": self.max_corr_max_abs_error,
-            "lambda_min_R_bar": self.lambda_min_R_bar,
-            "tau_oracle": self.tau_oracle,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def ks_distance_to_normal(z):
@@ -368,8 +351,8 @@ def _run_replicate(config, r):
         return out
     beta0 = np.asarray(config.beta0, dtype=float)
     delta = two.beta_hat - beta0
-    _, cov_inv_half = sym_sqrt_pair(two.cov_beta)
-    z = cov_inv_half.a @ delta
+    cov = two.cov_beta.a
+    z = require_spd(sym_eigen(cov), cov, "sandwich covariance").power(-0.5) @ delta
     ci = wald_intervals(two, level=config.ci_level)
     covered = [lo <= b0 <= hi for (lo, hi), b0 in zip(ci, beta0)]
     corr = estimate_correlation(data, config.family, beta0)   # oracle-beta estimate
@@ -424,9 +407,8 @@ def summarize_replicates(config, results):
     z_pool = Z.ravel()
 
     R_bar = config.correlation.matrix(config.m)
-    _, R_inv_half = sym_sqrt_pair(SymMatrix(R_mean))
-    W = R_inv_half.a @ R_bar @ R_inv_half.a
-    tau_oracle = float(sym_eigen(SymMatrix(W)).values[-1])
+    eig_mean = require_spd(sym_eigen(R_mean), R_mean, "mean correlation estimate")
+    tau_oracle = max_relative_eigenvalue(R_bar, eig_mean)   # lambda_max(R_mean^{-1} R_bar)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         eff = np.where(ind_var > 0, emp_var / ind_var, np.nan)

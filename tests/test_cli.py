@@ -10,6 +10,8 @@ from plgee.cli import (
     write_dataset_csv,
 )
 from plgee.errors import InvalidInputError, SchemaError
+from plgee.estimator import estimate_correlation
+from plgee.model import IDENTITY
 from plgee.simulator import SimConfig, exchangeable_matrix, gen_gaussian
 
 
@@ -356,6 +358,42 @@ class TestDiagnose:
         assert code == 1
         assert json.loads(err)["error"] == "schema"
 
+    @pytest.mark.parametrize("flag, value", [("--beta", "1,x"), ("--grid", "10,abc")])
+    def test_non_numeric_list_is_schema_error(self, data_csv, capsys, flag, value):
+        code, out, err = run_cli(
+            ["diagnose", "--data", data_csv, "--link", "identity", flag, value], capsys)
+        assert code == 1
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "schema"
+        assert flag in doc["detail"]
+
+    @pytest.mark.parametrize("grid, trend_n", [("20,40,60", [20, 40, 60]),
+                                               ("20,40", [20, 40])])
+    def test_full_n_report_computed_once(self, data_csv, capsys, monkeypatch,
+                                         grid, trend_n):
+        import plgee.diagnostics as diagnostics
+        calls = []
+        real = diagnostics.design_diagnostics
+
+        def counted(data, *args, **kwargs):
+            calls.append(data.n)
+            return real(data, *args, **kwargs)
+
+        monkeypatch.setattr(diagnostics, "design_diagnostics", counted)
+        code, out, _ = run_cli(
+            ["diagnose", "--data", data_csv, "--link", "identity",
+             "--beta", "1.0,-0.5", "--grid", grid], capsys)
+        assert code == 0
+        assert calls == trend_n + [60] * (trend_n[-1] != 60)
+        doc = json.loads(out)
+        assert [t["n_used"] for t in doc["trend"]] == trend_n
+        # the report is the full-n diagnostics at the full-data correlation
+        data, beta = parse_dataset_csv(data_csv), np.array([1.0, -0.5])
+        corr = estimate_correlation(data, IDENTITY, beta)
+        want = real(data, IDENTITY, beta, corr.R_tilde).to_json()
+        assert dumps_stable(doc["report"]) == dumps_stable(want)
+
 
 class TestSimulate:
     @pytest.fixture
@@ -414,6 +452,14 @@ class TestSimulate:
         path.write_text(json.dumps({"n": 5}))
         code, _, err = run_cli(["simulate", "--config", str(path)], capsys)
         assert code == 1
+        assert json.loads(err)["error"] == "config"
+
+    def test_config_not_json_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text('{"n": 5,')
+        code, out, err = run_cli(["simulate", "--config", str(path)], capsys)
+        assert code == 1
+        assert out == ""
         assert json.loads(err)["error"] == "config"
 
     def test_report_matches_library_call(self, config_json, capsys):

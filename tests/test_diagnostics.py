@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from plgee.diagnostics import (
     _max_quad_form,
@@ -31,6 +32,31 @@ def test_max_quad_form_matches_einsum(cells, p):
     A = A @ A.T + np.eye(p)
     want = float(np.max(np.einsum("cp,pq,cq->c", Xf, A, Xf)))
     assert _max_quad_form(Xf, A) == pytest.approx(want, rel=1e-12)
+
+
+def gamma_D_loop(data, family, beta, R):
+    """gamma_D by its definition: a per-subject loop of p x p eigenproblems."""
+    ev = eval_model(data, family, beta)
+    Q = np.linalg.inv(R)
+    G = [(ev.sd[i, :, None] * data.X[i]).T @ Q @ (ev.sd[i, :, None] * data.X[i])
+         for i in range(data.n)]
+    H = sum(G)
+    return max(scipy.linalg.eigh(Gi, H, eigvals_only=True)[-1] for Gi in G)
+
+
+@pytest.mark.parametrize("n, m, p, family", [
+    (1, 1, 1, IDENTITY), (1, 3, 2, LOG), (7, 1, 1, LOGIT), (12, 4, 1, LOG),
+    (40, 3, 3, IDENTITY), (25, 5, 4, LOGIT),
+])
+def test_batched_gamma_D_matches_subject_loop(n, m, p, family):
+    rng = np.random.default_rng(1000 + 100 * n + 10 * m + p)
+    X = rng.uniform(-1, 1, size=(n, m, p))
+    data = LongitudinalDataset(X, rng.poisson(1.0, size=(n, m)).astype(float))
+    beta = rng.uniform(-0.5, 0.5, size=p)
+    A = rng.normal(size=(m, m))
+    R = A @ A.T + m * np.eye(m)
+    rep = design_diagnostics(data, family, beta, R)
+    assert rep.gamma_D == pytest.approx(gamma_D_loop(data, family, beta, R), rel=1e-12)
 
 
 class TestDesignDiagnostics:

@@ -237,12 +237,20 @@ class TestTwoStep:
         parts = sandwich_covariance(data, family, fit.beta_hat, fit.correlation_used)
         assert np.array_equal(fit.cov_beta.a, parts.cov_beta.a)
 
-    def test_final_system_is_at_beta_hat(self):
+    def test_singular_scoring_matrix_at_beta_hat_raises(self, monkeypatch):
+        # only the correlation estimate's SPD check may trigger the fallback
+        import plgee.estimator as estimator
         data = logit_dataset(n=90, seed=46)
-        fit = gee_independence_fit(data, LOGIT)
-        g, H, ev = fit.final_system
-        assert np.array_equal(ev.theta, data.X @ fit.beta_hat)
-        assert np.linalg.norm(g) == fit.final_gnorm
+        beta_hat = two_step_fit(data, LOGIT).beta_hat
+        real = estimator._general_system
+
+        def singular_at_beta_hat(data, family, beta, Q):
+            g, H, t = real(data, family, beta, Q)
+            return g, (0.0 * H if np.array_equal(beta, beta_hat) else H), t
+
+        monkeypatch.setattr(estimator, "_general_system", singular_at_beta_hat)
+        with pytest.raises(SingularDesignError, match="scoring matrix"):
+            two_step_fit(data, LOGIT)
 
     def test_zero_residual_both_stages(self):
         rng = np.random.default_rng(19)
@@ -266,10 +274,11 @@ class TestTwoStep:
         fit = two_step_fit(data, IDENTITY)
         assert fit.fallback_to_independence
         assert fit.method == "independence"
-        assert fit.cov_beta is not None
+        # the independence fit's own sandwich, not a rebuilt one
+        assert np.array_equal(fit.cov_beta.a, gee_independence_fit(data, IDENTITY).cov_beta.a)
 
-    def test_correlation_decomposed_twice(self, monkeypatch):
-        # once for the pseudo-likelihood step matrix, once in the sandwich
+    def test_correlation_decomposed_once(self, monkeypatch):
+        # for the pseudo-likelihood step matrix; the sandwich reuses its inverse
         import plgee.estimator as estimator
         import plgee.matkernel as matkernel
         shapes = []
@@ -283,7 +292,7 @@ class TestTwoStep:
         monkeypatch.setattr(matkernel, "sym_eigen", recording)
         fit = two_step_fit(gaussian_dataset(n=60, m=3, p=2, seed=25), IDENTITY)
         assert fit.method == "pseudo_likelihood"
-        assert shapes.count((3, 3)) == 2
+        assert shapes.count((3, 3)) == 1
 
     def test_scale_equivariance_of_root(self):
         data = gaussian_dataset(n=100, seed=22)
@@ -316,6 +325,19 @@ class TestSandwich:
         parts = sandwich_covariance(data, IDENTITY, beta0, corr)
         assert np.max(np.abs(parts.M_hat.a)) == 0.0
         assert np.max(np.abs(parts.cov_beta.a)) == 0.0
+
+    @pytest.mark.parametrize("family, data", [
+        (IDENTITY, gaussian_dataset(n=50, m=3, p=2, seed=28)),
+        (LOGIT, logit_dataset(n=80, seed=29)),
+        (IDENTITY, gaussian_dataset(n=1, m=1, p=1, beta0=(0.5,), seed=30)),
+    ])
+    def test_independence_fit_carries_identity_sandwich(self, family, data):
+        fit = gee_independence_fit(data, family)
+        identity = CorrelationEstimate(R_tilde=SymMatrix(np.eye(data.m)),
+                                       computed_at_beta=fit.beta_hat, n_used=data.n)
+        parts = sandwich_covariance(data, family, fit.beta_hat, identity)
+        assert_rel_close(fit.cov_beta.a, parts.cov_beta.a)
+        assert len(wald_intervals(fit)) == data.p
 
     def test_identity_correlation_matches_stacked_formula(self):
         data = gaussian_dataset(n=50, seed=26)

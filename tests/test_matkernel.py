@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from plgee.errors import InvalidInputError, NotPositiveDefiniteError
 from plgee.matkernel import (
     SymMatrix,
     matrix_stats,
+    max_relative_eigenvalue,
     require_spd,
-    solve_spd,
-    spd_inverse,
     sym_eigen,
-    sym_sqrt_pair,
 )
 
 
@@ -21,6 +20,19 @@ def random_sym(rng, dim, scale=1.0):
 def random_spd(rng, dim):
     a = rng.normal(size=(dim, dim))
     return a @ a.T + dim * np.eye(dim)
+
+
+def spd_power(s, k):
+    """S^k through the one SPD-checked decomposition, as every caller does."""
+    return require_spd(sym_eigen(s), s, "matrix").power(k)
+
+
+def sqrt_pair(s):
+    return spd_power(s, 0.5), spd_power(s, -0.5)
+
+
+def solve(s, b):
+    return spd_power(s, -1) @ np.asarray(b, dtype=float)
 
 
 def cofactor_det(a):
@@ -97,33 +109,35 @@ class TestSymEigen:
 
 
 class TestSqrtPair:
+    """S^{1/2} and S^{-1/2} as power(0.5) and power(-0.5)."""
+
     def test_identity(self):
-        half, inv_half = sym_sqrt_pair(np.eye(3))
-        assert np.allclose(half.a, np.eye(3), atol=1e-12)
-        assert np.allclose(inv_half.a, np.eye(3), atol=1e-12)
+        half, inv_half = sqrt_pair(np.eye(3))
+        assert np.allclose(half, np.eye(3), atol=1e-12)
+        assert np.allclose(inv_half, np.eye(3), atol=1e-12)
 
     def test_diagonal(self):
-        half, inv_half = sym_sqrt_pair(np.diag([4.0, 9.0]))
-        assert np.allclose(half.a, np.diag([2.0, 3.0]), atol=1e-12)
-        assert np.allclose(inv_half.a, np.diag([0.5, 1.0 / 3.0]), atol=1e-12)
+        half, inv_half = sqrt_pair(np.diag([4.0, 9.0]))
+        assert np.allclose(half, np.diag([2.0, 3.0]), atol=1e-12)
+        assert np.allclose(inv_half, np.diag([0.5, 1.0 / 3.0]), atol=1e-12)
 
     def test_remultiplication(self):
         s = np.array([[2.0, 1.0], [1.0, 2.0]])
-        half, inv_half = sym_sqrt_pair(s)
-        assert np.max(np.abs(half.a @ half.a - s)) < 1e-9
-        assert np.max(np.abs(half.a @ inv_half.a - np.eye(2))) < 1e-9
+        half, inv_half = sqrt_pair(s)
+        assert np.max(np.abs(half @ half - s)) < 1e-9
+        assert np.max(np.abs(half @ inv_half - np.eye(2))) < 1e-9
 
     def test_spd_invariant_random(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             s = random_spd(rng, 6)
-            half, inv_half = sym_sqrt_pair(s)
-            assert np.max(np.abs(half.a @ half.a - s)) < 1e-9 * max(1, np.linalg.norm(s))
-            assert np.max(np.abs(half.a @ inv_half.a - np.eye(6))) < 1e-9
+            half, inv_half = sqrt_pair(s)
+            assert np.max(np.abs(half @ half - s)) < 1e-9 * max(1, np.linalg.norm(s))
+            assert np.max(np.abs(half @ inv_half - np.eye(6))) < 1e-9
 
     def test_not_pd_raises_with_lambda_min(self):
         with pytest.raises(NotPositiveDefiniteError) as exc:
-            sym_sqrt_pair(np.diag([1.0, -2.0]))
+            sqrt_pair(np.diag([1.0, -2.0]))
         assert exc.value.lambda_min == pytest.approx(-2.0)
 
 
@@ -142,18 +156,20 @@ class TestRequireSpd:
 
 
 class TestSolveSpd:
+    """Solving S x = b as power(-1) @ b."""
+
     def test_identity(self):
         b = np.array([3.0, -1.0, 2.0])
-        assert np.allclose(solve_spd(np.eye(3), b), b)
+        assert np.allclose(solve(np.eye(3), b), b)
 
     def test_diagonal(self):
-        assert np.allclose(solve_spd(np.diag([2.0, 4.0]), [2.0, 8.0]), [1.0, 2.0])
+        assert np.allclose(solve(np.diag([2.0, 4.0]), [2.0, 8.0]), [1.0, 2.0])
 
     def test_residual_random(self):
         rng = np.random.default_rng(13)
         s = random_spd(rng, 6)
         b = rng.normal(size=6)
-        x = solve_spd(s, b)
+        x = solve(s, b)
         assert np.linalg.norm(s @ x - b) <= 1e-9 * (np.linalg.norm(b) + 1)
 
     def test_eigen_reciprocity_via_solve(self):
@@ -161,10 +177,47 @@ class TestSolveSpd:
         # reciprocals of those of S
         rng = np.random.default_rng(17)
         s = random_spd(rng, 5)
-        inv = np.column_stack([solve_spd(s, e) for e in np.eye(5)])
+        inv = np.column_stack([solve(s, e) for e in np.eye(5)])
         vals_inv = sym_eigen(0.5 * (inv + inv.T)).values
         vals = sym_eigen(s).values
         assert np.allclose(np.sort(1.0 / vals), vals_inv, rtol=1e-8)
+
+
+class TestPower:
+    @pytest.mark.parametrize("k", [-1, -0.5, 0.5, 1, 2])
+    def test_matches_scipy_fractional_matrix_power(self, k):
+        rng = np.random.default_rng(37)
+        for dim in (1, 2, 6):
+            s = random_spd(rng, dim)
+            want = np.real(scipy.linalg.fractional_matrix_power(s, k))
+            got = sym_eigen(s).power(k)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+class TestMaxRelativeEigenvalue:
+    """lambda_max(S^{-1/2} A S^{-1/2}) against the generalized eigenproblem
+    A v = lambda S v."""
+
+    @pytest.mark.parametrize("p", [1, 2, 7])
+    def test_single_matrix_matches_scipy_eigh(self, p):
+        rng = np.random.default_rng(41 + p)
+        s, a = random_spd(rng, p), random_sym(rng, p, scale=3.0)
+        want = scipy.linalg.eigh(a, s, eigvals_only=True)[-1]
+        got = max_relative_eigenvalue(a, sym_eigen(s))
+        assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("n, p", [(1, 1), (1, 4), (9, 1), (30, 5)])
+    def test_stack_is_max_over_matrices(self, n, p):
+        rng = np.random.default_rng(43 + 10 * n + p)
+        s = random_spd(rng, p)
+        stack = np.array([random_sym(rng, p) for _ in range(n)])
+        want = max(scipy.linalg.eigh(a, s, eigvals_only=True)[-1] for a in stack)
+        got = max_relative_eigenvalue(stack, sym_eigen(s))
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_relative_to_itself_is_one(self):
+        s = random_spd(np.random.default_rng(47), 5)
+        assert max_relative_eigenvalue(s, sym_eigen(s)) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestMatrixStats:
@@ -211,5 +264,5 @@ class TestMatrixStats:
 def test_spd_inverse_matches_solve():
     rng = np.random.default_rng(31)
     s = random_spd(rng, 5)
-    inv = spd_inverse(s)
+    inv = spd_power(s, -1)
     assert np.max(np.abs(s @ inv - np.eye(5))) < 1e-9
