@@ -267,13 +267,19 @@ def sandwich_covariance(data, family, beta_hat, corr):
 def two_step_fit(data, family, opts=SolverOptions()):
     """Independence fit from zero, correlation estimate, pseudo-likelihood
     refit.  Falls back to the independence fit, with its own sandwich, when
-    the correlation estimate is numerically singular.
+    that fit did not converge (with ``correlation_used`` None: R-tilde and
+    the refit need a consistent preliminary estimate) or when the
+    correlation estimate is numerically singular.
 
-    The step-1 fit is kept as ``preliminary``.  Only the correlation
-    estimate's SPD check triggers the fallback: a singular scoring matrix
-    raises SingularDesignError.
+    The step-1 fit is kept as ``preliminary``.  Only those two conditions
+    trigger the fallback: a singular scoring matrix raises
+    SingularDesignError.
     """
     indep = gee_independence_fit(data, family, beta_init=None, opts=opts)
+    if not indep.converged:
+        indep.fallback_to_independence = True
+        indep.preliminary = indep
+        return indep
     corr = estimate_correlation(data, family, indep.beta_hat)
     try:
         fit = pseudo_likelihood_fit(data, family, corr, beta_init=indep.beta_hat, opts=opts)

@@ -1,17 +1,19 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
+import plgee.cli as cli
 from plgee.cli import (
     dumps_stable,
     main,
     parse_dataset_csv,
     write_dataset_csv,
 )
-from plgee.errors import InvalidInputError, SchemaError
-from plgee.estimator import estimate_correlation
-from plgee.model import IDENTITY
+from plgee.errors import InvalidInputError, PlgeeError, SchemaError
+from plgee.estimator import SolverOptions, estimate_correlation, two_step_fit
+from plgee.model import IDENTITY, LongitudinalDataset
 from plgee.simulator import SimConfig, exchangeable_matrix, gen_gaussian
 
 
@@ -100,6 +102,36 @@ class TestCsv:
         with pytest.raises(SchemaError, match="empty"):
             parse_dataset_csv(path)
 
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 2, 1), (1, 4, 3), (40, 5, 4)])
+    def test_writer_bytes_equal_per_cell_writer(self, tmp_path, shape):
+        rng = np.random.default_rng(sum(shape))
+        special = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e16, 1e17, 3.0,
+                   -1.7976931348623157e308, 0.1, 123456789.0]
+        size = int(np.prod(shape)) + shape[0] * shape[1]
+        cells = rng.normal(size=size) * 10.0 ** rng.integers(-320, 300, size=size)
+        pick = rng.random(size) < 0.3
+        cells[pick] = rng.choice(special, size=int(pick.sum()))
+        X = cells[:int(np.prod(shape))].reshape(shape)
+        y = cells[int(np.prod(shape)):].reshape(shape[:2])
+        data = LongitudinalDataset(X, y)
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        write_dataset_csv(data, new)
+        _write_dataset_csv_per_cell(data, old)
+        assert new.read_bytes() == old.read_bytes()
+        back = parse_dataset_csv(new)
+        assert back.X.tobytes() == X.tobytes() and back.y.tobytes() == y.tobytes()
+
+
+def _write_dataset_csv_per_cell(data, path):
+    """The per-cell csv.writer loop write_dataset_csv replaced: its reference."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["subject", "time", "y"] + [f"x{k + 1}" for k in range(data.p)])
+        for i in range(data.n):
+            for j in range(data.m):
+                writer.writerow([str(i + 1), str(j + 1), format(float(data.y[i, j]), ".17g")]
+                                + [format(float(v), ".17g") for v in data.X[i, j]])
+
 
 def _schema_message(tmp_path, text):
     path = tmp_path / "bad.csv"
@@ -179,6 +211,31 @@ class TestCsvErrorMessages:
         text = HEAD + _records(3000, 3) + "3000,1,0,0\n"
         assert _schema_message(tmp_path, text) == "subject 3000 has 1 rows, expected 3"
 
+    @pytest.mark.parametrize("text, message", [
+        (HEAD + "1,1,0,0\n" + "a" * 200_000 + ",2,0,0\n", "row 3 is not valid CSV: {}"),
+        ('subject,time,y,x1\r\n"' + "a" * 200_000 + '",1,0,0\r\n',
+         "row 2 is not valid CSV: {}"),
+        ("subject,time,y,x1" + " " * 200_000 + "\n1,1,0,0\n", "row 1 is not valid CSV: {}"),
+        (HEAD + "1,1,nope,0\n" + "a" * 200_000 + ",2,0,0\n",
+         "non-numeric cell at row 2: could not convert string to float: 'nope'"),
+        (HEAD + _records(175, 4) + "9,1,0," + "5" * 200_000 + "\n",
+         "row 702 is not valid CSV: {}"),
+    ], ids=["plain", "quoted-crlf", "header", "earlier-record-first", "after-a-block"])
+    def test_field_over_csv_limit(self, tmp_path, text, message):
+        reason = f"field larger than field limit ({csv.field_size_limit()})"
+        assert _schema_message(tmp_path, text) == message.format(reason)
+
+    def test_field_over_csv_limit_is_a_json_error(self, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        path.write_text(HEAD + "a" * 200_000 + ",1,0.0,0.0\n")
+        code, out, err = run_cli(["fit", "--data", str(path), "--link", "identity"], capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "schema",
+            "detail": f"row 2 is not valid CSV: field larger than field limit "
+                      f"({csv.field_size_limit()})"}
+
 
 class TestCsvCellGrammar:
     def test_quoted_cells_crlf_and_padded_ids(self, tmp_path):
@@ -217,6 +274,128 @@ class TestCsvCellGrammar:
         first_seen = list(dict.fromkeys(cells[k][0] for k in order))
         assert np.array_equal(d.X, X[first_seen])
         assert np.array_equal(d.y, y[first_seen])
+
+
+# Mutations of a valid file for the differential fuzz, each editing the list
+# of lines in place: the byte classes and cell forms on which the fast pass
+# must decline, or convert exactly as the exact parser does.
+_CONTROL = ["\x00", "\x0b", "\x0c", "\x1c", "\x1e", "\x7f", "\x85", "\u2028"]
+
+
+def _cell_edit(edit):
+    def mutate(lines, rng):
+        i = int(rng.integers(len(lines)))
+        cells = lines[i].split(",")
+        c = int(rng.integers(len(cells)))
+        cells[c] = edit(cells[c], rng)
+        lines[i] = ",".join(cells)
+    return mutate
+
+
+def _line_edit(edit):
+    def mutate(lines, rng):
+        edit(lines, int(rng.integers(len(lines) + 1)), rng)
+    return mutate
+
+
+_MUTATIONS = [
+    _cell_edit(lambda cell, rng: f'"{cell}"'),
+    _cell_edit(lambda cell, rng: cell + '"'),
+    _cell_edit(lambda cell, rng: "\t" + cell),
+    _cell_edit(lambda cell, rng: f" {cell} "),
+    _cell_edit(lambda cell, rng: ""),
+    _cell_edit(lambda cell, rng: cell + ","),
+    _cell_edit(lambda cell, rng: "#" + cell),
+    _cell_edit(lambda cell, rng: cell[:1] + "_" + cell[1:]),
+    _cell_edit(lambda cell, rng: cell + ".0"),
+    _cell_edit(lambda cell, rng: "9" * 19 + cell),
+    _cell_edit(lambda cell, rng: str(rng.choice(["nan", "-inf", "Infinity", "NaN", "1e999"]))),
+    _cell_edit(lambda cell, rng: str(rng.choice(["\u00e9", "\u0661"])) + cell),
+    _cell_edit(lambda cell, rng: cell + str(rng.choice(_CONTROL))),
+    _cell_edit(lambda cell, rng: str(rng.choice(["0", "-1", "+2", "01", " 3", "1e0", "-0"]))),
+    _cell_edit(lambda cell, rng: "7" * (csv.field_size_limit() + int(rng.integers(-2, 2)))),
+    _line_edit(lambda lines, i, rng: lines.insert(i, str(rng.choice(["", " ", "  ,", "#"])))),
+    _line_edit(lambda lines, i, rng: lines.insert(i, lines[i - 1])),
+    _line_edit(lambda lines, i, rng: lines.pop(i - 1)),
+]
+
+
+def _fuzz_lines(rng):
+    """A valid file's lines, cells written in random valid forms."""
+    n, m, p = (int(v) for v in rng.integers(1, 4, size=3))
+    ids = [f"s{i}" if rng.random() < 0.5 else str(i) for i in range(n)]
+    numbers = ["0", "-0", "3", "+4", "2.5", ".5", "5.", "1e-3", "-7.25E+2"]
+    records = [[ids[i], str(j + 1)] + [
+        str(rng.choice(numbers)) if rng.random() < 0.5 else repr(float(rng.normal()))
+        for _ in range(1 + p)] for i in range(n) for j in range(m)]
+    if rng.random() < 0.5:
+        records = [records[k] for k in rng.permutation(len(records))]
+    header = ["subject", "time", "y"] + [f"x{k + 1}" for k in range(p)]
+    return [",".join(header)] + [",".join(r) for r in records]
+
+
+def _outcome(path):
+    try:
+        d = parse_dataset_csv(path)
+    except PlgeeError as exc:
+        return type(exc).__name__, str(exc)
+    return d.X.shape, d.X.tobytes(), d.y.tobytes()
+
+
+def differential_fuzz(tmp_path, monkeypatch, n_files, seed):
+    """Parse n_files mutated files with the fast pass on and off, at random
+    chunk and block sizes; returns the outcomes the fast pass produced."""
+    rng = np.random.default_rng(seed)
+    fast = cli._parse_fast
+    accepted = []
+    path = tmp_path / "fuzz.csv"
+    for _ in range(n_files):
+        lines = _fuzz_lines(rng)
+        for _ in range(int(rng.integers(0, 3))):
+            _MUTATIONS[int(rng.integers(len(_MUTATIONS)))](lines, rng)
+        newline = str(rng.choice(["\n"] * 6 + ["\r\n", "\r"]))
+        text = newline.join(lines) + (newline if rng.random() < 0.9 else "")
+        path.write_bytes(text.encode("utf-8"))
+        monkeypatch.setattr(cli, "CSV_CHUNK_BYTES", int(rng.choice([1, 9, 64, 1 << 18])))
+        monkeypatch.setattr(cli, "CSV_BLOCK_RECORDS", int(rng.choice([1, 2, 512])))
+        took = []
+        monkeypatch.setattr(cli, "_parse_fast",
+                            lambda fh: took.append(fast(fh)) or took[-1])
+        got = _outcome(path)
+        monkeypatch.setattr(cli, "_parse_fast", lambda fh: None)
+        want = _outcome(path)
+        assert got == want, text[:500]
+        if took and took[0] is not None:
+            accepted.append(got)
+    return accepted
+
+
+class TestCsvFastPass:
+    def test_differential_fuzz_against_exact_parser(self, tmp_path, monkeypatch):
+        accepted = differential_fuzz(tmp_path, monkeypatch, n_files=2000, seed=2024)
+        # the fast pass took a fair share, both parsed and rejected files
+        assert len(accepted) > 500
+        assert sum(isinstance(o[0], str) for o in accepted) > 50
+        assert sum(isinstance(o[0], tuple) for o in accepted) > 300
+
+    def test_plain_file_never_reaches_exact_parser(self, tmp_path, monkeypatch):
+        calls = []
+        exact = cli._parse_exact
+        monkeypatch.setattr(cli, "_parse_exact", lambda fh: calls.append(1) or exact(fh))
+        path = tmp_path / "plain.csv"
+        path.write_text(HEAD + _records(700, 3))
+        plain = parse_dataset_csv(path)
+        assert calls == []
+        text = HEAD + _records(700, 3).replace("0.5,", '"0.5",', 1)
+        for variant in (text, (HEAD + _records(700, 3)).replace("\n", "\r\n")):
+            path.write_bytes(variant.encode())
+            d = parse_dataset_csv(path)
+            assert d.X.tobytes() == plain.X.tobytes() and d.y.tobytes() == plain.y.tobytes()
+        assert calls == [1, 1]
+
+    def test_blank_body_emits_no_warning(self, tmp_path, recwarn):
+        assert _schema_message(tmp_path, HEAD + "\n\n") == "CSV contains no data rows"
+        assert len(recwarn) == 0
 
 
 def run_cli(argv, capsys):
@@ -291,6 +470,22 @@ class TestFit:
             ["fit", "--data", "/nonexistent.csv", "--link", "identity"], capsys)
         assert code == 1
         assert json.loads(err)["error"] == "io"
+
+    def test_unconverged_preliminary_fit_exits_2(self, tmp_path, capsys, monkeypatch):
+        rng = np.random.default_rng(47)
+        X = rng.uniform(-1, 1, size=(80, 3, 2))
+        path = tmp_path / "counts.csv"
+        write_dataset_csv(LongitudinalDataset(
+            X, rng.poisson(np.exp(X @ [1.5, -1.0])).astype(float)), path)
+        monkeypatch.setattr(cli, "two_step_fit", lambda data, family: two_step_fit(
+            data, family, opts=SolverOptions(max_iter=1)))
+        code, out, _ = run_cli(["fit", "--data", str(path), "--link", "log"], capsys)
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["converged"] is False
+        assert doc["fallback_flag"] is True
+        assert doc["R_tilde"] is None
+        assert doc["method"] == "independence"
 
     def test_shuffle_subjects_keeps_estimate(self, data_csv, capsys):
         _, out0, _ = run_cli(

@@ -224,6 +224,23 @@ class TestTwoStep:
         assert fit.fallback_to_independence
         assert fit.preliminary is fit
 
+    def test_unconverged_preliminary_fit_is_returned_flagged(self):
+        # a preliminary estimate that did not converge never feeds R-tilde
+        # or the refit: the fit falls back to it, still flagged unconverged
+        rng = np.random.default_rng(47)
+        X = rng.uniform(-1, 1, size=(80, 3, 2))
+        data = LongitudinalDataset(X, rng.poisson(np.exp(X @ [1.5, -1.0])).astype(float))
+        assert gee_independence_fit(data, LOG).iterations > 1
+        fit = two_step_fit(data, LOG, opts=SolverOptions(max_iter=1))
+        alone = gee_independence_fit(data, LOG, opts=SolverOptions(max_iter=1))
+        assert not fit.converged
+        assert fit.fallback_to_independence
+        assert fit.correlation_used is None
+        assert fit.method == "independence"
+        assert fit.preliminary is fit
+        assert np.array_equal(fit.beta_hat, alone.beta_hat)
+        assert two_step_fit(data, LOG).method == "pseudo_likelihood"
+
     @pytest.mark.parametrize("family, data", [
         (IDENTITY, gaussian_dataset(n=70, m=4, p=2, seed=42)),
         (LOGIT, logit_dataset(n=90, seed=43)),
