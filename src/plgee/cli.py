@@ -10,9 +10,7 @@ import argparse
 import array
 import csv
 import io
-import itertools
 import json
-import operator
 import sys
 import warnings
 
@@ -101,64 +99,14 @@ def _emit_error(exc):
 # CSV dataset interface
 # ---------------------------------------------------------------------------
 
-# Records read and converted per block by the exact parser.  One block of
-# cell strings (about 0.8 kB a record at p=8) is alive at a time; larger
-# blocks parse no faster.
-CSV_BLOCK_RECORDS = 512
-
 # Bytes read per chunk by the fast pass, each chunk completed to a whole
 # line.  Larger chunks parse no faster and leave a larger heap behind: with
 # 256 kB chunks the peak RSS of `plgee fit` on 200k rows was 2 MB higher.
 CSV_CHUNK_BYTES = 1 << 15
 
-# Printable ASCII except the quote, and "\n".  csv.reader splits text made of
-# these bytes exactly at each "\n" and ",", as str.splitlines and loadtxt do.
+# Printable ASCII except the quote, and "\n", as which "\r\n" is read.  csv.reader,
+# str.splitlines and loadtxt split text of these bytes alike, at each "\n" and ",".
 _PLAIN = bytes(b for b in range(0x20, 0x7f) if b != ord('"')) + b"\n"
-
-_SUBJECT_CELL = operator.itemgetter(0)
-_TIME_CELL = operator.itemgetter(1)
-_NUMBER_CELLS = operator.itemgetter(slice(2, None))   # y, x1..xp
-
-
-def _to_array(convert, cells, dtype):
-    """np.fromiter(map(convert, cells)), None.  When `convert` or the dtype's
-    range rejects a cell, returns the converted cells before the first such
-    cell and (its index, the error)."""
-    try:
-        return np.fromiter(map(convert, cells), dtype, len(cells)), None
-    except (ValueError, OverflowError):
-        for k, cell in enumerate(cells):
-            try:
-                np.fromiter((convert(cell),), dtype, 1)
-            except (ValueError, OverflowError) as exc:
-                return np.fromiter(map(convert, cells[:k]), dtype, k), (k, exc)
-        raise
-
-
-def _convert_records(rows, numbers, width):
-    """Field-count and numeric checks of non-blank records, in file order.
-
-    Returns (k, times, values, error): the first k records passed and are
-    converted (times (k,), values (k * (width - 2),) row-major); error is
-    the message for record k, or None when every record passed.
-    """
-    lens = np.fromiter(map(len, rows), np.intp, len(rows))
-    wrong = np.flatnonzero(lens != width)
-    k = int(wrong[0]) if wrong.size else len(rows)
-    failures = []                       # (record index, rank in record, message)
-    if wrong.size:
-        failures.append((k, 0, f"row {numbers[k]} has {lens[k]} fields, expected {width}"))
-    times, bad_time = _to_array(int, list(map(_TIME_CELL, rows[:k])), np.int64)
-    values, bad_value = _to_array(
-        float, list(itertools.chain.from_iterable(map(_NUMBER_CELLS, rows[:k]))), float)
-    for rank, bad, per_record in ((1, bad_time, 1), (2, bad_value, width - 2)):
-        if bad is not None:
-            r = bad[0] // per_record
-            failures.append((r, rank, f"non-numeric cell at row {numbers[r]}: {bad[1]}"))
-    if not failures:
-        return k, times, values, None
-    k, _, error = min(failures)
-    return k, times[:k], values[:k * (width - 2)], error
 
 
 def _first_duplicate(subject, time):
@@ -183,7 +131,7 @@ def _covariate_count(header):
 class _Records:
     """Accepted records in file order, and the checks and scatter that turn
     them into a dataset.  Both parsers fill it; an array.array grows in
-    place, so no concatenation of per-block parts doubles the memory."""
+    place, so no concatenation of per-chunk parts doubles the memory."""
 
     def __init__(self, p):
         self.p = p
@@ -200,6 +148,12 @@ class _Records:
         self.subject.extend(map(index.__getitem__, ids))
         self.time.frombytes(times.tobytes())
         self.values.frombytes(values.tobytes())
+
+    def append(self, subject, time, values):
+        """Append one record: subject id, time (an int64-range int), y, x1..xp."""
+        self.subject.append(self.index.setdefault(subject.strip(), len(self.index)))
+        self.time.append(time)
+        self.values.extend(values)
 
     def dataset(self, error):
         """The dataset, after the checks that follow the record loop: a
@@ -236,10 +190,19 @@ class _Records:
         return LongitudinalDataset(X.reshape(n, m, p), y.reshape(n, m))
 
 
+def _not_utf8(cells, row):
+    """The error for record `row` if a cell holds a byte that is not UTF-8, else
+    None (surrogateescape decodes such a byte b to U+DC00+b, which won't encode)."""
+    try:
+        "".join(cells).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        return f"row {row} is not valid UTF-8: byte 0x{ord(exc.object[exc.start]) - 0xdc00:02x}"
+    return None
+
+
 def _parse_exact(fh):
-    """(records, error) of a text stream read by csv.reader, in blocks of
-    CSV_BLOCK_RECORDS records; this defines the cell grammar and the error
-    for the first rejected record."""
+    """(records, error) of a text stream, one csv.reader record at a time: it
+    defines the cell grammar and the error for the first rejected record."""
     reader = csv.reader(fh)
     try:
         header = next(reader)
@@ -247,39 +210,42 @@ def _parse_exact(fh):
         raise SchemaError("empty CSV file") from None
     except csv.Error as exc:
         raise SchemaError(f"row 1 is not valid CSV: {exc}") from None
+    if error := _not_utf8(header, 1):
+        raise SchemaError(error)
     records = _Records(_covariate_count(header))
-    first, error = 2, None     # record number of the block's first record
-    while error is None:
-        block = []
-        try:
-            block.extend(itertools.islice(reader, CSV_BLOCK_RECORDS))
-        except csv.Error as exc:       # in the record after the last one read
-            error = f"row {first + len(block)} is not valid CSV: {exc}"
-        if not block:
-            break
-        numbers = range(first, first + len(block))
-        first += len(block)
-        if not all(block):
-            numbers = [n for n, row in zip(numbers, block) if row]
-            block = [row for row in block if row]
-        k, t, v, bad = _convert_records(block, numbers, 3 + records.p)
-        records.extend(map(_SUBJECT_CELL, block[:k]), t, v)
-        error = bad or error
-    return records, error
+    width, row = 3 + records.p, 1
+    try:
+        for row, cells in enumerate(reader, 2):
+            if not cells:
+                continue
+            if error := _not_utf8(cells, row):
+                return records, error
+            if len(cells) != width:
+                return records, f"row {row} has {len(cells)} fields, expected {width}"
+            try:
+                time = int(cells[1])
+                if time.bit_length() > 63:      # outside int64, or exactly -2**63
+                    np.int64(time)              # raises the pinned OverflowError
+                records.append(cells[0], time, list(map(float, cells[2:])))
+            except (ValueError, OverflowError) as exc:
+                return records, f"non-numeric cell at row {row}: {exc}"
+    except csv.Error as exc:        # in the record after the last one read
+        return records, f"row {row + 1} is not valid CSV: {exc}"
+    return records, None
 
 
 def _parse_fast(fh):
     """Records of a plain binary stream, tokenized and converted by
     np.loadtxt one chunk at a time; None when the exact parser must read it.
 
-    It declines a file with a byte outside _PLAIN, a blank header line, a
-    line longer than csv's field limit, or a chunk loadtxt rejects or warns
-    about.  numpy's int64 and float parsing accepts a subset of Python's
-    int/float grammar and gives the same values on it, so an accepted file
-    gives the exact parser's records.
+    It reads "\\r\\n" as "\\n" and declines a file with another byte outside
+    _PLAIN, a blank header line, a line longer than csv's field limit, or a
+    chunk loadtxt rejects or warns about.  numpy's int64 and float parsing
+    accepts a subset of Python's int/float grammar and gives the same
+    values on it, so an accepted file gives the exact parser's records.
     """
     limit = csv.field_size_limit()
-    line = fh.readline()
+    line = fh.readline().replace(b"\r\n", b"\n")
     if line.translate(None, _PLAIN) or not line.rstrip(b"\n") or len(line) > limit:
         return None
     records = _Records(_covariate_count(line.decode("ascii").rstrip("\n").split(",")))
@@ -289,7 +255,8 @@ def _parse_fast(fh):
         # for a chunk of blank lines, or numpy 1.23 reading an int via float
         warnings.simplefilter("error")
         while chunk := fh.read(CSV_CHUNK_BYTES):
-            chunk += fh.readline()
+            # readline() rejoins a split "\r\n"; replace() copies no LF chunk
+            chunk = (chunk + fh.readline()).replace(b"\r\n", b"\n")
             if chunk.translate(None, _PLAIN):
                 return None
             lines = chunk.decode("ascii").splitlines()
@@ -310,34 +277,35 @@ def parse_dataset_csv(path):
     Subjects are ordered by first appearance (the filtration order); every
     subject must contribute exactly the same set of time indices 1..m.
 
-    Cell grammar: the `csv` module splits records, so quoted cells and
-    CRLF endings parse, and a blank line is a record with no data.  Subject
-    ids are stripped of surrounding whitespace.  `time` is read by Python's
-    `int`, `y` and x1..xp by Python's `float`; a time outside the signed
-    64-bit range is reported as a non-numeric cell, and a record the `csv`
-    module rejects (a field longer than `csv.field_size_limit()`) as not
-    valid CSV.
+    Cell grammar: the file is UTF-8, and the `csv` module splits records, so
+    quoted cells and CRLF endings parse, and a blank line is a record with
+    no data.  Subject ids are stripped of surrounding whitespace.  `time` is
+    read by Python's `int`, `y` and x1..xp by Python's `float`; a time
+    outside the signed 64-bit range is reported as a non-numeric cell, and a
+    record the `csv` module rejects (a field longer than
+    `csv.field_size_limit()`) as not valid CSV.
 
     Error order: the first offending record wins, and its message names its
     record number (the header is record 1).  Within a record the checks run
-    in this order: field count, then numeric (time, y, x1..xp), then
-    duplicate (subject, time).  The subject-level checks run last, in
-    first-appearance order: each subject needs as many rows as the first
-    subject, m, and then time values 1..m.
+    in this order: valid UTF-8, then field count, then numeric (time, y,
+    x1..xp), then duplicate (subject, time).  The subject-level checks run
+    last, in first-appearance order: each subject needs as many rows as the
+    first subject, m, and then time values 1..m.
 
-    Plain files take a fast pass: when every byte of the file is `\\n` or
-    printable ASCII other than `"`, numpy's C tokenizer (`np.loadtxt`)
-    splits and converts the records, chunk by chunk.  When it rejects or
-    warns about a chunk, or the file is not plain, the exact parser (the
-    `csv` module and Python's `int`/`float`) reads the file from the top.
-    The grammar and the messages above are the exact parser's; a file the
-    fast pass accepts gives the same arrays and errors.
+    Plain files take a fast pass: when every line ends with `\\n` or
+    `\\r\\n` and every other byte is printable ASCII other than `"`, numpy's
+    C tokenizer (`np.loadtxt`) splits and converts the records, chunk by
+    chunk.  When it rejects or warns about a chunk, or the file is not
+    plain, the exact parser (the `csv` module and Python's `int`/`float`,
+    one record at a time) reads the file from the top.  The grammar and the
+    messages above are the exact parser's; a file the fast pass accepts
+    gives the same arrays and errors.
     """
     with open(path, "rb") as fh:
         records, error = _parse_fast(fh), None
         if records is None:
             fh.seek(0)
-            with io.TextIOWrapper(fh, encoding="utf-8", newline="") as text:
+            with io.TextIOWrapper(fh, "utf-8", "surrogateescape", newline="") as text:
                 records, error = _parse_exact(text)
     return records.dataset(error)
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import ConfigError, EmptyReportError, NotPositiveDefiniteError, PlgeeError
 from .estimator import (
-    SolverOptions,
     estimate_correlation,
     two_step_fit,
     wald_intervals,
@@ -340,14 +339,12 @@ def _run_replicate(config, r):
     seed = mix_seed(config.base_seed, r)
     data = generate_dataset(config, seed)
     R_bar = config.correlation.matrix(config.m)
-    opts = SolverOptions()
     out = {"rep": r, "ok": False}
     try:
-        two = two_step_fit(data, config.family, opts=opts)
+        two = two_step_fit(data, config.family)
     except PlgeeError:
         return out
-    indep = two.preliminary
-    if not (indep.converged and two.converged):
+    if not two.converged:    # an unconverged preliminary fit is returned itself
         return out
     beta0 = np.asarray(config.beta0, dtype=float)
     delta = two.beta_hat - beta0
@@ -359,7 +356,7 @@ def _run_replicate(config, r):
     out.update(
         ok=True,
         beta_two=two.beta_hat.tolist(),
-        beta_indep=indep.beta_hat.tolist(),
+        beta_indep=two.preliminary.beta_hat.tolist(),
         z=z.tolist(),
         covered=covered,
         corr_err=float(np.max(np.abs(corr.R_tilde.a - R_bar))),

@@ -181,10 +181,15 @@ class TestCsvErrorMessages:
         (HEAD + "\n\n", "CSV contains no data rows"),
         (HEAD + "1,1,0.0,0.0\n\n1,2,zz,0.0\n",
          "non-numeric cell at row 4: could not convert string to float: 'zz'"),
+        ((HEAD + "1,1,0.0,0.0\n\n1,2,zz,0.0\n").replace("\n", "\r"),
+         "non-numeric cell at row 4: could not convert string to float: 'zz'"),
+        (HEAD + "1,99999999999999999999,oops,0.0\n",
+         "non-numeric cell at row 2: Python int too large to convert to C long"),
     ], ids=["short-record", "long-record", "time", "y", "x", "time-before-y",
             "fields-before-numeric", "duplicate", "numeric-before-duplicate",
             "ragged", "time-set", "time-zero", "first-subject-first",
-            "header-only", "blank-only", "blank-line-shifts-rows"])
+            "header-only", "blank-only", "blank-line-shifts-rows", "lone-cr",
+            "time-outside-int64"])
     def test_message(self, tmp_path, text, message):
         assert _schema_message(tmp_path, text) == message
 
@@ -224,6 +229,21 @@ class TestCsvErrorMessages:
     def test_field_over_csv_limit(self, tmp_path, text, message):
         reason = f"field larger than field limit ({csv.field_size_limit()})"
         assert _schema_message(tmp_path, text) == message.format(reason)
+
+    @pytest.mark.parametrize("data, message", [
+        (b"subject,time,y,x\xff1\n1,1,0,0\n", "row 1 is not valid UTF-8: byte 0xff"),
+        (HEAD.encode() + b"\xff1,1,0,0\n", "row 2 is not valid UTF-8: byte 0xff"),
+        (HEAD.encode() + "\u00e9,1,0,0\n".encode() + b"1,1,\xc3,0\n",
+         "row 3 is not valid UTF-8: byte 0xc3"),
+        (HEAD.encode() + b"1,1,nope,0\n\xff1,2,0,0\n",
+         "non-numeric cell at row 2: could not convert string to float: 'nope'"),
+    ], ids=["header", "record-2", "after-valid-non-ascii", "earlier-bad-cell-first"])
+    def test_not_utf8_is_a_json_error(self, tmp_path, capsys, data, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        code, out, err = run_cli(["fit", "--data", str(path), "--link", "identity"], capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "schema", "detail": message}
 
     def test_field_over_csv_limit_is_a_json_error(self, tmp_path, capsys):
         path = tmp_path / "long.csv"
@@ -279,7 +299,7 @@ class TestCsvCellGrammar:
 # Mutations of a valid file for the differential fuzz, each editing the list
 # of lines in place: the byte classes and cell forms on which the fast pass
 # must decline, or convert exactly as the exact parser does.
-_CONTROL = ["\x00", "\x0b", "\x0c", "\x1c", "\x1e", "\x7f", "\x85", "\u2028"]
+_CONTROL = ["\r", "\x00", "\x0b", "\x0c", "\x1c", "\x1e", "\x7f", "\x85", "\u2028"]
 
 
 def _cell_edit(edit):
@@ -344,7 +364,7 @@ def _outcome(path):
 
 def differential_fuzz(tmp_path, monkeypatch, n_files, seed):
     """Parse n_files mutated files with the fast pass on and off, at random
-    chunk and block sizes; returns the outcomes the fast pass produced."""
+    chunk sizes; returns the outcomes the fast pass produced."""
     rng = np.random.default_rng(seed)
     fast = cli._parse_fast
     accepted = []
@@ -357,7 +377,6 @@ def differential_fuzz(tmp_path, monkeypatch, n_files, seed):
         text = newline.join(lines) + (newline if rng.random() < 0.9 else "")
         path.write_bytes(text.encode("utf-8"))
         monkeypatch.setattr(cli, "CSV_CHUNK_BYTES", int(rng.choice([1, 9, 64, 1 << 18])))
-        monkeypatch.setattr(cli, "CSV_BLOCK_RECORDS", int(rng.choice([1, 2, 512])))
         took = []
         monkeypatch.setattr(cli, "_parse_fast",
                             lambda fh: took.append(fast(fh)) or took[-1])
@@ -383,15 +402,22 @@ class TestCsvFastPass:
         exact = cli._parse_exact
         monkeypatch.setattr(cli, "_parse_exact", lambda fh: calls.append(1) or exact(fh))
         path = tmp_path / "plain.csv"
-        path.write_text(HEAD + _records(700, 3))
+        text = HEAD + _records(700, 3)
+        path.write_text(text)
         plain = parse_dataset_csv(path)
-        assert calls == []
-        text = HEAD + _records(700, 3).replace("0.5,", '"0.5",', 1)
-        for variant in (text, (HEAD + _records(700, 3)).replace("\n", "\r\n")):
+        for variant, reaches_exact in ((text.replace("\n", "\r\n"), False),
+                                       (text.replace("0.5,", '"0.5",', 1), True),
+                                       (text.replace("\n", "\r"), True)):
+            calls.clear()
             path.write_bytes(variant.encode())
             d = parse_dataset_csv(path)
             assert d.X.tobytes() == plain.X.tobytes() and d.y.tobytes() == plain.y.tobytes()
-        assert calls == [1, 1]
+            assert calls == [1] * reaches_exact
+        calls.clear()
+        write_dataset_csv(sample_dataset(n=700), path)
+        assert b"\r\n" in path.read_bytes()
+        parse_dataset_csv(path)
+        assert calls == []
 
     def test_blank_body_emits_no_warning(self, tmp_path, recwarn):
         assert _schema_message(tmp_path, HEAD + "\n\n") == "CSV contains no data rows"
@@ -442,12 +468,12 @@ class TestFit:
         assert np.allclose(two["beta_hat"], ind["beta_hat"], atol=0.1)
 
     def test_output_file_and_rerun_byte_identical(self, data_csv, tmp_path, capsys):
-        out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         assert main(["fit", "--data", data_csv, "--link", "identity",
-                     "--out", out1]) == 0
+                     "--out", str(out1)]) == 0
         assert main(["fit", "--data", data_csv, "--link", "identity",
-                     "--out", out2]) == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+                     "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
 
     def test_rank_deficient_design_is_error(self, tmp_path, capsys):
         rows = ["subject,time,y,x1,x2"]
@@ -617,12 +643,12 @@ class TestSimulate:
         assert out1 == out4
 
     def test_replicates_csv(self, config_json, tmp_path, capsys):
-        reps = str(tmp_path / "reps.csv")
+        reps = tmp_path / "reps.csv"
         code, out, _ = run_cli(
-            ["simulate", "--config", config_json, "--replicates-csv", reps],
+            ["simulate", "--config", config_json, "--replicates-csv", str(reps)],
             capsys)
         assert code == 0
-        lines = open(reps).read().strip().splitlines()
+        lines = reps.read_text().strip().splitlines()
         assert lines[0] == "rep,converged,beta1,beta2,z1,z2,covered1,covered2"
         assert len(lines) == 1 + 6
 
@@ -661,7 +687,8 @@ class TestSimulate:
         from plgee.simulator import monte_carlo_run
         _, out, _ = run_cli(["simulate", "--config", config_json], capsys)
         doc = json.loads(out)
-        config = SimConfig.from_json(json.load(open(config_json)))
+        with open(config_json) as fh:
+            config = SimConfig.from_json(json.load(fh))
         rep = monte_carlo_run(config)
         assert doc["bias"] == pytest.approx(rep.bias, rel=1e-12)
         assert doc["coverage"] == rep.coverage
