@@ -151,8 +151,8 @@ HEAD = "subject,time,y,x1\n"
 
 class TestCsvErrorMessages:
     """Exact SchemaError texts: the first offending record wins; within a
-    record, field count, then numeric cells (time, y, x), then duplicate;
-    subject-level checks run last, in first-appearance order."""
+    record, valid UTF-8, then field count, then numeric cells (time, y, x),
+    then duplicate; subject-level checks run last, in first-appearance order."""
 
     @pytest.mark.parametrize("text, message", [
         (HEAD + "1,1,0.0,0.0\n1,2,0.0\n", "row 3 has 3 fields, expected 4"),
@@ -405,6 +405,7 @@ class TestCsvFastPass:
         text = HEAD + _records(700, 3)
         path.write_text(text)
         plain = parse_dataset_csv(path)
+        assert calls == []
         for variant, reaches_exact in ((text.replace("\n", "\r\n"), False),
                                        (text.replace("0.5,", '"0.5",', 1), True),
                                        (text.replace("\n", "\r"), True)):
