@@ -277,9 +277,10 @@ def parse_dataset_csv(path):
     Subjects are ordered by first appearance (the filtration order); every
     subject must contribute exactly the same set of time indices 1..m.
 
-    Cell grammar: the file is UTF-8, and the `csv` module splits records, so
-    quoted cells and CRLF endings parse, and a blank line is a record with
-    no data.  Subject ids are stripped of surrounding whitespace.  `time` is
+    Cell grammar: the file is UTF-8 (a leading byte-order mark is skipped;
+    one anywhere else is part of its cell), and the `csv` module splits
+    records, so quoted cells and CRLF endings parse, and a blank line is a
+    record with no data.  Subject ids are stripped of surrounding whitespace.  `time` is
     read by Python's `int`, `y` and x1..xp by Python's `float`; a time
     outside the signed 64-bit range is reported as a non-numeric cell, and a
     record the `csv` module rejects (a field longer than
@@ -305,7 +306,7 @@ def parse_dataset_csv(path):
         records, error = _parse_fast(fh), None
         if records is None:
             fh.seek(0)
-            with io.TextIOWrapper(fh, "utf-8", "surrogateescape", newline="") as text:
+            with io.TextIOWrapper(fh, "utf-8-sig", "surrogateescape", newline="") as text:
                 records, error = _parse_exact(text)
     return records.dataset(error)
 

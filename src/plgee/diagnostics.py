@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import LinkOverflowError, ShapeError
-from .estimator import _sandwiched_gram, _weighted_gram, estimate_correlation
+from .estimator import _flat, _sandwiched_blocks, _weighted_gram, estimate_correlation
 from .matkernel import SymMatrix, max_relative_eigenvalue, require_spd, sym_eigen
 from .model import _link_arrays, eval_model
 
@@ -111,9 +111,12 @@ def design_diagnostics(data, family, beta, R, M_hat=None, true_corr=None):
     pi_n = float(q_max / q_min)
     tau_tilde = float(data.m * q_max)
 
-    sd = ev.sd
-    B = sd[:, :, None] * data.X
-    H = _sandwiched_gram(B, Q)
+    # H and the per-subject B_i' Q B_i share each block's one Q B product
+    H = np.zeros((data.p, data.p))
+    D = np.empty((data.n, data.p, data.p))
+    for rows, B, QB in _sandwiched_blocks(data.X, ev.sd, Q):
+        H += _flat(B).T @ _flat(QB)
+        np.matmul(np.swapaxes(B, 1, 2), QB, out=D[rows])
     H = 0.5 * (H + H.T)
     eig_H = require_spd(sym_eigen(H), H, "general scoring matrix")
 
@@ -123,7 +126,7 @@ def design_diagnostics(data, family, beta, R, M_hat=None, true_corr=None):
     gamma_tilde = tau_tilde * gamma0
 
     # largest eigenvalue of H^{-1/2} B_i' Q B_i H^{-1/2} over the subjects
-    gamma_D = max_relative_eigenvalue(np.matmul(np.swapaxes(B, 1, 2), np.matmul(Q, B)), eig_H)
+    gamma_D = max_relative_eigenvalue(D, eig_H)
 
     c_n = None
     if M_hat is not None:

@@ -5,9 +5,15 @@ estimate from the standardized residuals, Fisher-scoring solve of the
 pseudo-likelihood equation built on that correlation, and Wald intervals
 on top.  Every solve returns the Liang-Zeger sandwich covariance of its
 estimate, built from the decomposition of the scoring matrix it already made.
+
+The scoring matrices are sums of p x p terms over independent subjects, so
+they are summed over fixed-size blocks of subjects: a fit's temporaries
+stay (n, m)-sized plus about a megabyte per block, never a second copy of
+the (n, m, p) design.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -62,11 +68,25 @@ class FitResult:
     preliminary: "FitResult | None" = field(default=None, repr=False)
 
 
-# Sums over the (n, m, p) subject stack, each one BLAS call on the (n*m, p)
+# Sums over the (n, m, p) subject stack, as BLAS calls on the (n*m, p)
 # flattening.  The reshapes are views only when the stacks are C-contiguous.
+# The Gram sums weight X before the GEMM, so they run over blocks of about
+# _BLOCK_CELLS cells (subjects x m x p): each block's weighted copy stays
+# near 1 MB whatever m*p is, instead of an (n, m, p) temporary per call.
+# A dataset that fits in one block gives the single-GEMM result bit for bit.
+
+_BLOCK_CELLS = 1 << 17
+
 
 def _flat(A):
     return A.reshape(-1, A.shape[-1])
+
+
+def _blocks(X):
+    """Slices of consecutive subjects covering X, about _BLOCK_CELLS cells each."""
+    n, m, p = X.shape
+    size = max(1, _BLOCK_CELLS // (m * p))
+    return [slice(start, start + size) for start in range(0, n, size)]
 
 
 def _score(X, t):
@@ -75,13 +95,27 @@ def _score(X, t):
 
 
 def _weighted_gram(X, w):
-    """sum_i X_i' diag(w_i) X_i (a GEMM)."""
-    return _flat(X * w[:, :, None]).T @ _flat(X)
+    """sum_i X_i' diag(w_i) X_i (one GEMM per block)."""
+    H = np.zeros((X.shape[2], X.shape[2]))
+    for rows in _blocks(X):
+        H += _flat(X[rows] * w[rows, :, None]).T @ _flat(X[rows])
+    return H
 
 
-def _sandwiched_gram(B, Q):
-    """sum_i B_i' Q B_i (a batched matmul, then a GEMM)."""
-    return _flat(B).T @ _flat(np.matmul(Q, B))
+def _sandwiched_blocks(X, sd, Q):
+    """(rows, B, Q B) per block of subjects, where B_i = diag(sd_i) X_i."""
+    for rows in _blocks(X):
+        B = sd[rows, :, None] * X[rows]
+        yield rows, B, np.matmul(Q, B)
+
+
+def _sandwiched_gram(X, sd, Q):
+    """sum_i B_i' Q B_i with B_i = diag(sd_i) X_i (a batched matmul and a
+    GEMM per block)."""
+    H = np.zeros((X.shape[2], X.shape[2]))
+    for _, B, QB in _sandwiched_blocks(X, sd, Q):
+        H += _flat(B).T @ _flat(QB)
+    return H
 
 
 def _subject_scores(X, t):
@@ -89,26 +123,23 @@ def _subject_scores(X, t):
     return np.matmul(t[:, None, :], X)[:, 0, :]
 
 
-# A system maps beta to (g, H, t): the estimating function g = sum_i X_i' t_i,
-# the scoring matrix H and the working residuals t, one row per subject.
+# A system maps beta to (g, t, gram): the estimating function
+# g = sum_i X_i' t_i, the working residuals t, one row per subject, and a
+# callable that builds the scoring matrix H at beta from the arrays it binds.
+# The line search calls it only at the points it accepts.
 
 def _independence_system(data, family, beta):
     ev = eval_model(data, family, beta)
-    return _score(data.X, ev.eps), _weighted_gram(data.X, ev.var), ev.eps
-
-
-def _working_residuals(ev, Q):
-    """A^{1/2} Q A^{-1/2} eps, per subject."""
-    sd = ev.sd
-    return sd * ((ev.eps / sd) @ Q.T)
+    return _score(data.X, ev.eps), ev.eps, partial(_weighted_gram, data.X, ev.var)
 
 
 def _general_system(data, family, beta, Q):
-    """Estimating function and scoring matrix for a fixed correlation inverse Q."""
+    """Estimating function and scoring matrix for a fixed correlation inverse Q;
+    the working residuals are A^{1/2} Q A^{-1/2} eps, per subject."""
     ev = eval_model(data, family, beta)
-    B = ev.sd[:, :, None] * data.X       # A^{1/2} X_i
-    t = _working_residuals(ev, Q)
-    return _score(data.X, t), _sandwiched_gram(B, Q), t
+    sd = ev.sd
+    t = sd * ((ev.eps / sd) @ Q.T)
+    return _score(data.X, t), t, partial(_sandwiched_gram, data.X, sd, Q)
 
 
 def _convergence_scale(data, opts):
@@ -135,19 +166,20 @@ def _newton_solve(data, family, beta_init, opts, system, method):
     """Damped Newton / Fisher scoring on the estimating function.
 
     Full step first; halved whenever the estimating-function norm fails to
-    decrease or the link overflows along the way.  Each accepted point's H
-    is decomposed once: at the initial point that is the rank check, and at
-    beta_hat it gives H^{-1} for the sandwich covariance the result carries.
+    decrease or the link overflows along the way.  H is built only at the
+    accepted points and decomposed once there: at the initial point that is
+    the rank check, and at beta_hat it gives H^{-1} for the sandwich
+    covariance the result carries.
     """
     beta = np.asarray(beta_init, dtype=float).copy()
     tol = _convergence_scale(data, opts)
     try:
-        g, H, t = system(beta)
+        g, t, gram = system(beta)
     except LinkOverflowError as exc:
         raise LineSearchFailure(f"link overflow at the initial point: {exc}") from exc
     gnorm = float(np.linalg.norm(g))
     trace = [(beta.copy(), gnorm)]
-    H_inv = _scoring_inverse(H, "at the initial point")
+    H_inv = _scoring_inverse(gram(), "at the initial point")
     converged = gnorm <= tol
 
     it = 0
@@ -159,7 +191,7 @@ def _newton_solve(data, family, beta_init, opts, system, method):
         for _ in range(opts.step_halving_max + 1):
             cand = beta + scale * step
             try:
-                g_new, H_new, t_new = system(cand)
+                g_new, t_new, gram = system(cand)
             except LinkOverflowError:
                 scale *= 0.5
                 continue
@@ -175,9 +207,9 @@ def _newton_solve(data, family, beta_init, opts, system, method):
             )
 
         step_size = float(np.linalg.norm(scale * step))
-        beta, g, H, t, gnorm = cand, g_new, H_new, t_new, gnorm_new
+        beta, g, t, gnorm = cand, g_new, t_new, gnorm_new
         trace.append((beta.copy(), gnorm))
-        H_inv = _scoring_inverse(H, f"after iteration {it}")
+        H_inv = _scoring_inverse(gram(), f"after iteration {it}")
         converged = gnorm <= tol
         if step_size <= opts.step_tol * (1.0 + float(np.linalg.norm(beta))):
             break
@@ -259,7 +291,8 @@ class SandwichParts:
 def sandwich_covariance(data, family, beta_hat, corr):
     """Robust covariance H^{-1} M H^{-1} at any beta_hat under correlation corr."""
     Q = _correlation_inverse(corr)
-    _, H, t = _general_system(data, family, np.asarray(beta_hat, dtype=float), Q)
+    _, t, gram = _general_system(data, family, np.asarray(beta_hat, dtype=float), Q)
+    H = gram()
     M, cov = _sandwich(data.X, t, _scoring_inverse(H, "at beta_hat"))
     return SandwichParts(M_hat=SymMatrix(M), H_tilde=SymMatrix(H), cov_beta=SymMatrix(cov))
 

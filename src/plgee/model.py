@@ -71,41 +71,48 @@ class LinkValues:
     d3: float
 
 
-def _link_arrays(family, theta):
-    """Vectorized mean function with three derivatives.
+def _mean_and_variance(family, theta):
+    """Vectorized mean function and its first derivative, the variance.
 
-    Returns (mu, d1, d2, d3) arrays.  d1 is clamped to the smallest positive
-    normal so saturated logit/probit cells keep strictly positive variance.
+    Returns (mu, d1) arrays.  d1 is clamped to the smallest positive normal
+    so saturated logit/probit cells keep strictly positive variance.
     """
     theta = np.asarray(theta, dtype=float)
     kind = family.kind
     if kind == "identity":
-        one = np.ones_like(theta)
-        zero = np.zeros_like(theta)
-        return theta.copy(), one, zero, zero
+        return theta.copy(), np.ones_like(theta)
     if kind == "log":
         if np.any(np.abs(theta) > LOG_THETA_LIMIT):
             raise LinkOverflowError(
                 f"log link overflow: |theta| > {LOG_THETA_LIMIT:g}"
             )
         e = np.exp(theta)
-        return e, e.copy(), e.copy(), e.copy()
+        return e, e.copy()
     if kind == "logit":
         # stable sigmoid; variance in a form that underflows gracefully
         mu = np.where(theta >= 0,
                       1.0 / (1.0 + np.exp(-np.abs(theta))),
                       np.exp(-np.abs(theta)) / (1.0 + np.exp(-np.abs(theta))))
         z = np.exp(-np.abs(theta))
-        d1 = np.maximum(z / np.square(1.0 + z), _TINY)
-        d2 = d1 * (1.0 - 2.0 * mu)
-        d3 = d1 * (1.0 - 6.0 * mu + 6.0 * mu * mu)
-        return mu, d1, d2, d3
+        return mu, np.maximum(z / np.square(1.0 + z), _TINY)
     # probit
-    mu = gauss_cdf(theta)
-    phi = np.maximum(gauss_pdf(theta), _TINY)
-    d2 = -theta * phi
-    d3 = (theta * theta - 1.0) * phi
-    return mu, phi, d2, d3
+    return gauss_cdf(theta), np.maximum(gauss_pdf(theta), _TINY)
+
+
+def _link_arrays(family, theta):
+    """Vectorized mean function with three derivatives: (mu, d1, d2, d3)."""
+    theta = np.asarray(theta, dtype=float)
+    mu, d1 = _mean_and_variance(family, theta)
+    kind = family.kind
+    if kind == "identity":
+        zero = np.zeros_like(theta)
+        return mu, d1, zero, zero
+    if kind == "log":
+        return mu, d1, mu.copy(), mu.copy()
+    if kind == "logit":
+        return mu, d1, d1 * (1.0 - 2.0 * mu), d1 * (1.0 - 6.0 * mu + 6.0 * mu * mu)
+    # probit
+    return mu, d1, -theta * d1, (theta * theta - 1.0) * d1
 
 
 def link_eval(family, theta):
@@ -195,7 +202,7 @@ def eval_model(data, family, beta):
         raise InvalidInputError("beta has non-finite entries")
     theta = data.X @ beta
     try:
-        mu, var, _, _ = _link_arrays(family, theta)
+        mu, var = _mean_and_variance(family, theta)
     except LinkOverflowError:
         bad = np.argwhere(np.abs(theta) > LOG_THETA_LIMIT)
         i, j = (int(bad[0][0]), int(bad[0][1])) if len(bad) else (None, None)

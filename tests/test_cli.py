@@ -1,3 +1,4 @@
+import codecs
 import csv
 import json
 
@@ -149,49 +150,65 @@ def _records(n_subjects, m, start=0):
 HEAD = "subject,time,y,x1\n"
 
 
+MESSAGE_CASES = pytest.mark.parametrize("text, message", [
+    (HEAD + "1,1,0.0,0.0\n1,2,0.0\n", "row 3 has 3 fields, expected 4"),
+    (HEAD + "1,1,0.0,0.0,9\n", "row 2 has 5 fields, expected 4"),
+    (HEAD + "1,1.0,0.0,0.0\n",
+     "non-numeric cell at row 2: invalid literal for int() with base 10: '1.0'"),
+    (HEAD + "1,1,oops,0.0\n",
+     "non-numeric cell at row 2: could not convert string to float: 'oops'"),
+    ("subject,time,y,x1,x2\n1,1,0.5,0.0,1e\n",
+     "non-numeric cell at row 2: could not convert string to float: '1e'"),
+    (HEAD + "1,x,y,0.0\n",
+     "non-numeric cell at row 2: invalid literal for int() with base 10: 'x'"),
+    (HEAD + "1,x,y\n", "row 2 has 3 fields, expected 4"),
+    (HEAD + " 7 ,1,0.0,0.0\n7,1,0.5,0.0\n", "duplicate (subject,time) = (7,1)"),
+    (HEAD + "1,1,0.0,0.0\n1,1,bad,0.0\n",
+     "non-numeric cell at row 3: could not convert string to float: 'bad'"),
+    (HEAD + "1,1,0.0,0.0\n1,2,0.0,0.0\n2,1,0.0,0.0\n",
+     "subject 2 has 1 rows, expected 2"),
+    (HEAD + "1,1,0.0,0.0\n1,2,0.0,0.0\n2,3,0.0,0.0\n2,1,0.0,0.0\n",
+     "subject 2 must have time values 1..2, got [1, 3]"),
+    (HEAD + "1,1,0.0,0.0\n1,0,0.0,0.0\n",
+     "subject 1 must have time values 1..2, got [0, 1]"),
+    (HEAD + "a,1,0,0\na,3,0,0\nb,1,0,0\n",
+     "subject a must have time values 1..2, got [1, 3]"),
+    (HEAD, "CSV contains no data rows"),
+    (HEAD + "\n\n", "CSV contains no data rows"),
+    (HEAD + "1,1,0.0,0.0\n\n1,2,zz,0.0\n",
+     "non-numeric cell at row 4: could not convert string to float: 'zz'"),
+    ((HEAD + "1,1,0.0,0.0\n\n1,2,zz,0.0\n").replace("\n", "\r"),
+     "non-numeric cell at row 4: could not convert string to float: 'zz'"),
+    (HEAD + "1,99999999999999999999,oops,0.0\n",
+     "non-numeric cell at row 2: Python int too large to convert to C long"),
+], ids=["short-record", "long-record", "time", "y", "x", "time-before-y",
+        "fields-before-numeric", "duplicate", "numeric-before-duplicate",
+        "ragged", "time-set", "time-zero", "first-subject-first",
+        "header-only", "blank-only", "blank-line-shifts-rows", "lone-cr",
+        "time-outside-int64"])
+
+NOT_UTF8_CASES = pytest.mark.parametrize("data, message", [
+    (b"subject,time,y,x\xff1\n1,1,0,0\n", "row 1 is not valid UTF-8: byte 0xff"),
+    (HEAD.encode() + b"\xff1,1,0,0\n", "row 2 is not valid UTF-8: byte 0xff"),
+    (HEAD.encode() + "\u00e9,1,0,0\n".encode() + b"1,1,\xc3,0\n",
+     "row 3 is not valid UTF-8: byte 0xc3"),
+    (HEAD.encode() + b"1,1,nope,0\n\xff1,2,0,0\n",
+     "non-numeric cell at row 2: could not convert string to float: 'nope'"),
+], ids=["header", "record-2", "after-valid-non-ascii", "earlier-bad-cell-first"])
+
+
 class TestCsvErrorMessages:
     """Exact SchemaError texts: the first offending record wins; within a
     record, valid UTF-8, then field count, then numeric cells (time, y, x),
     then duplicate; subject-level checks run last, in first-appearance order."""
 
-    @pytest.mark.parametrize("text, message", [
-        (HEAD + "1,1,0.0,0.0\n1,2,0.0\n", "row 3 has 3 fields, expected 4"),
-        (HEAD + "1,1,0.0,0.0,9\n", "row 2 has 5 fields, expected 4"),
-        (HEAD + "1,1.0,0.0,0.0\n",
-         "non-numeric cell at row 2: invalid literal for int() with base 10: '1.0'"),
-        (HEAD + "1,1,oops,0.0\n",
-         "non-numeric cell at row 2: could not convert string to float: 'oops'"),
-        ("subject,time,y,x1,x2\n1,1,0.5,0.0,1e\n",
-         "non-numeric cell at row 2: could not convert string to float: '1e'"),
-        (HEAD + "1,x,y,0.0\n",
-         "non-numeric cell at row 2: invalid literal for int() with base 10: 'x'"),
-        (HEAD + "1,x,y\n", "row 2 has 3 fields, expected 4"),
-        (HEAD + " 7 ,1,0.0,0.0\n7,1,0.5,0.0\n", "duplicate (subject,time) = (7,1)"),
-        (HEAD + "1,1,0.0,0.0\n1,1,bad,0.0\n",
-         "non-numeric cell at row 3: could not convert string to float: 'bad'"),
-        (HEAD + "1,1,0.0,0.0\n1,2,0.0,0.0\n2,1,0.0,0.0\n",
-         "subject 2 has 1 rows, expected 2"),
-        (HEAD + "1,1,0.0,0.0\n1,2,0.0,0.0\n2,3,0.0,0.0\n2,1,0.0,0.0\n",
-         "subject 2 must have time values 1..2, got [1, 3]"),
-        (HEAD + "1,1,0.0,0.0\n1,0,0.0,0.0\n",
-         "subject 1 must have time values 1..2, got [0, 1]"),
-        (HEAD + "a,1,0,0\na,3,0,0\nb,1,0,0\n",
-         "subject a must have time values 1..2, got [1, 3]"),
-        (HEAD, "CSV contains no data rows"),
-        (HEAD + "\n\n", "CSV contains no data rows"),
-        (HEAD + "1,1,0.0,0.0\n\n1,2,zz,0.0\n",
-         "non-numeric cell at row 4: could not convert string to float: 'zz'"),
-        ((HEAD + "1,1,0.0,0.0\n\n1,2,zz,0.0\n").replace("\n", "\r"),
-         "non-numeric cell at row 4: could not convert string to float: 'zz'"),
-        (HEAD + "1,99999999999999999999,oops,0.0\n",
-         "non-numeric cell at row 2: Python int too large to convert to C long"),
-    ], ids=["short-record", "long-record", "time", "y", "x", "time-before-y",
-            "fields-before-numeric", "duplicate", "numeric-before-duplicate",
-            "ragged", "time-set", "time-zero", "first-subject-first",
-            "header-only", "blank-only", "blank-line-shifts-rows", "lone-cr",
-            "time-outside-int64"])
+    @MESSAGE_CASES
     def test_message(self, tmp_path, text, message):
         assert _schema_message(tmp_path, text) == message
+
+    @MESSAGE_CASES
+    def test_message_after_byte_order_mark(self, tmp_path, text, message):
+        assert _schema_message(tmp_path, "\ufeff" + text) == message
 
     def test_early_duplicate_beats_later_bad_cell(self, tmp_path):
         text = (HEAD + "1,1,0.0,0.0\n1,1,0.0,0.0\n" + _records(1500, 4, start=2)
@@ -230,20 +247,21 @@ class TestCsvErrorMessages:
         reason = f"field larger than field limit ({csv.field_size_limit()})"
         assert _schema_message(tmp_path, text) == message.format(reason)
 
-    @pytest.mark.parametrize("data, message", [
-        (b"subject,time,y,x\xff1\n1,1,0,0\n", "row 1 is not valid UTF-8: byte 0xff"),
-        (HEAD.encode() + b"\xff1,1,0,0\n", "row 2 is not valid UTF-8: byte 0xff"),
-        (HEAD.encode() + "\u00e9,1,0,0\n".encode() + b"1,1,\xc3,0\n",
-         "row 3 is not valid UTF-8: byte 0xc3"),
-        (HEAD.encode() + b"1,1,nope,0\n\xff1,2,0,0\n",
-         "non-numeric cell at row 2: could not convert string to float: 'nope'"),
-    ], ids=["header", "record-2", "after-valid-non-ascii", "earlier-bad-cell-first"])
+    @NOT_UTF8_CASES
     def test_not_utf8_is_a_json_error(self, tmp_path, capsys, data, message):
         path = tmp_path / "bad.csv"
         path.write_bytes(data)
         code, out, err = run_cli(["fit", "--data", str(path), "--link", "identity"], capsys)
         assert (code, out) == (1, "")
         assert json.loads(err) == {"error": "schema", "detail": message}
+
+    @NOT_UTF8_CASES
+    def test_not_utf8_after_byte_order_mark(self, tmp_path, data, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(codecs.BOM_UTF8 + data)
+        with pytest.raises(SchemaError) as info:
+            parse_dataset_csv(path)
+        assert str(info.value) == message
 
     def test_field_over_csv_limit_is_a_json_error(self, tmp_path, capsys):
         path = tmp_path / "long.csv"
@@ -271,6 +289,23 @@ class TestCsvCellGrammar:
         d = parse_dataset_csv(path)
         assert d.y.tolist() == [[2.5, 0.001], [3.0, 4.0]]
         assert d.X[:, :, 0].tolist() == [[0.5, -0.0], [7.0, 1000.5]]
+
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path, data_csv):
+        path = tmp_path / "bom.csv"
+        with open(data_csv, "rb") as fh:
+            path.write_bytes(codecs.BOM_UTF8 + fh.read())
+        got, want = parse_dataset_csv(path), parse_dataset_csv(data_csv)
+        assert np.array_equal(got.X, want.X) and np.array_equal(got.y, want.y)
+
+    def test_byte_order_mark_elsewhere_is_part_of_its_cell(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeff" + HEAD + "\ufeffa,1,0,0\na,1,0,0\n", encoding="utf-8")
+        assert parse_dataset_csv(path).n == 2     # "\ufeffa" and "a" are two subjects
+        path.write_text("\ufeff\ufeff" + HEAD + "a,1,0,0\n", encoding="utf-8")
+        with pytest.raises(SchemaError) as info:
+            parse_dataset_csv(path)
+        assert str(info.value) == (
+            "header must start with subject,time,y got ['\\ufeffsubject', 'time', 'y']")
 
     def test_arrays_are_c_contiguous(self, data_csv):
         d = parse_dataset_csv(data_csv)

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from plgee import estimator
 from plgee.errors import (
     NotPositiveDefiniteError,
     PreconditionError,
@@ -191,17 +194,74 @@ class TestAssemblyHelpers:
     @pytest.mark.parametrize("n, m, p", [
         (1, 1, 1), (1, 4, 3), (9, 1, 2), (11, 5, 1), (40, 6, 4), (3, 2, 7),
     ])
-    def test_match_einsum_definitions(self, n, m, p):
+    def test_match_einsum_definitions(self, n, m, p, monkeypatch):
         rng = np.random.default_rng(100 * n + 10 * m + p)
         X = rng.normal(size=(n, m, p))
         t = rng.normal(size=(n, m))
         w = rng.uniform(0.1, 2.0, size=(n, m))
+        sd = rng.uniform(0.1, 2.0, size=(n, m))
         A = rng.normal(size=(m, m))
         Q = A @ A.T + m * np.eye(m)
         assert_rel_close(_score(X, t), np.einsum("nmp,nm->p", X, t))
-        assert_rel_close(_weighted_gram(X, w), np.einsum("nmp,nm,nmq->pq", X, w, X))
-        assert_rel_close(_sandwiched_gram(X, Q), np.einsum("njp,jk,nkq->pq", X, Q, X))
         assert_rel_close(_subject_scores(X, t), np.einsum("nmp,nm->np", X, t))
+        # the Gram sums with every subject in one block, then in blocks of
+        # 1 and 3 subjects: n below, equal to and not a multiple of the block
+        for subjects in (None, 1, 3):
+            if subjects is not None:
+                monkeypatch.setattr(estimator, "_BLOCK_CELLS", subjects * m * p)
+            assert_rel_close(_weighted_gram(X, w), np.einsum("nmp,nm,nmq->pq", X, w, X))
+            assert_rel_close(_sandwiched_gram(X, sd, Q),
+                             np.einsum("njp,nj,jk,nk,nkq->pq", X, sd, Q, sd, X))
+
+
+    @pytest.mark.parametrize("method, gram", [
+        ("independence", "_weighted_gram"), ("pseudo_likelihood", "_sandwiched_gram"),
+    ])
+    def test_scoring_matrix_built_only_at_accepted_points(self, method, gram, monkeypatch):
+        # Poisson fits from zero whose line search halves steps; a rejected
+        # candidate needs only g, so it builds no scoring matrix
+        rng = np.random.default_rng(0)
+        X = rng.uniform(-1, 1, size=(30, 3, 2))
+        X[:, :, 0] = 1.0
+        y = rng.poisson(np.exp(X @ np.array([2.5, 1.5]))).astype(float)
+        data = LongitudinalDataset(X, y)
+        corr = estimate_correlation(data, LOG, gee_independence_fit(data, LOG).beta_hat)
+        counts = dict.fromkeys(("eval_model", gram), 0)
+        for name in counts:
+            def counted(*args, _real=getattr(estimator, name), _name=name):
+                counts[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(estimator, name, counted)
+        if method == "independence":
+            fit = gee_independence_fit(data, LOG)
+        else:
+            fit = pseudo_likelihood_fit(data, LOG, corr)
+        assert fit.converged
+        assert counts["eval_model"] > fit.iterations + 1    # some step was halved
+        assert counts[gram] == fit.iterations + 1
+
+    def test_two_step_fit_peak_memory_below_design_size(self):
+        # the Gram sums run over subject blocks, so no (n, m, p) temporary
+        # is made; products over the full stack peak at 2.75x X.nbytes
+        rng = np.random.default_rng(2)
+        n, m, p = 20000, 10, 8
+        X = rng.uniform(-1, 1, size=(n, m, p))
+        X[:, :, 0] = 1.0
+        y = rng.poisson(np.exp(X @ np.linspace(0.5, -0.3, p))).astype(float)
+        data = LongitudinalDataset(X, y)
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fit = two_step_fit(data, LOG)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert fit.method == "pseudo_likelihood" and fit.converged
+        assert peak < 1.5 * data.X.nbytes
 
 
 class TestTwoStep:
@@ -262,8 +322,10 @@ class TestTwoStep:
         real = estimator._general_system
 
         def singular_at_beta_hat(data, family, beta, Q):
-            g, H, t = real(data, family, beta, Q)
-            return g, (0.0 * H if np.array_equal(beta, beta_hat) else H), t
+            g, t, gram = real(data, family, beta, Q)
+            if np.array_equal(beta, beta_hat):
+                return g, t, lambda: 0.0 * gram()
+            return g, t, gram
 
         monkeypatch.setattr(estimator, "_general_system", singular_at_beta_hat)
         with pytest.raises(SingularDesignError, match="scoring matrix"):
