@@ -9,6 +9,7 @@ along a grid of subject prefixes, leaving judgment to the user.
 
 import math
 from dataclasses import dataclass, fields
+from functools import reduce
 
 import numpy as np
 
@@ -90,6 +91,17 @@ def _max_quad_form(Xf, A):
     return float(np.max(np.sum((Xf @ A) * Xf, axis=1)))
 
 
+def _general_gram(X, sd, Q):
+    """(sum_i B_i' Q B_i, the stack of the B_i' Q B_i), B_i = diag(sd_i) X_i,
+    from one Q B product per block of subjects."""
+    D = np.empty((X.shape[0], X.shape[2], X.shape[2]))
+    parts = []
+    for rows, B, QB in _sandwiched_blocks(X, sd, Q):
+        parts.append(_flat(B).T @ _flat(QB))
+        np.matmul(np.swapaxes(B, 1, 2), QB, out=D[rows])
+    return reduce(np.add, parts), D
+
+
 def design_diagnostics(data, family, beta, R, M_hat=None, true_corr=None):
     """Evaluate all regularity quantities at (beta, R).
 
@@ -111,12 +123,7 @@ def design_diagnostics(data, family, beta, R, M_hat=None, true_corr=None):
     pi_n = float(q_max / q_min)
     tau_tilde = float(data.m * q_max)
 
-    # H and the per-subject B_i' Q B_i share each block's one Q B product
-    H = np.zeros((data.p, data.p))
-    D = np.empty((data.n, data.p, data.p))
-    for rows, B, QB in _sandwiched_blocks(data.X, ev.sd, Q):
-        H += _flat(B).T @ _flat(QB)
-        np.matmul(np.swapaxes(B, 1, 2), QB, out=D[rows])
+    H, D = _general_gram(data.X, ev.sd, Q)
     H = 0.5 * (H + H.T)
     eig_H = require_spd(sym_eigen(H), H, "general scoring matrix")
 

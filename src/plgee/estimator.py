@@ -13,7 +13,7 @@ the (n, m, p) design.
 """
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -73,7 +73,8 @@ class FitResult:
 # The Gram sums weight X before the GEMM, so they run over blocks of about
 # _BLOCK_CELLS cells (subjects x m x p): each block's weighted copy stays
 # near 1 MB whatever m*p is, instead of an (n, m, p) temporary per call.
-# A dataset that fits in one block gives the single-GEMM result bit for bit.
+# A dataset that fits in one block gives the single-GEMM result bit for bit:
+# reduce returns a lone block's sum as it is.
 
 _BLOCK_CELLS = 1 << 17
 
@@ -96,10 +97,8 @@ def _score(X, t):
 
 def _weighted_gram(X, w):
     """sum_i X_i' diag(w_i) X_i (one GEMM per block)."""
-    H = np.zeros((X.shape[2], X.shape[2]))
-    for rows in _blocks(X):
-        H += _flat(X[rows] * w[rows, :, None]).T @ _flat(X[rows])
-    return H
+    return reduce(np.add, (_flat(X[rows] * w[rows, :, None]).T @ _flat(X[rows])
+                           for rows in _blocks(X)))
 
 
 def _sandwiched_blocks(X, sd, Q):
@@ -112,10 +111,8 @@ def _sandwiched_blocks(X, sd, Q):
 def _sandwiched_gram(X, sd, Q):
     """sum_i B_i' Q B_i with B_i = diag(sd_i) X_i (a batched matmul and a
     GEMM per block)."""
-    H = np.zeros((X.shape[2], X.shape[2]))
-    for _, B, QB in _sandwiched_blocks(X, sd, Q):
-        H += _flat(B).T @ _flat(QB)
-    return H
+    return reduce(np.add, (_flat(B).T @ _flat(QB)
+                           for _, B, QB in _sandwiched_blocks(X, sd, Q)))
 
 
 def _subject_scores(X, t):
