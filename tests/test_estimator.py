@@ -213,7 +213,6 @@ class TestAssemblyHelpers:
             assert_rel_close(_sandwiched_gram(X, sd, Q),
                              np.einsum("njp,nj,jk,nk,nkq->pq", X, sd, Q, sd, X))
 
-
     @pytest.mark.parametrize("method, gram", [
         ("independence", "_weighted_gram"), ("pseudo_likelihood", "_sandwiched_gram"),
     ])
