@@ -32,7 +32,6 @@ from .model import LINK_KINDS, LinkFamily, LongitudinalDataset
 from .simulator import (
     SimConfig,
     mix_seed,
-    replicate_rows,
     run_replicates,
     summarize_replicates,
 )
@@ -408,7 +407,6 @@ def cmd_simulate(args):
     report = summarize_replicates(config, results)
     _write_json(report.to_json(), args.out)
     if args.replicates_csv:
-        rows = replicate_rows(results)
         with open(args.replicates_csv, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             cols = (["rep", "converged"]
@@ -416,14 +414,14 @@ def cmd_simulate(args):
                     + [f"z{k + 1}" for k in range(config.p)]
                     + [f"covered{k + 1}" for k in range(config.p)])
             writer.writerow(cols)
-            for row in rows:
-                if row["converged"]:
-                    writer.writerow([row["rep"], 1]
-                                    + [_format_float(v) for v in row["beta_hat"]]
-                                    + [_format_float(v) for v in row["z"]]
-                                    + [int(c) for c in row["covered"]])
+            for d in results:
+                if d["ok"]:
+                    writer.writerow([d["rep"], 1]
+                                    + [_format_float(v) for v in d["beta_two"]]
+                                    + [_format_float(v) for v in d["z"]]
+                                    + [int(c) for c in d["covered"]])
                 else:
-                    writer.writerow([row["rep"], 0] + [""] * (3 * config.p))
+                    writer.writerow([d["rep"], 0] + [""] * (3 * config.p))
     frac_failed = report.n_failures / report.replications
     return 0 if frac_failed <= MAX_FAILURE_FRACTION else 2
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import LinkOverflowError, ShapeError
 from .estimator import _flat, _sandwiched_blocks, _weighted_gram, estimate_correlation
-from .matkernel import SymMatrix, max_relative_eigenvalue, require_spd, sym_eigen
+from .matkernel import SymMatrix, max_relative_eigenvalue, spd_eigen, sym_eigen
 from .model import _link_arrays, eval_model
 
 DEFAULT_DET_FLOOR = 1e-6
@@ -63,8 +63,7 @@ def smoothness_maxima(data, family, beta_center, radius_r=0.0):
     probes = [beta_center]
     if radius_r > 0:
         ev = eval_model(data, family, beta_center)
-        H = _weighted_gram(data.X, ev.var)
-        eig = require_spd(sym_eigen(H), H, "independence scoring matrix")
+        eig = spd_eigen(_weighted_gram(data.X, ev.var), "independence scoring matrix")
         scale = radius_r * math.sqrt(data.m)
         for k in range(data.p):
             d = (scale / math.sqrt(eig.values[k])) * eig.vectors[:, k]
@@ -110,22 +109,20 @@ def design_diagnostics(data, family, beta, R, M_hat=None, true_corr=None):
     supply it again as ``true_corr`` to get the oracle-only extras.
     """
     beta = np.asarray(beta, dtype=float)
-    R = R.a if isinstance(R, SymMatrix) else np.asarray(R, dtype=float)
     ev = eval_model(data, family, beta)
 
-    H_indep = _weighted_gram(data.X, ev.var)
-    H_indep = 0.5 * (H_indep + H_indep.T)
-    eig_Hi = require_spd(sym_eigen(H_indep), H_indep, "independence scoring matrix")
+    H_indep = SymMatrix(_weighted_gram(data.X, ev.var))
+    eig_Hi = spd_eigen(H_indep, "independence scoring matrix")
 
-    eig_R = require_spd(sym_eigen(R), R, "correlation matrix")
+    eig_R = spd_eigen(R, "correlation matrix")
     Q = eig_R.power(-1)
     q_min, q_max = 1.0 / eig_R.values[-1], 1.0 / eig_R.values[0]
     pi_n = float(q_max / q_min)
     tau_tilde = float(data.m * q_max)
 
     H, D = _general_gram(data.X, ev.sd, Q)
-    H = 0.5 * (H + H.T)
-    eig_H = require_spd(sym_eigen(H), H, "general scoring matrix")
+    H = SymMatrix(H)
+    eig_H = spd_eigen(H, "general scoring matrix")
 
     x_flat = data.X.reshape(-1, data.p)
     gamma0_indep = _max_quad_form(x_flat, eig_Hi.power(-1))
@@ -137,23 +134,21 @@ def design_diagnostics(data, family, beta, R, M_hat=None, true_corr=None):
 
     c_n = None
     if M_hat is not None:
-        M = M_hat.a if isinstance(M_hat, SymMatrix) else np.asarray(M_hat, dtype=float)
-        c_n = max_relative_eigenvalue(H, require_spd(sym_eigen(M), M, "M_hat"))
+        c_n = max_relative_eigenvalue(H, spd_eigen(M_hat, "M_hat"))
 
     km = smoothness_maxima(data, family, beta, 0.0)
 
     tau_oracle = None
     lam_min_rbar = None
     if true_corr is not None:
-        R_bar = true_corr.a if isinstance(true_corr, SymMatrix) else np.asarray(true_corr, dtype=float)
-        tau_oracle = max_relative_eigenvalue(R_bar, eig_R)   # lambda_max(R^{-1} R_bar)
-        lam_min_rbar = float(sym_eigen(R_bar).values[0])
+        tau_oracle = max_relative_eigenvalue(true_corr, eig_R)   # lambda_max(R^{-1} R_bar)
+        lam_min_rbar = float(sym_eigen(true_corr).values[0])
 
     sqrt_n = math.sqrt(data.n)
     return DiagnosticsReport(
         n_used=data.n,
-        H_indep=SymMatrix(H_indep),
-        H_general=SymMatrix(H),
+        H_indep=H_indep,
+        H_general=H,
         lambda_min_H_indep=float(eig_Hi.values[0]),
         gamma0_indep=gamma0_indep,
         pi_n=pi_n,

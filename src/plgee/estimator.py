@@ -25,7 +25,9 @@ from .errors import (
     PreconditionError,
     SingularDesignError,
 )
-from .matkernel import SymMatrix, require_spd, sym_eigen
+# sym_eigen stays importable from here: perfbench/selftest.py reads
+# plgee.estimator.sym_eigen.
+from .matkernel import SymMatrix, spd_eigen, sym_eigen  # noqa: F401
 from .model import eval_model, gauss_quantile
 
 METHOD_INDEPENDENCE = "independence"
@@ -147,7 +149,7 @@ def _convergence_scale(data, opts):
 def _scoring_inverse(H, where):
     """H^{-1} from the one decomposition of the scoring matrix H."""
     try:
-        return require_spd(sym_eigen(H), H, "scoring matrix").power(-1)
+        return spd_eigen(H, "scoring matrix").power(-1)
     except NotPositiveDefiniteError as exc:
         raise SingularDesignError(f"{exc} {where}") from exc
 
@@ -252,11 +254,6 @@ def estimate_correlation(data, family, beta):
     )
 
 
-def _correlation_inverse(corr):
-    R = corr.R_tilde.a
-    return require_spd(sym_eigen(R), R, "correlation estimate").power(-1)
-
-
 def pseudo_likelihood_fit(data, family, corr, beta_init=None, opts=SolverOptions()):
     """Fisher-scoring solve of the pseudo-likelihood estimating equation.
 
@@ -266,7 +263,7 @@ def pseudo_likelihood_fit(data, family, corr, beta_init=None, opts=SolverOptions
     sandwich covariance at beta_hat, equal to ``sandwich_covariance`` there
     bit for bit.
     """
-    Q = _correlation_inverse(corr)
+    Q = spd_eigen(corr.R_tilde, "correlation estimate").power(-1)
     if beta_init is None:
         beta_init = np.zeros(data.p)
     result = _newton_solve(
@@ -287,7 +284,7 @@ class SandwichParts:
 
 def sandwich_covariance(data, family, beta_hat, corr):
     """Robust covariance H^{-1} M H^{-1} at any beta_hat under correlation corr."""
-    Q = _correlation_inverse(corr)
+    Q = spd_eigen(corr.R_tilde, "correlation estimate").power(-1)
     _, t, gram = _general_system(data, family, np.asarray(beta_hat, dtype=float), Q)
     H = gram()
     M, cov = _sandwich(data.X, t, _scoring_inverse(H, "at beta_hat"))

@@ -4,9 +4,9 @@ Everything downstream (estimating-equation solves, correlation handling,
 diagnostics) funnels through this module.  Matrices here are tiny (cluster
 size and covariate dimension, both well under ~50).  The eigensolver is
 LAPACK's symmetric ``eigh`` with a sign convention that makes golden tests
-stable, and ``require_spd`` is the single positive-definiteness check: every
-caller that needs an SPD matrix decomposes it once with ``sym_eigen`` and
-passes the result through it.  Every matrix function of an SPD matrix
+stable.  ``spd_eigen`` is the one door for an SPD matrix: it symmetrizes,
+decomposes and floor-checks it, and callers hand it a ``SymMatrix`` or a
+plain array as they have it.  Every matrix function of an SPD matrix
 (inverse, square root, inverse square root) is ``EigenDecomposition.power``
 of that one decomposition, and ``max_relative_eigenvalue`` gives the largest
 eigenvalue of a matrix, or of a stack of them, relative to it.
@@ -58,7 +58,7 @@ class EigenDecomposition:
 
     def power(self, k):
         """S^k = V diag(values**k) V' of the decomposed S.  Negative or
-        fractional k need S SPD, which ``require_spd`` checks."""
+        fractional k need S SPD: take the decomposition from ``spd_eigen``."""
         return (self.vectors * self.values ** k) @ self.vectors.T
 
 
@@ -77,8 +77,8 @@ def sym_eigen(S):
     return EigenDecomposition(values=values, vectors=np.where(lead < 0, -vectors, vectors))
 
 
-def require_spd(eig, S, what):
-    """Return ``eig``, the decomposition of S, if S is numerically SPD.
+def spd_eigen(S, what):
+    """``sym_eigen`` of S, checked to be numerically SPD.
 
     The eigenvalue floor is 1e-12 * max(1, trace/dim), scaled so that
     well-conditioned problems in natural units are never falsely rejected.
@@ -86,6 +86,7 @@ def require_spd(eig, S, what):
     lambda_min.
     """
     a = _sym_array(S)
+    eig = sym_eigen(a)
     tol = 1e-12 * max(1.0, float(np.trace(a)) / a.shape[0])
     lam_min = float(eig.values[0])
     if lam_min <= tol:
@@ -99,11 +100,12 @@ def require_spd(eig, S, what):
 def max_relative_eigenvalue(A, eig):
     """lambda_max(S^{-1/2} A S^{-1/2}), where ``eig`` decomposes the SPD S.
 
-    A is one symmetric matrix or an (n, p, p) stack of them; for a stack the
-    result is the largest eigenvalue over the whole stack.
+    A is one symmetric matrix (a SymMatrix or an array) or an (n, p, p) stack
+    of them; for a stack the result is the largest eigenvalue over the whole
+    stack.
     """
     root = eig.power(-0.5)
-    W = root @ np.asarray(A, dtype=float) @ root
+    W = root @ (A.a if isinstance(A, SymMatrix) else np.asarray(A, dtype=float)) @ root
     return float(np.max(np.linalg.eigvalsh(0.5 * (W + np.swapaxes(W, -1, -2)))))
 
 

@@ -90,10 +90,8 @@ def _mean_and_variance(family, theta):
         return e, e.copy()
     if kind == "logit":
         # stable sigmoid; variance in a form that underflows gracefully
-        mu = np.where(theta >= 0,
-                      1.0 / (1.0 + np.exp(-np.abs(theta))),
-                      np.exp(-np.abs(theta)) / (1.0 + np.exp(-np.abs(theta))))
         z = np.exp(-np.abs(theta))
+        mu = np.where(theta >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
         return mu, np.maximum(z / np.square(1.0 + z), _TINY)
     # probit
     return gauss_cdf(theta), np.maximum(gauss_pdf(theta), _TINY)

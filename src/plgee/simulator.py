@@ -20,7 +20,7 @@ from .estimator import (
     two_step_fit,
     wald_intervals,
 )
-from .matkernel import SymMatrix, max_relative_eigenvalue, require_spd, sym_eigen
+from .matkernel import SymMatrix, max_relative_eigenvalue, spd_eigen, sym_eigen
 from .model import (
     LinkFamily,
     LongitudinalDataset,
@@ -60,7 +60,7 @@ def _standard_normals(seed, shape):
 def _correlated_normals(R_bar, seed, shape):
     """Gaussian (n, m) array whose rows are N(0, R_bar); R_bar must be SPD."""
     R_bar = SymMatrix(R_bar).a
-    require_spd(sym_eigen(R_bar), R_bar, "correlation matrix")
+    spd_eigen(R_bar, "correlation matrix")
     return _standard_normals(seed, shape) @ np.linalg.cholesky(R_bar).T
 
 
@@ -109,7 +109,7 @@ class CorrelationSpec:
             if np.max(np.abs(np.diag(R) - 1.0)) > 1e-10:
                 raise ConfigError("custom correlation must have unit diagonal")
             try:
-                require_spd(sym_eigen(R), R, "custom correlation")
+                spd_eigen(R, "custom correlation")
             except NotPositiveDefiniteError as exc:
                 raise ConfigError(str(exc)) from exc
         else:
@@ -169,15 +169,17 @@ class SimConfig:
 
     @staticmethod
     def from_json(doc):
+        """SimConfig from its JSON object; a key it does not know is an error."""
         try:
-            family = LinkFamily(doc["family"])
-            design_doc = dict(doc["design"])
+            doc = dict(doc)
+            family = LinkFamily(doc.pop("family"))
+            design_doc = dict(doc.pop("design"))
             design = DesignSpec(
                 kind=design_doc.pop("kind"),
                 lo=float(design_doc.pop("lo", -1.0)),
                 hi=float(design_doc.pop("hi", 1.0)),
             )
-            corr_doc = dict(doc["correlation"])
+            corr_doc = dict(doc.pop("correlation"))
             kind = corr_doc.pop("kind")
             R_bar = corr_doc.pop("R_bar", ())
             if R_bar:
@@ -185,17 +187,19 @@ class SimConfig:
             corr = CorrelationSpec(kind=kind,
                                    rho=float(corr_doc.pop("rho", 0.0)),
                                    R_bar=R_bar)
-            return SimConfig(
-                n=int(doc["n"]), m=int(doc["m"]), p=int(doc["p"]),
-                family=family,
-                beta0=tuple(float(v) for v in doc["beta0"]),
-                design=design,
-                correlation=corr,
-                subject_dependence=doc.get("subject_dependence", "independent"),
-                replications=int(doc.get("replications", 1)),
-                base_seed=int(doc.get("base_seed", 0)),
-                ci_level=float(doc.get("ci_level", 0.95)),
+            scalars = dict(
+                n=int(doc.pop("n")), m=int(doc.pop("m")), p=int(doc.pop("p")),
+                beta0=tuple(float(v) for v in doc.pop("beta0")),
+                subject_dependence=doc.pop("subject_dependence", "independent"),
+                replications=int(doc.pop("replications", 1)),
+                base_seed=int(doc.pop("base_seed", 0)),
+                ci_level=float(doc.pop("ci_level", 0.95)),
             )
+            for where, rest in (("config", doc), ("design", design_doc),
+                                ("correlation", corr_doc)):
+                if rest:
+                    raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(rest))}")
+            return SimConfig(family=family, design=design, correlation=corr, **scalars)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid simulation config: {exc}") from exc
 
@@ -348,8 +352,7 @@ def _run_replicate(config, r):
         return out
     beta0 = np.asarray(config.beta0, dtype=float)
     delta = two.beta_hat - beta0
-    cov = two.cov_beta.a
-    z = require_spd(sym_eigen(cov), cov, "sandwich covariance").power(-0.5) @ delta
+    z = spd_eigen(two.cov_beta, "sandwich covariance").power(-0.5) @ delta
     ci = wald_intervals(two, level=config.ci_level)
     covered = [lo <= b0 <= hi for (lo, hi), b0 in zip(ci, beta0)]
     corr = estimate_correlation(data, config.family, beta0)   # oracle-beta estimate
@@ -368,10 +371,12 @@ def _run_replicate(config, r):
 def run_replicates(config, workers=1):
     """Run every replicate once, in a process pool when workers > 1.
 
-    Results come back in replicate order either way, so worker count does
-    not affect anything built from them.
+    The pool has at most one process per replicate.  Results come back in
+    replicate order either way, so worker count does not affect anything
+    built from them.
     """
     reps = range(config.replications)
+    workers = min(workers, config.replications)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_replicate, [config] * config.replications, reps))
@@ -404,7 +409,7 @@ def summarize_replicates(config, results):
     z_pool = Z.ravel()
 
     R_bar = config.correlation.matrix(config.m)
-    eig_mean = require_spd(sym_eigen(R_mean), R_mean, "mean correlation estimate")
+    eig_mean = spd_eigen(R_mean, "mean correlation estimate")
     tau_oracle = max_relative_eigenvalue(R_bar, eig_mean)   # lambda_max(R_mean^{-1} R_bar)
 
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -425,7 +430,7 @@ def summarize_replicates(config, results):
         median_beta_error_norm=float(np.median(np.linalg.norm(err, axis=1))),
         mean_corr_max_abs_error=float(np.mean(corr_err)),
         max_corr_max_abs_error=float(np.max(corr_err)),
-        lambda_min_R_bar=float(sym_eigen(SymMatrix(R_bar)).values[0]),
+        lambda_min_R_bar=float(sym_eigen(R_bar).values[0]),
         tau_oracle=tau_oracle,
     )
 
@@ -434,21 +439,3 @@ def monte_carlo_run(config, workers=1):
     """Run all replicates and aggregate them into an MCReport."""
     return summarize_replicates(config, run_replicates(config, workers))
 
-
-def replicate_rows(results):
-    """Per-replicate (beta_hat, z, covered) rows for external plotting."""
-    rows = []
-    for d in results:
-        if not d["ok"]:
-            rows.append({"rep": d["rep"], "converged": False})
-        else:
-            rows.append({
-                "rep": d["rep"], "converged": True,
-                "beta_hat": d["beta_two"], "z": d["z"], "covered": d["covered"],
-            })
-    return rows
-
-
-def per_replicate_rows(config, workers=1):
-    """Run all replicates and return their rows (see replicate_rows)."""
-    return replicate_rows(run_replicates(config, workers))

@@ -711,6 +711,40 @@ class TestSimulate:
         assert code == 1
         assert json.loads(err)["error"] == "config"
 
+    def test_replicates_csv_rows_are_the_replicates(self, tmp_path, capsys):
+        # logit at n=6 leaves some replicates unconverged: their rows are blank
+        from plgee.simulator import run_replicates
+        doc = {"n": 6, "m": 2, "p": 2, "family": "logit", "beta0": [2.5, -2.0],
+               "design": {"kind": "iid_uniform"},
+               "correlation": {"kind": "exchangeable", "rho": 0.5},
+               "replications": 12, "base_seed": 3}
+        path, reps = tmp_path / "sim.json", tmp_path / "reps.csv"
+        path.write_text(json.dumps(doc))
+        run_cli(["simulate", "--config", str(path), "--replicates-csv", str(reps)], capsys)
+        with open(reps, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        results = run_replicates(SimConfig.from_json(doc))
+        assert {d["ok"] for d in results} == {True, False}
+        for row, d in zip(rows, results, strict=True):
+            if d["ok"]:
+                assert row == ([str(d["rep"]), "1"]
+                               + [cli._format_float(v) for v in d["beta_two"] + d["z"]]
+                               + [str(int(c)) for c in d["covered"]])
+            else:
+                assert row == [str(d["rep"]), "0"] + [""] * 6
+
+    def test_misspelled_config_key_is_config_error(self, config_json, capsys):
+        with open(config_json) as fh:
+            doc = json.load(fh)
+        doc["replicatons"] = doc.pop("replications")
+        with open(config_json, "w") as fh:
+            json.dump(doc, fh)
+        code, out, err = run_cli(["simulate", "--config", config_json], capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err) == {"error": "config",
+                                   "detail": "unknown key(s) in config: replicatons"}
+
     def test_config_not_json_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"n": 5,')

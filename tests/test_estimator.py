@@ -330,6 +330,25 @@ class TestTwoStep:
         with pytest.raises(SingularDesignError, match="scoring matrix"):
             two_step_fit(data, LOGIT)
 
+    @pytest.mark.parametrize("family", [IDENTITY, LOG])
+    @pytest.mark.parametrize("m, p", [(1, 2), (3, 1)])
+    def test_one_time_or_one_covariate_fits(self, family, m, p):
+        # m=1 makes R-tilde 1x1, p=1 makes every scoring matrix 1x1
+        data = gaussian_dataset(n=50, m=m, p=p, beta0=(0.3, -0.2)[:p], seed=33)
+        if family is LOG:
+            data = LongitudinalDataset(data.X, np.rint(np.exp(data.y)))
+        fit = two_step_fit(data, family)
+        assert fit.converged
+        assert fit.method == "pseudo_likelihood"
+        assert fit.beta_hat.shape == (p,)
+        assert np.all(np.diag(fit.cov_beta.a) > 0)
+
+    def test_fewer_cells_than_covariates_raises(self):
+        # n*m = 1 < p = 2: the independence scoring matrix has rank 1
+        data = LongitudinalDataset(np.array([[[1.0, 0.5]]]), np.array([[2.0]]))
+        with pytest.raises(SingularDesignError, match="at the initial point"):
+            two_step_fit(data, IDENTITY)
+
     def test_zero_residual_both_stages(self):
         rng = np.random.default_rng(19)
         X = rng.uniform(-1, 1, size=(20, 3, 2))
@@ -357,8 +376,8 @@ class TestTwoStep:
 
     def test_correlation_decomposed_once(self, monkeypatch):
         # for the pseudo-likelihood step matrix; the sandwich reuses its inverse
-        import plgee.estimator as estimator
         import plgee.matkernel as matkernel
+        data = gaussian_dataset(n=60, m=3, p=2, seed=25)   # its generator decomposes R_bar
         shapes = []
         real = matkernel.sym_eigen
 
@@ -366,9 +385,8 @@ class TestTwoStep:
             shapes.append(np.shape(S))
             return real(S)
 
-        monkeypatch.setattr(estimator, "sym_eigen", recording)
         monkeypatch.setattr(matkernel, "sym_eigen", recording)
-        fit = two_step_fit(gaussian_dataset(n=60, m=3, p=2, seed=25), IDENTITY)
+        fit = two_step_fit(data, IDENTITY)
         assert fit.method == "pseudo_likelihood"
         assert shapes.count((3, 3)) == 1
 

@@ -7,7 +7,7 @@ from plgee.matkernel import (
     SymMatrix,
     matrix_stats,
     max_relative_eigenvalue,
-    require_spd,
+    spd_eigen,
     sym_eigen,
 )
 
@@ -24,7 +24,7 @@ def random_spd(rng, dim):
 
 def spd_power(s, k):
     """S^k through the one SPD-checked decomposition, as every caller does."""
-    return require_spd(sym_eigen(s), s, "matrix").power(k)
+    return spd_eigen(s, "matrix").power(k)
 
 
 def sqrt_pair(s):
@@ -142,16 +142,27 @@ class TestSqrtPair:
 
 
 class TestRequireSpd:
+    """spd_eigen, the decomposition with the SPD floor check."""
+
     def test_passes_spd_decomposition_through(self):
         s = np.array([[2.0, 1.0], [1.0, 2.0]])
-        e = sym_eigen(s)
-        assert require_spd(e, s, "widget") is e
+        e, want = spd_eigen(s, "widget"), sym_eigen(s)
+        assert e.values.tobytes() == want.values.tobytes()
+        assert e.vectors.tobytes() == want.vectors.tobytes()
+
+    def test_symmetrizes_what_it_is_given(self):
+        a = np.array([[2.0, 1.2], [0.8, 2.0]])
+        want = sym_eigen(SymMatrix(a))
+        for given in (a, SymMatrix(a)):
+            e = spd_eigen(given, "widget")
+            assert e.values.tobytes() == want.values.tobytes()
+            assert e.vectors.tobytes() == want.vectors.tobytes()
 
     @pytest.mark.parametrize("lam_min", [-2.0, 0.0, 1e-13])
     def test_error_names_matrix_and_lambda_min(self, lam_min):
         s = np.diag([1.0, lam_min])
         with pytest.raises(NotPositiveDefiniteError, match="widget") as exc:
-            require_spd(sym_eigen(s), s, "widget")
+            spd_eigen(s, "widget")
         assert exc.value.lambda_min == pytest.approx(lam_min, abs=1e-15)
 
 
@@ -218,6 +229,12 @@ class TestMaxRelativeEigenvalue:
     def test_relative_to_itself_is_one(self):
         s = random_spd(np.random.default_rng(47), 5)
         assert max_relative_eigenvalue(s, sym_eigen(s)) == pytest.approx(1.0, rel=1e-12)
+
+    def test_accepts_symmatrix(self):
+        rng = np.random.default_rng(53)
+        s, a = random_spd(rng, 4), random_sym(rng, 4)
+        eig = sym_eigen(s)
+        assert max_relative_eigenvalue(SymMatrix(a), eig) == max_relative_eigenvalue(a, eig)
 
 
 class TestMatrixStats:

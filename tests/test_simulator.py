@@ -18,7 +18,7 @@ from plgee.simulator import (
     make_design,
     mix_seed,
     monte_carlo_run,
-    per_replicate_rows,
+    run_replicates,
 )
 
 
@@ -279,6 +279,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             SimConfig.from_json({"n": 5})
 
+    @pytest.mark.parametrize("where, key", [
+        (None, "replicatons"), ("correlation", "rh0"), ("design", "hi_"),
+    ])
+    def test_from_json_unknown_key(self, where, key):
+        doc = {
+            "n": 40, "m": 2, "p": 2, "family": "identity", "beta0": [1.0, -0.5],
+            "design": {"kind": "iid_uniform", "lo": -1, "hi": 1},
+            "correlation": {"kind": "exchangeable", "rho": 0.3},
+        }
+        SimConfig.from_json(doc)
+        target = doc if where is None else doc[where]
+        target[key] = 3
+        with pytest.raises(ConfigError, match=f"unknown key.*in {where or 'config'}: {key}$"):
+            SimConfig.from_json(doc)
+
 
 class TestKS:
     def test_normal_sample_is_close(self):
@@ -336,9 +351,35 @@ class TestHarness:
 
     def test_per_replicate_rows(self):
         c = config(n=60, replications=6)
-        rows = per_replicate_rows(c)
+        rows = run_replicates(c)
         assert [r["rep"] for r in rows] == list(range(6))
         for r in rows:
-            if r["converged"]:
-                assert len(r["beta_hat"]) == c.p
+            if r["ok"]:
+                assert len(r["beta_two"]) == c.p
+                assert len(r["z"]) == c.p
                 assert len(r["covered"]) == c.p
+
+    def test_pool_never_larger_than_replications(self, monkeypatch):
+        import plgee.simulator as simulator
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(simulator, "ProcessPoolExecutor", InProcessPool)
+        c = config(n=40, replications=3)
+        rows = run_replicates(c, workers=10_000)
+        assert sizes == [3]
+        assert rows == run_replicates(c, workers=1)
+        run_replicates(config(n=40, replications=1), workers=8)   # one replicate: no pool
+        assert sizes == [3]
