@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import LinkOverflowError, ShapeError
 from .estimator import _flat, _sandwiched_blocks, _weighted_gram, estimate_correlation
-from .matkernel import SymMatrix, max_relative_eigenvalue, spd_eigen, sym_eigen
+from .matkernel import SymMatrix, max_relative_eigenvalue, sym_eigen
 from .model import _link_arrays, eval_model
 
 DEFAULT_DET_FLOOR = 1e-6
@@ -63,7 +63,8 @@ def smoothness_maxima(data, family, beta_center, radius_r=0.0):
     probes = [beta_center]
     if radius_r > 0:
         ev = eval_model(data, family, beta_center)
-        eig = spd_eigen(_weighted_gram(data.X, ev.var), "independence scoring matrix")
+        eig = sym_eigen(_weighted_gram(data.X, ev.var),
+                        require_spd="independence scoring matrix")
         scale = radius_r * math.sqrt(data.m)
         for k in range(data.p):
             d = (scale / math.sqrt(eig.values[k])) * eig.vectors[:, k]
@@ -112,9 +113,9 @@ def design_diagnostics(data, family, beta, R, M_hat=None, true_corr=None):
     ev = eval_model(data, family, beta)
 
     H_indep = SymMatrix(_weighted_gram(data.X, ev.var))
-    eig_Hi = spd_eigen(H_indep, "independence scoring matrix")
+    eig_Hi = sym_eigen(H_indep, require_spd="independence scoring matrix")
 
-    eig_R = spd_eigen(R, "correlation matrix")
+    eig_R = sym_eigen(R, require_spd="correlation matrix")
     Q = eig_R.power(-1)
     q_min, q_max = 1.0 / eig_R.values[-1], 1.0 / eig_R.values[0]
     pi_n = float(q_max / q_min)
@@ -122,7 +123,7 @@ def design_diagnostics(data, family, beta, R, M_hat=None, true_corr=None):
 
     H, D = _general_gram(data.X, ev.sd, Q)
     H = SymMatrix(H)
-    eig_H = spd_eigen(H, "general scoring matrix")
+    eig_H = sym_eigen(H, require_spd="general scoring matrix")
 
     x_flat = data.X.reshape(-1, data.p)
     gamma0_indep = _max_quad_form(x_flat, eig_Hi.power(-1))
@@ -134,7 +135,7 @@ def design_diagnostics(data, family, beta, R, M_hat=None, true_corr=None):
 
     c_n = None
     if M_hat is not None:
-        c_n = max_relative_eigenvalue(H, spd_eigen(M_hat, "M_hat"))
+        c_n = max_relative_eigenvalue(H, sym_eigen(M_hat, require_spd="M_hat"))
 
     km = smoothness_maxima(data, family, beta, 0.0)
 

@@ -25,9 +25,7 @@ from .errors import (
     PreconditionError,
     SingularDesignError,
 )
-# sym_eigen stays importable from here: perfbench/selftest.py reads
-# plgee.estimator.sym_eigen.
-from .matkernel import SymMatrix, spd_eigen, sym_eigen  # noqa: F401
+from .matkernel import SymMatrix, sym_eigen
 from .model import eval_model, gauss_quantile
 
 METHOD_INDEPENDENCE = "independence"
@@ -149,7 +147,7 @@ def _convergence_scale(data, opts):
 def _scoring_inverse(H, where):
     """H^{-1} from the one decomposition of the scoring matrix H."""
     try:
-        return spd_eigen(H, "scoring matrix").power(-1)
+        return sym_eigen(H, require_spd="scoring matrix").power(-1)
     except NotPositiveDefiniteError as exc:
         raise SingularDesignError(f"{exc} {where}") from exc
 
@@ -263,7 +261,7 @@ def pseudo_likelihood_fit(data, family, corr, beta_init=None, opts=SolverOptions
     sandwich covariance at beta_hat, equal to ``sandwich_covariance`` there
     bit for bit.
     """
-    Q = spd_eigen(corr.R_tilde, "correlation estimate").power(-1)
+    Q = sym_eigen(corr.R_tilde, require_spd="correlation estimate").power(-1)
     if beta_init is None:
         beta_init = np.zeros(data.p)
     result = _newton_solve(
@@ -284,7 +282,7 @@ class SandwichParts:
 
 def sandwich_covariance(data, family, beta_hat, corr):
     """Robust covariance H^{-1} M H^{-1} at any beta_hat under correlation corr."""
-    Q = spd_eigen(corr.R_tilde, "correlation estimate").power(-1)
+    Q = sym_eigen(corr.R_tilde, require_spd="correlation estimate").power(-1)
     _, t, gram = _general_system(data, family, np.asarray(beta_hat, dtype=float), Q)
     H = gram()
     M, cov = _sandwich(data.X, t, _scoring_inverse(H, "at beta_hat"))

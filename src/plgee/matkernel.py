@@ -4,9 +4,10 @@ Everything downstream (estimating-equation solves, correlation handling,
 diagnostics) funnels through this module.  Matrices here are tiny (cluster
 size and covariate dimension, both well under ~50).  The eigensolver is
 LAPACK's symmetric ``eigh`` with a sign convention that makes golden tests
-stable.  ``spd_eigen`` is the one door for an SPD matrix: it symmetrizes,
-decomposes and floor-checks it, and callers hand it a ``SymMatrix`` or a
-plain array as they have it.  Every matrix function of an SPD matrix
+stable.  ``sym_eigen(S, require_spd=what)`` is the one door for an SPD
+matrix: it symmetrizes, decomposes and floor-checks S in one call, and
+callers hand it a ``SymMatrix`` or a plain array as they have it.  Every
+matrix function of an SPD matrix
 (inverse, square root, inverse square root) is ``EigenDecomposition.power``
 of that one decomposition, and ``max_relative_eigenvalue`` gives the largest
 eigenvalue of a matrix, or of a stack of them, relative to it.
@@ -58,43 +59,38 @@ class EigenDecomposition:
 
     def power(self, k):
         """S^k = V diag(values**k) V' of the decomposed S.  Negative or
-        fractional k need S SPD: take the decomposition from ``spd_eigen``."""
+        fractional k need S SPD: decompose it with ``require_spd`` set."""
         return (self.vectors * self.values ** k) @ self.vectors.T
 
 
-def sym_eigen(S):
+def sym_eigen(S, require_spd=None):
     """Eigendecomposition of a symmetric matrix (LAPACK ``eigh``).
 
     Eigenvalues are returned in nondecreasing order.  Each eigenvector's
     largest-magnitude component is made positive so the output is
     deterministic up to exact ties.
+
+    With ``require_spd`` set to the matrix's name, S must be numerically SPD.
+    The eigenvalue floor is 1e-12 * max(1, trace/dim), scaled so that
+    well-conditioned problems in natural units are never falsely rejected.
+    Below it, raises NotPositiveDefiniteError naming the matrix and carrying
+    lambda_min.
     """
     a = _sym_array(S)
     if not np.all(np.isfinite(a)):
         raise InvalidInputError("matrix has non-finite entries")
     values, vectors = np.linalg.eigh(a)
+    if require_spd is not None:
+        tol = 1e-12 * max(1.0, float(np.trace(a)) / a.shape[0])
+        lam_min = float(values[0])
+        if lam_min <= tol:
+            raise NotPositiveDefiniteError(
+                f"{require_spd} is not positive definite "
+                f"(lambda_min={lam_min:.6g}, tol={tol:.6g})",
+                lambda_min=lam_min,
+            )
     lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(a.shape[0])]
     return EigenDecomposition(values=values, vectors=np.where(lead < 0, -vectors, vectors))
-
-
-def spd_eigen(S, what):
-    """``sym_eigen`` of S, checked to be numerically SPD.
-
-    The eigenvalue floor is 1e-12 * max(1, trace/dim), scaled so that
-    well-conditioned problems in natural units are never falsely rejected.
-    Below it, raises NotPositiveDefiniteError naming ``what`` and carrying
-    lambda_min.
-    """
-    a = _sym_array(S)
-    eig = sym_eigen(a)
-    tol = 1e-12 * max(1.0, float(np.trace(a)) / a.shape[0])
-    lam_min = float(eig.values[0])
-    if lam_min <= tol:
-        raise NotPositiveDefiniteError(
-            f"{what} is not positive definite (lambda_min={lam_min:.6g}, tol={tol:.6g})",
-            lambda_min=lam_min,
-        )
-    return eig
 
 
 def max_relative_eigenvalue(A, eig):

@@ -20,7 +20,7 @@ from .estimator import (
     two_step_fit,
     wald_intervals,
 )
-from .matkernel import SymMatrix, max_relative_eigenvalue, spd_eigen, sym_eigen
+from .matkernel import SymMatrix, max_relative_eigenvalue, sym_eigen
 from .model import (
     LinkFamily,
     LongitudinalDataset,
@@ -60,7 +60,7 @@ def _standard_normals(seed, shape):
 def _correlated_normals(R_bar, seed, shape):
     """Gaussian (n, m) array whose rows are N(0, R_bar); R_bar must be SPD."""
     R_bar = SymMatrix(R_bar).a
-    spd_eigen(R_bar, "correlation matrix")
+    sym_eigen(R_bar, require_spd="correlation matrix")
     return _standard_normals(seed, shape) @ np.linalg.cholesky(R_bar).T
 
 
@@ -109,7 +109,7 @@ class CorrelationSpec:
             if np.max(np.abs(np.diag(R) - 1.0)) > 1e-10:
                 raise ConfigError("custom correlation must have unit diagonal")
             try:
-                spd_eigen(R, "custom correlation")
+                sym_eigen(R, require_spd="custom correlation")
             except NotPositiveDefiniteError as exc:
                 raise ConfigError(str(exc)) from exc
         else:
@@ -187,21 +187,24 @@ class SimConfig:
             corr = CorrelationSpec(kind=kind,
                                    rho=float(corr_doc.pop("rho", 0.0)),
                                    R_bar=R_bar)
-            scalars = dict(
+            config = SimConfig(
                 n=int(doc.pop("n")), m=int(doc.pop("m")), p=int(doc.pop("p")),
+                family=family,
                 beta0=tuple(float(v) for v in doc.pop("beta0")),
+                design=design,
+                correlation=corr,
                 subject_dependence=doc.pop("subject_dependence", "independent"),
                 replications=int(doc.pop("replications", 1)),
                 base_seed=int(doc.pop("base_seed", 0)),
                 ci_level=float(doc.pop("ci_level", 0.95)),
             )
-            for where, rest in (("config", doc), ("design", design_doc),
-                                ("correlation", corr_doc)):
-                if rest:
-                    raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(rest))}")
-            return SimConfig(family=family, design=design, correlation=corr, **scalars)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid simulation config: {exc}") from exc
+        for where, rest in (("config", doc), ("design", design_doc),
+                            ("correlation", corr_doc)):
+            if rest:
+                raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(rest))}")
+        return config
 
 
 def make_design(config, seed=None):
@@ -352,7 +355,7 @@ def _run_replicate(config, r):
         return out
     beta0 = np.asarray(config.beta0, dtype=float)
     delta = two.beta_hat - beta0
-    z = spd_eigen(two.cov_beta, "sandwich covariance").power(-0.5) @ delta
+    z = sym_eigen(two.cov_beta, require_spd="sandwich covariance").power(-0.5) @ delta
     ci = wald_intervals(two, level=config.ci_level)
     covered = [lo <= b0 <= hi for (lo, hi), b0 in zip(ci, beta0)]
     corr = estimate_correlation(data, config.family, beta0)   # oracle-beta estimate
@@ -409,7 +412,7 @@ def summarize_replicates(config, results):
     z_pool = Z.ravel()
 
     R_bar = config.correlation.matrix(config.m)
-    eig_mean = spd_eigen(R_mean, "mean correlation estimate")
+    eig_mean = sym_eigen(R_mean, require_spd="mean correlation estimate")
     tau_oracle = max_relative_eigenvalue(R_bar, eig_mean)   # lambda_max(R_mean^{-1} R_bar)
 
     with np.errstate(divide="ignore", invalid="ignore"):

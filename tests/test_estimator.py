@@ -376,17 +376,19 @@ class TestTwoStep:
 
     def test_correlation_decomposed_once(self, monkeypatch):
         # for the pseudo-likelihood step matrix; the sandwich reuses its inverse
+        import plgee.estimator as estimator
         import plgee.matkernel as matkernel
-        data = gaussian_dataset(n=60, m=3, p=2, seed=25)   # its generator decomposes R_bar
         shapes = []
         real = matkernel.sym_eigen
 
-        def recording(S):
-            shapes.append(np.shape(S))
-            return real(S)
+        def recording(S, **kwargs):
+            eig = real(S, **kwargs)
+            shapes.append(eig.vectors.shape)
+            return eig
 
+        monkeypatch.setattr(estimator, "sym_eigen", recording)
         monkeypatch.setattr(matkernel, "sym_eigen", recording)
-        fit = two_step_fit(data, IDENTITY)
+        fit = two_step_fit(gaussian_dataset(n=60, m=3, p=2, seed=25), IDENTITY)
         assert fit.method == "pseudo_likelihood"
         assert shapes.count((3, 3)) == 1
 

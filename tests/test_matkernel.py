@@ -7,7 +7,6 @@ from plgee.matkernel import (
     SymMatrix,
     matrix_stats,
     max_relative_eigenvalue,
-    spd_eigen,
     sym_eigen,
 )
 
@@ -24,7 +23,7 @@ def random_spd(rng, dim):
 
 def spd_power(s, k):
     """S^k through the one SPD-checked decomposition, as every caller does."""
-    return spd_eigen(s, "matrix").power(k)
+    return sym_eigen(s, require_spd="matrix").power(k)
 
 
 def sqrt_pair(s):
@@ -142,11 +141,11 @@ class TestSqrtPair:
 
 
 class TestRequireSpd:
-    """spd_eigen, the decomposition with the SPD floor check."""
+    """sym_eigen with the SPD floor check."""
 
     def test_passes_spd_decomposition_through(self):
         s = np.array([[2.0, 1.0], [1.0, 2.0]])
-        e, want = spd_eigen(s, "widget"), sym_eigen(s)
+        e, want = sym_eigen(s, require_spd="widget"), sym_eigen(s)
         assert e.values.tobytes() == want.values.tobytes()
         assert e.vectors.tobytes() == want.vectors.tobytes()
 
@@ -154,7 +153,7 @@ class TestRequireSpd:
         a = np.array([[2.0, 1.2], [0.8, 2.0]])
         want = sym_eigen(SymMatrix(a))
         for given in (a, SymMatrix(a)):
-            e = spd_eigen(given, "widget")
+            e = sym_eigen(given, require_spd="widget")
             assert e.values.tobytes() == want.values.tobytes()
             assert e.vectors.tobytes() == want.vectors.tobytes()
 
@@ -162,7 +161,7 @@ class TestRequireSpd:
     def test_error_names_matrix_and_lambda_min(self, lam_min):
         s = np.diag([1.0, lam_min])
         with pytest.raises(NotPositiveDefiniteError, match="widget") as exc:
-            spd_eigen(s, "widget")
+            sym_eigen(s, require_spd="widget")
         assert exc.value.lambda_min == pytest.approx(lam_min, abs=1e-15)
 
 
