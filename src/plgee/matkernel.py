@@ -7,10 +7,10 @@ LAPACK's symmetric ``eigh`` with a sign convention that makes golden tests
 stable.  ``sym_eigen(S, require_spd=what)`` is the one door for an SPD
 matrix: it symmetrizes, decomposes and floor-checks S in one call, and
 callers hand it a ``SymMatrix`` or a plain array as they have it.  Every
-matrix function of an SPD matrix
-(inverse, square root, inverse square root) is ``EigenDecomposition.power``
-of that one decomposition, and ``max_relative_eigenvalue`` gives the largest
-eigenvalue of a matrix, or of a stack of them, relative to it.
+matrix function of an SPD matrix (inverse, square root, inverse square root)
+is ``EigenDecomposition.power`` of that one decomposition, and
+``max_relative_eigenvalue`` gives the largest eigenvalue of a matrix, or of
+a stack of them, relative to it.
 """
 
 from dataclasses import dataclass
