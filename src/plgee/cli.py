@@ -2,8 +2,8 @@
 
 All outputs are JSON with sorted keys and floats printed to 17 significant
 digits, so byte-identical reruns are the norm and round-tripping is exact.
-Exit codes: 0 success, 1 error, 2 completed-with-warnings (non-convergence
-or too many failed replicates).
+Exit codes: 0 success, 1 error, 2 completed-with-warnings (non-convergence,
+fewer subjects than covariates, or too many failed replicates).
 """
 
 import argparse
@@ -17,11 +17,12 @@ import warnings
 import numpy as np
 
 from .diagnostics import (
+    DEFAULT_DET_FLOOR,
     condition_trend_report,
     example1_closed_form,
     trend_flags,
 )
-from .errors import ConfigError, PlgeeError, SchemaError, ShapeError
+from .errors import ConfigError, PlgeeError, SchemaError
 from .estimator import (
     METHOD_INDEPENDENCE,
     gee_independence_fit,
@@ -89,9 +90,9 @@ def _write_json(payload, out_path):
             fh.write(text)
 
 
-def _emit_error(exc):
-    kind = getattr(exc, "kind", "error")
-    sys.stderr.write(dumps_stable({"error": kind, "detail": str(exc)}) + "\n")
+def _write_notice(level, kind, detail):
+    """One JSON line on stderr: {"error"|"warning": kind, "detail": detail}."""
+    sys.stderr.write(dumps_stable({level: kind, "detail": detail}) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +332,7 @@ def write_dataset_csv(data, path):
 
 def _load_dataset(args):
     data = parse_dataset_csv(args.data)
-    if getattr(args, "shuffle_subjects", None) is not None:
+    if args.shuffle_subjects is not None:
         rng = np.random.Generator(np.random.PCG64(mix_seed(args.shuffle_subjects, 0)))
         data = data.permuted(rng.permutation(data.n))
     return data
@@ -339,14 +340,8 @@ def _load_dataset(args):
 
 def cmd_fit(args):
     data = _load_dataset(args)
-    family = LinkFamily(args.link)
-    if args.method == "two-step":
-        fit = two_step_fit(data, family)
-        R_tilde = (fit.correlation_used.R_tilde.a.tolist()
-                   if fit.correlation_used is not None else None)
-    else:
-        fit = gee_independence_fit(data, family)
-        R_tilde = None
+    fit = (two_step_fit if args.method == "two-step" else gee_independence_fit)(
+        data, LinkFamily(args.link))
     stderr = np.sqrt(np.maximum(np.diag(fit.cov_beta.a), 0.0))
     payload = {
         "beta_hat": fit.beta_hat.tolist(),
@@ -357,10 +352,17 @@ def cmd_fit(args):
         "iterations": int(fit.iterations),
         "final_gnorm": float(fit.final_gnorm),
         "method": fit.method,
-        "R_tilde": R_tilde,
+        "R_tilde": (fit.correlation_used.R_tilde.a.tolist()
+                    if fit.correlation_used is not None else None),
         "fallback_flag": bool(fit.fallback_to_independence),
     }
     _write_json(payload, args.out)
+    if data.n < data.p:
+        # the sandwich's middle matrix is a sum of n rank-one terms
+        _write_notice("warning", "fewer-subjects-than-covariates",
+                      f"n={data.n} subjects < p={data.p} covariates: the sandwich "
+                      "covariance is singular, so stderr and wald_ci are not valid")
+        return 2
     return 0 if fit.converged else 2
 
 
@@ -374,25 +376,33 @@ def _parse_list(text, convert, flag):
 def cmd_diagnose(args):
     data = _load_dataset(args)
     family = LinkFamily(args.link)
+    prelim = None
     if args.beta is not None:
         beta = np.asarray(_parse_list(args.beta, float, "--beta"), dtype=float)
         if beta.shape != (data.p,):
             raise SchemaError(f"--beta must have {data.p} comma-separated values")
     else:
-        beta = gee_independence_fit(data, family).beta_hat
+        prelim = gee_independence_fit(data, family)
+        beta = prelim.beta_hat
     grid = _parse_list(args.grid, int, "--grid") if args.grid else [data.n]
     # the full-n report is the trend's last row, computed once
     full_grid = grid if grid[-1] == data.n else grid + [data.n]
     reports = condition_trend_report(data, family, beta, R=None, n_grid=full_grid)
     report, trend = reports[-1], reports[:len(grid)]
-    payload = {"report": report.to_json(), "beta": beta.tolist()}
-    try:
-        payload["example1"] = example1_closed_form(data, family, beta)
-    except ShapeError:
-        payload["example1"] = None
-    payload["trend"] = [r.to_json() for r in trend]
-    payload["trend_flags"] = trend_flags(trend, det_floor=args.det_floor)
+    payload = {
+        "report": report.to_json(),
+        "beta": beta.tolist(),
+        "example1": example1_closed_form(data, family, beta) if data.p == 2 else None,
+        "trend": [r.to_json() for r in trend],
+        "trend_flags": trend_flags(trend, det_floor=args.det_floor),
+    }
     _write_json(payload, args.out)
+    if prelim is not None and not prelim.converged:
+        _write_notice("warning", "preliminary-not-converged",
+                      f"the preliminary independence fit did not converge (iterations="
+                      f"{prelim.iterations}, gnorm={prelim.final_gnorm:.6g}); beta is its "
+                      "last iterate")
+        return 2
     return 0
 
 
@@ -434,52 +444,48 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    fit = sub.add_parser("fit", help="fit a marginal model from a long-format CSV")
-    fit.add_argument("--data", required=True, help="input CSV path")
-    fit.add_argument("--link", required=True, choices=LINK_KINDS)
+    # options shared by subcommands, each declared once
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", default="-", help="output JSON path (default stdout)")
+    dataset = argparse.ArgumentParser(add_help=False, parents=[output])
+    dataset.add_argument("--data", required=True, help="input CSV path")
+    dataset.add_argument("--link", required=True, choices=LINK_KINDS)
+    dataset.add_argument("--shuffle-subjects", type=int, default=None,
+                         help="permute subject order with this seed (sensitivity check)")
+
+    fit = sub.add_parser("fit", parents=[dataset],
+                         help="fit a marginal model from a long-format CSV")
     fit.add_argument("--method", default="two-step",
                      choices=[METHOD_INDEPENDENCE, "two-step"])
-    fit.add_argument("--ci-level", type=float, default=0.95, dest="ci_level")
-    fit.add_argument("--out", default="-", help="output JSON path (default stdout)")
-    fit.add_argument("--shuffle-subjects", type=int, default=None,
-                     dest="shuffle_subjects",
-                     help="permute subject order with this seed (sensitivity check)")
+    fit.add_argument("--ci-level", type=float, default=0.95)
     fit.set_defaults(func=cmd_fit)
 
-    diag = sub.add_parser("diagnose", help="regularity diagnostics at a beta")
-    diag.add_argument("--data", required=True)
-    diag.add_argument("--link", required=True, choices=LINK_KINDS)
+    diag = sub.add_parser("diagnose", parents=[dataset],
+                          help="regularity diagnostics at a beta")
     diag.add_argument("--beta", default=None,
                       help="comma-separated beta; omitted -> preliminary "
                            "independence fit")
     diag.add_argument("--grid", default=None,
                       help="comma-separated subject-prefix sizes for the trend table")
-    diag.add_argument("--det-floor", type=float, default=1e-6, dest="det_floor")
-    diag.add_argument("--out", default="-")
-    diag.add_argument("--shuffle-subjects", type=int, default=None,
-                      dest="shuffle_subjects")
+    diag.add_argument("--det-floor", type=float, default=DEFAULT_DET_FLOOR)
     diag.set_defaults(func=cmd_diagnose)
 
-    sim = sub.add_parser("simulate", help="seeded Monte Carlo run from a JSON config")
+    sim = sub.add_parser("simulate", parents=[output],
+                         help="seeded Monte Carlo run from a JSON config")
     sim.add_argument("--config", required=True, help="SimConfig JSON path")
-    sim.add_argument("--out", default="-")
     sim.add_argument("--workers", type=int, default=1)
-    sim.add_argument("--replicates-csv", default=None, dest="replicates_csv",
+    sim.add_argument("--replicates-csv", default=None,
                      help="optional per-replicate CSV dump")
     sim.set_defaults(func=cmd_simulate)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PlgeeError as exc:
-        _emit_error(exc)
-        return 1
-    except OSError as exc:
-        sys.stderr.write(dumps_stable({"error": "io", "detail": str(exc)}) + "\n")
+    except (PlgeeError, OSError) as exc:
+        _write_notice("error", getattr(exc, "kind", "io"), str(exc))
         return 1
 
 

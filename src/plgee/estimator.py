@@ -301,20 +301,19 @@ def two_step_fit(data, family, opts=SolverOptions()):
     SingularDesignError.
     """
     indep = gee_independence_fit(data, family, beta_init=None, opts=opts)
-    if not indep.converged:
-        indep.fallback_to_independence = True
-        indep.preliminary = indep
-        return indep
-    corr = estimate_correlation(data, family, indep.beta_hat)
-    try:
-        fit = pseudo_likelihood_fit(data, family, corr, beta_init=indep.beta_hat, opts=opts)
-    except NotPositiveDefiniteError:
-        indep.correlation_used = corr
-        indep.fallback_to_independence = True
-        indep.preliminary = indep
-        return indep
-    fit.preliminary = indep
-    return fit
+    if indep.converged:
+        corr = estimate_correlation(data, family, indep.beta_hat)
+        try:
+            fit = pseudo_likelihood_fit(data, family, corr, beta_init=indep.beta_hat,
+                                        opts=opts)
+        except NotPositiveDefiniteError:
+            indep.correlation_used = corr
+        else:
+            fit.preliminary = indep
+            return fit
+    indep.fallback_to_independence = True
+    indep.preliminary = indep
+    return indep
 
 
 def wald_intervals(fit, level=0.95):

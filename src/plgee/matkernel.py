@@ -46,10 +46,7 @@ class SymMatrix:
 
 def _sym_array(S):
     """Accept SymMatrix or array-like; return the symmetrized ndarray."""
-    if isinstance(S, SymMatrix):
-        return S.a
-    arr = _as_matrix(S)
-    return 0.5 * (arr + arr.T)
+    return (S if isinstance(S, SymMatrix) else SymMatrix(S)).a
 
 
 @dataclass(frozen=True)

@@ -170,41 +170,33 @@ class SimConfig:
     @staticmethod
     def from_json(doc):
         """SimConfig from its JSON object; a key it does not know is an error."""
+        spec = {"lo": float, "hi": float, "rho": float,
+                "R_bar": lambda rows: tuple(map(_floats, rows))}
         try:
-            doc = dict(doc)
-            family = LinkFamily(doc.pop("family"))
-            design_doc = dict(doc.pop("design"))
-            design = DesignSpec(
-                kind=design_doc.pop("kind"),
-                lo=float(design_doc.pop("lo", -1.0)),
-                hi=float(design_doc.pop("hi", 1.0)),
-            )
-            corr_doc = dict(doc.pop("correlation"))
-            kind = corr_doc.pop("kind")
-            R_bar = corr_doc.pop("R_bar", ())
-            if R_bar:
-                R_bar = tuple(tuple(float(v) for v in row) for row in R_bar)
-            corr = CorrelationSpec(kind=kind,
-                                   rho=float(corr_doc.pop("rho", 0.0)),
-                                   R_bar=R_bar)
-            config = SimConfig(
-                n=int(doc.pop("n")), m=int(doc.pop("m")), p=int(doc.pop("p")),
-                family=family,
-                beta0=tuple(float(v) for v in doc.pop("beta0")),
-                design=design,
-                correlation=corr,
-                subject_dependence=doc.pop("subject_dependence", "independent"),
-                replications=int(doc.pop("replications", 1)),
-                base_seed=int(doc.pop("base_seed", 0)),
-                ci_level=float(doc.pop("ci_level", 0.95)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            return _from_json(SimConfig, doc, "config", {
+                "n": int, "m": int, "p": int, "family": LinkFamily, "beta0": _floats,
+                "design": lambda d: _from_json(DesignSpec, d, "design", spec),
+                "correlation": lambda d: _from_json(CorrelationSpec, d, "correlation", spec),
+                "replications": int, "base_seed": int, "ci_level": float,
+            })
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid simulation config: {exc}") from exc
-        for where, rest in (("config", doc), ("design", design_doc),
-                            ("correlation", corr_doc)):
-            if rest:
-                raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(rest))}")
-        return config
+
+
+def _floats(values):
+    return tuple(map(float, values))
+
+
+def _from_json(cls, doc, where, convert):
+    """cls built from the keys of `doc` that name its fields, each passed
+    through convert[name] if given, so an absent key takes the field's
+    default; a key that is not a field is a ConfigError naming `where`."""
+    rest = dict(doc)
+    obj = cls(**{f.name: convert.get(f.name, lambda v: v)(rest.pop(f.name))
+                 for f in fields(cls) if f.name in rest})
+    if rest:
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(rest))}")
+    return obj
 
 
 def make_design(config, seed=None):

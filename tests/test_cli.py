@@ -13,7 +13,12 @@ from plgee.cli import (
     write_dataset_csv,
 )
 from plgee.errors import InvalidInputError, PlgeeError, SchemaError
-from plgee.estimator import SolverOptions, estimate_correlation, two_step_fit
+from plgee.estimator import (
+    SolverOptions,
+    estimate_correlation,
+    gee_independence_fit,
+    two_step_fit,
+)
 from plgee.model import IDENTITY, LongitudinalDataset
 from plgee.simulator import SimConfig, exchangeable_matrix, gen_gaussian
 
@@ -29,6 +34,17 @@ def sample_dataset(n=60, m=3, p=2, seed=0):
 def data_csv(tmp_path):
     path = tmp_path / "data.csv"
     write_dataset_csv(sample_dataset(), path)
+    return str(path)
+
+
+@pytest.fixture
+def counts_csv(tmp_path):
+    """Poisson counts whose fits need several Fisher-scoring iterations."""
+    rng = np.random.default_rng(47)
+    X = rng.uniform(-1, 1, size=(80, 3, 2))
+    path = tmp_path / "counts.csv"
+    write_dataset_csv(LongitudinalDataset(
+        X, rng.poisson(np.exp(X @ [1.5, -1.0])).astype(float)), path)
     return str(path)
 
 
@@ -533,21 +549,36 @@ class TestFit:
         assert code == 1
         assert json.loads(err)["error"] == "io"
 
-    def test_unconverged_preliminary_fit_exits_2(self, tmp_path, capsys, monkeypatch):
-        rng = np.random.default_rng(47)
-        X = rng.uniform(-1, 1, size=(80, 3, 2))
-        path = tmp_path / "counts.csv"
-        write_dataset_csv(LongitudinalDataset(
-            X, rng.poisson(np.exp(X @ [1.5, -1.0])).astype(float)), path)
+    def test_unconverged_preliminary_fit_exits_2(self, counts_csv, capsys, monkeypatch):
         monkeypatch.setattr(cli, "two_step_fit", lambda data, family: two_step_fit(
             data, family, opts=SolverOptions(max_iter=1)))
-        code, out, _ = run_cli(["fit", "--data", str(path), "--link", "log"], capsys)
+        code, out, _ = run_cli(["fit", "--data", counts_csv, "--link", "log"], capsys)
         assert code == 2
         doc = json.loads(out)
         assert doc["converged"] is False
         assert doc["fallback_flag"] is True
         assert doc["R_tilde"] is None
         assert doc["method"] == "independence"
+
+    @pytest.mark.parametrize("n, want", [(1, 2), (2, 0), (3, 0)])
+    def test_fewer_subjects_than_covariates_exits_2(self, tmp_path, capsys, n, want):
+        # with n < p the sandwich M_hat has rank <= n < p: zero-width intervals
+        data = sample_dataset(n=n, m=3, p=2, seed=3)
+        path = tmp_path / "few.csv"
+        write_dataset_csv(data, path)
+        code, out, err = run_cli(["fit", "--data", str(path), "--link", "identity"], capsys)
+        assert code == want
+        doc = json.loads(out)
+        assert doc["converged"] is True
+        assert doc["beta_hat"] == two_step_fit(data, IDENTITY).beta_hat.tolist()
+        if want:
+            assert json.loads(err) == {
+                "warning": "fewer-subjects-than-covariates",
+                "detail": "n=1 subjects < p=2 covariates: the sandwich covariance "
+                          "is singular, so stderr and wald_ci are not valid"}
+            assert max(hi - lo for lo, hi in doc["wald_ci"]) < 1e-12
+        else:
+            assert err == ""
 
     def test_shuffle_subjects_keeps_estimate(self, data_csv, capsys):
         _, out0, _ = run_cli(
@@ -607,6 +638,21 @@ class TestDiagnose:
             ["diagnose", "--data", data_csv, "--link", "identity"], capsys)
         assert code == 0
         assert np.allclose(json.loads(out)["beta"], [1.0, -0.5], atol=0.2)
+
+    def test_unconverged_preliminary_fit_exits_2(self, counts_csv, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "gee_independence_fit", lambda data, family:
+                            gee_independence_fit(data, family, opts=SolverOptions(max_iter=1)))
+        code, out, err = run_cli(["diagnose", "--data", counts_csv, "--link", "log"], capsys)
+        assert code == 2
+        assert err.count("\n") == 1
+        warning = json.loads(err)
+        assert warning["warning"] == "preliminary-not-converged"
+        assert "iterations=1," in warning["detail"]
+        assert "gnorm=" in warning["detail"]
+        # the payload is the one for that beta given explicitly
+        beta = ",".join(format(b, ".17g") for b in json.loads(out)["beta"])
+        assert run_cli(["diagnose", "--data", counts_csv, "--link", "log",
+                        "--beta", beta], capsys) == (0, out, "")
 
     def test_bad_beta_length(self, data_csv, capsys):
         code, _, err = run_cli(

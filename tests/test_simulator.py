@@ -280,6 +280,27 @@ class TestConfigValidation:
             SimConfig.from_json({"n": 5})
 
     @pytest.mark.parametrize("where, key", [
+        (None, "design"), ("design", "kind"), ("correlation", "kind"),
+    ])
+    def test_from_json_missing_key_is_named(self, where, key):
+        doc = {"n": 40, "m": 2, "p": 2, "family": "identity", "beta0": [1.0, -0.5],
+               "design": {"kind": "grid"}, "correlation": {"kind": "ar1"}}
+        del (doc if where is None else doc[where])[key]
+        with pytest.raises(ConfigError, match=f"missing .*'{key}'"):
+            SimConfig.from_json(doc)
+
+    def test_from_json_absent_keys_take_field_defaults(self):
+        c = SimConfig.from_json({
+            "n": 40, "m": 2, "p": 2, "family": "identity", "beta0": [1, -0.5],
+            "design": {"kind": "iid_uniform"}, "correlation": {"kind": "custom",
+                                                              "R_bar": [[1, 0], [0, 1]]}})
+        assert c == SimConfig(n=40, m=2, p=2, family=IDENTITY, beta0=(1.0, -0.5),
+                              design=DesignSpec("iid_uniform"),
+                              correlation=CorrelationSpec("custom",
+                                                          R_bar=((1.0, 0.0), (0.0, 1.0))))
+        assert type(c.n) is int and type(c.beta0[0]) is float
+
+    @pytest.mark.parametrize("where, key", [
         (None, "replicatons"), ("correlation", "rh0"), ("design", "hi_"),
     ])
     def test_from_json_unknown_key(self, where, key):
