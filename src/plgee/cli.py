@@ -137,33 +137,39 @@ class _Records:
         self.p = p
         self.index = {}            # stripped subject id -> first-appearance index
         self.subject, self.time = array.array("q"), array.array("q")
-        self.values = array.array("d")     # y, x1..xp per record
+        self.y, self.x = array.array("d"), array.array("d")     # y; x1..xp per record
 
     def extend(self, ids, times, values):
         """Append records: subject ids, an int64 array of times and a float
-        array of values."""
+        array of rows y, x1..xp."""
         ids, index = list(map(str.strip, ids)), self.index
         for s in dict.fromkeys(ids):       # new ids, in first-appearance order
             index.setdefault(s, len(index))
         self.subject.extend(map(index.__getitem__, ids))
         self.time.frombytes(times.tobytes())
-        self.values.frombytes(values.tobytes())
+        self.y.frombytes(values[:, 0].tobytes())
+        self.x.frombytes(values[:, 1:].tobytes())
 
     def append(self, subject, time, values):
         """Append one record: subject id, time (an int64-range int), y, x1..xp."""
         self.subject.append(self.index.setdefault(subject.strip(), len(self.index)))
         self.time.append(time)
-        self.values.extend(values)
+        self.y.append(values[0])
+        self.x.extend(values[1:])
 
     def dataset(self, error):
         """The dataset, after the checks that follow the record loop: a
         duplicate (subject, time) among the accepted records, then `error`
         (the message for the first rejected record, or None), then the
-        subject-level checks; one scatter places the rows into C-contiguous
-        X and y."""
+        subject-level checks.  Records in cell order (strictly increasing in
+        subject index and time, so once the checks pass, record k is cell k)
+        make X and y views of the buffers; any other order takes one gather
+        into C-contiguous X and y."""
         subject, time = np.frombuffer(self.subject, np.int64), np.frombuffer(self.time, np.int64)
         names = list(self.index)
-        dup = _first_duplicate(subject, time)
+        s0, s1, t0, t1 = subject[:-1], subject[1:], time[:-1], time[1:]     # views
+        ordered = bool(np.all((s1 > s0) | ((s1 == s0) & (t1 > t0))))      # so no repeats
+        dup = None if ordered else _first_duplicate(subject, time)
         if dup is not None:
             raise SchemaError(f"duplicate (subject,time) = ({names[subject[dup]]},{time[dup]})")
         if error is not None:
@@ -181,12 +187,11 @@ class _Records:
                 raise SchemaError(f"subject {names[s]} has {counts[s]} rows, expected {m}")
             raise SchemaError(f"subject {names[s]} must have time values 1..{m}, "
                               f"got {sorted(time[subject == s].tolist())}")
-        cells = subject * m + (time - 1)
-        values = np.frombuffer(self.values, float).reshape(-1, 1 + p)
-        X = np.empty((n * m, p))
-        y = np.empty(n * m)
-        X[cells] = values[:, 1:]
-        y[cells] = values[:, 0]
+        X, y = np.frombuffer(self.x, float).reshape(-1, p), np.frombuffer(self.y, float)
+        if not ordered:     # gather the records in cell order
+            order = np.empty_like(subject)
+            order[subject * m + (time - 1)] = np.arange(len(order))
+            X, y = X[order], y[order]
         return LongitudinalDataset(X.reshape(n, m, p), y.reshape(n, m))
 
 

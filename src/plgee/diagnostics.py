@@ -14,7 +14,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import LinkOverflowError, ShapeError
-from .estimator import _flat, _sandwiched_blocks, _weighted_gram, estimate_correlation
+from .estimator import _blocks, _flat, _sandwiched_blocks, _weighted_gram, estimate_correlation
 from .matkernel import SymMatrix, max_relative_eigenvalue, sym_eigen
 from .model import _link_arrays, eval_model
 
@@ -86,9 +86,11 @@ def smoothness_maxima(data, family, beta_center, radius_r=0.0):
     return {"k2": k2, "k3": k3}
 
 
-def _max_quad_form(Xf, A):
-    """max over the rows x_c of the (cells, p) matrix Xf of x_c' A x_c."""
-    return float(np.max(np.sum((Xf @ A) * Xf, axis=1)))
+def _max_quad_form(X, A):
+    """max over the cells x_ij of the (n, m, p) design X of x_ij' A x_ij,
+    a block of subjects at a time."""
+    return max(float(np.max(np.sum((_flat(X[rows]) @ A) * _flat(X[rows]), axis=1)))
+               for rows in _blocks(X))
 
 
 def _general_gram(X, sd, Q):
@@ -125,13 +127,12 @@ def design_diagnostics(data, family, beta, R, M_hat=None, true_corr=None):
     H = SymMatrix(H)
     eig_H = sym_eigen(H, require_spd="general scoring matrix")
 
-    x_flat = data.X.reshape(-1, data.p)
-    gamma0_indep = _max_quad_form(x_flat, eig_Hi.power(-1))
-    gamma0 = _max_quad_form(x_flat, eig_H.power(-1))
+    gamma0_indep = _max_quad_form(data.X, eig_Hi.power(-1))
+    gamma0 = _max_quad_form(data.X, eig_H.power(-1))
     gamma_tilde = tau_tilde * gamma0
 
     # largest eigenvalue of H^{-1/2} B_i' Q B_i H^{-1/2} over the subjects
-    gamma_D = max_relative_eigenvalue(D, eig_H)
+    gamma_D = max(max_relative_eigenvalue(D[rows], eig_H) for rows in _blocks(data.X))
 
     c_n = None
     if M_hat is not None:

@@ -6,10 +6,10 @@ pseudo-likelihood equation built on that correlation, and Wald intervals
 on top.  Every solve returns the Liang-Zeger sandwich covariance of its
 estimate, built from the decomposition of the scoring matrix it already made.
 
-The scoring matrices are sums of p x p terms over independent subjects, so
-they are summed over fixed-size blocks of subjects: a fit's temporaries
-stay (n, m)-sized plus about a megabyte per block, never a second copy of
-the (n, m, p) design.
+The estimating functions, scoring matrices and R-tilde are sums over
+independent subjects, so the model is evaluated and each sum formed over
+fixed-size blocks of subjects: a fit's temporaries stay a few (n, m) arrays
+plus about a megabyte per block, never a second copy of the (n, m, p) design.
 """
 
 from dataclasses import dataclass, field
@@ -70,11 +70,11 @@ class FitResult:
 
 # Sums over the (n, m, p) subject stack, as BLAS calls on the (n*m, p)
 # flattening.  The reshapes are views only when the stacks are C-contiguous.
-# The Gram sums weight X before the GEMM, so they run over blocks of about
-# _BLOCK_CELLS cells (subjects x m x p): each block's weighted copy stays
-# near 1 MB whatever m*p is, instead of an (n, m, p) temporary per call.
-# A dataset that fits in one block gives the single-GEMM result bit for bit:
-# reduce returns a lone block's sum as it is.
+# The sums run over blocks of about _BLOCK_CELLS cells (subjects x m x p):
+# each block's model values and weighted copy of X stay near 1 MB whatever
+# m*p is, instead of (n, m, p) and (n, m) temporaries per call.  A dataset
+# that fits in one block gives the single-call result bit for bit: reduce
+# returns a lone block's sum as it is.
 
 _BLOCK_CELLS = 1 << 17
 
@@ -125,18 +125,32 @@ def _subject_scores(X, t):
 # callable that builds the scoring matrix H at beta from the arrays it binds.
 # The line search calls it only at the points it accepts.
 
+def _blockwise_system(data, family, beta, cell_values):
+    """(g, t, w): the model is evaluated a block of subjects at a time, and
+    cell_values(ModelEval) gives the block's rows of the (n, m) arrays t and w."""
+    t, w = np.empty_like(data.y), np.empty_like(data.y)
+
+    def block_score(rows):
+        t[rows], w[rows] = cell_values(eval_model(data, family, beta, rows))
+        return _score(data.X[rows], t[rows])
+
+    return reduce(np.add, map(block_score, _blocks(data.X))), t, w
+
+
 def _independence_system(data, family, beta):
-    ev = eval_model(data, family, beta)
-    return _score(data.X, ev.eps), ev.eps, partial(_weighted_gram, data.X, ev.var)
+    g, eps, var = _blockwise_system(data, family, beta, lambda ev: (ev.eps, ev.var))
+    return g, eps, partial(_weighted_gram, data.X, var)
 
 
 def _general_system(data, family, beta, Q):
     """Estimating function and scoring matrix for a fixed correlation inverse Q;
     the working residuals are A^{1/2} Q A^{-1/2} eps, per subject."""
-    ev = eval_model(data, family, beta)
-    sd = ev.sd
-    t = sd * ((ev.eps / sd) @ Q.T)
-    return _score(data.X, t), t, partial(_sandwiched_gram, data.X, sd, Q)
+    def cell_values(ev):
+        sd = ev.sd
+        return sd * ((ev.eps / sd) @ Q.T), sd
+
+    g, t, sd = _blockwise_system(data, family, beta, cell_values)
+    return g, t, partial(_sandwiched_gram, data.X, sd, Q)
 
 
 def _convergence_scale(data, opts):
@@ -236,18 +250,23 @@ def gee_independence_fit(data, family, beta_init=None, opts=SolverOptions()):
 
 def estimate_correlation(data, family, beta):
     """Average outer product of standardized residuals at beta."""
-    ev = eval_model(data, family, np.asarray(beta, dtype=float))
-    if np.any(ev.var <= 0.0) or not np.all(np.isfinite(ev.var)):
-        bad = np.argwhere(~((ev.var > 0.0) & np.isfinite(ev.var)))[0]
-        raise DegenerateVarianceError(
-            f"degenerate variance at subject {int(bad[0])}, time {int(bad[1])}",
-            subject=int(bad[0]), time=int(bad[1]),
-        )
-    s = ev.eps / ev.sd
-    R = (s.T @ s) / data.n
+    beta = np.asarray(beta, dtype=float)
+
+    def block_outer(rows):
+        ev = eval_model(data, family, beta, rows)
+        ok = (ev.var > 0.0) & np.isfinite(ev.var)
+        if not ok.all():
+            bad = np.argwhere(~ok)[0]
+            i, j = range(data.n)[rows][bad[0]], int(bad[1])
+            raise DegenerateVarianceError(
+                f"degenerate variance at subject {i}, time {j}", subject=i, time=j)
+        s = ev.eps / ev.sd
+        return s.T @ s
+
+    R = reduce(np.add, map(block_outer, _blocks(data.X))) / data.n
     return CorrelationEstimate(
         R_tilde=SymMatrix(R),
-        computed_at_beta=np.asarray(beta, dtype=float).copy(),
+        computed_at_beta=beta.copy(),
         n_used=data.n,
     )
 

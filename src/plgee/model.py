@@ -180,7 +180,7 @@ class LongitudinalDataset:
 
 @dataclass(frozen=True)
 class ModelEval:
-    """Per-cell model quantities at a given beta; arrays are (n, m)."""
+    """Per-cell model quantities at a given beta; arrays are (subjects, m)."""
 
     theta: np.ndarray
     mu: np.ndarray
@@ -192,19 +192,22 @@ class ModelEval:
         return np.sqrt(self.var)
 
 
-def eval_model(data, family, beta):
+def eval_model(data, family, beta, rows=slice(None)):
+    """The model at beta for the subjects data.X[rows] (all by default)."""
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (data.p,):
         raise InvalidInputError(f"beta must have length {data.p}, got shape {beta.shape}")
     if not np.all(np.isfinite(beta)):
         raise InvalidInputError("beta has non-finite entries")
-    theta = data.X @ beta
+    X = data.X[rows]
+    # one GEMV on the (cells, p) flattening: numpy's batched matvec is ~4x slower
+    theta = (X.reshape(-1, data.p) @ beta).reshape(X.shape[:2])
     try:
         mu, var = _mean_and_variance(family, theta)
     except LinkOverflowError:
         bad = np.argwhere(np.abs(theta) > LOG_THETA_LIMIT)
-        i, j = (int(bad[0][0]), int(bad[0][1])) if len(bad) else (None, None)
+        i, j = (range(data.n)[rows][bad[0][0]], int(bad[0][1])) if len(bad) else (None, None)
         raise LinkOverflowError(
             f"log link overflow at subject {i}, time {j}", subject=i, time=j
         ) from None
-    return ModelEval(theta=theta, mu=mu, var=var, eps=data.y - mu)
+    return ModelEval(theta=theta, mu=mu, var=var, eps=data.y[rows] - mu)

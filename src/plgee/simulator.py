@@ -14,7 +14,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, EmptyReportError, NotPositiveDefiniteError, PlgeeError
+from .errors import (ConfigError, EmptyReportError, InvalidInputError, NotPositiveDefiniteError,
+                     PlgeeError)
 from .estimator import (
     estimate_correlation,
     two_step_fit,
@@ -179,7 +180,7 @@ class SimConfig:
                 "correlation": lambda d: _from_json(CorrelationSpec, d, "correlation", spec),
                 "replications": int, "base_seed": int, "ci_level": float,
             })
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, InvalidInputError) as exc:   # LinkFamily raises the last
             raise ConfigError(f"invalid simulation config: {exc}") from exc
 
 

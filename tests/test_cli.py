@@ -1,6 +1,7 @@
 import codecs
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -345,6 +346,76 @@ class TestCsvCellGrammar:
         first_seen = list(dict.fromkeys(cells[k][0] for k in order))
         assert np.array_equal(d.X, X[first_seen])
         assert np.array_equal(d.y, y[first_seen])
+
+
+def _in_order_and_shuffled(tmp_path, records, seed):
+    """Paths of two files holding `records` ((subject, time, y, x1) tuples):
+    shuffled, and sorted by (first appearance in the shuffled file, time)."""
+    rng = np.random.default_rng(seed)
+    shuffled = [records[k] for k in rng.permutation(len(records))]
+    first = {s: k for k, (s, *_) in reversed(list(enumerate(shuffled)))}
+    paths = []
+    for name, rows in (("in_order", sorted(shuffled, key=lambda r: (first[r[0]], r[1]))),
+                       ("shuffled", shuffled)):
+        paths.append(tmp_path / f"{name}.csv")
+        paths[-1].write_text(HEAD + "".join(f"{s},{t},{y!r},{x!r}\n" for s, t, y, x in rows))
+    return paths
+
+
+class TestCsvRecordOrder:
+    """Records in cell order become the arrays without a copy; any other
+    order is gathered.  Both give the same arrays and the same errors."""
+
+    @staticmethod
+    def records(edit):
+        rng = np.random.default_rng(11)
+        records = [(f"s{i}", j, float(rng.normal()), float(rng.normal()))
+                   for i in range(30) for j in range(1, 5)]
+        return edit(records)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda r: r, None),
+        (lambda r: r + [("s5", 2, 0.5, 0.5)], "duplicate (subject,time) = (s5,2)"),
+        (lambda r: [c for c in r if c[:2] != ("s7", 3)], "subject s7 has 3 rows, expected 4"),
+        (lambda r: [(s, 6 if (s, t) == ("s9", 4) else t, y, x) for s, t, y, x in r],
+         "subject s9 must have time values 1..4, got [1, 2, 3, 6]"),
+    ], ids=["valid", "duplicate", "ragged", "time-off-grid"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_in_order_and_shuffled_agree(self, tmp_path, edit, message, seed):
+        in_order, shuffled = _in_order_and_shuffled(tmp_path, self.records(edit), seed)
+        got = _outcome(in_order)
+        assert got == _outcome(shuffled)
+        if message is None:
+            assert got[0] == (30, 4, 1)
+        else:
+            assert got == ("SchemaError", message)
+
+    def test_duplicate_in_sorted_file_is_its_first_repeated_record(self, tmp_path):
+        rows = _records(4, 3, start=1).splitlines(keepends=True)
+        # in (subject, time) order, with (2,1) and later (3,1) written twice
+        text = HEAD + "".join(rows[:4] + rows[3:7] + rows[6:])
+        assert _schema_message(tmp_path, text) == "duplicate (subject,time) = (2,1)"
+
+    def test_in_order_parse_peak_memory(self, tmp_path):
+        # the in-order arrays are views of the record buffers, so the parse
+        # holds no second copy of the design (a gather peaks at 2.7x X + y)
+        rng = np.random.default_rng(8)
+        data = LongitudinalDataset(rng.normal(size=(2000, 10, 8)), rng.normal(size=(2000, 10)))
+        path = tmp_path / "in_order.csv"
+        write_dataset_csv(data, path)
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            d = parse_dataset_csv(path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert np.array_equal(d.X, data.X) and np.array_equal(d.y, data.y)
+        assert peak < 1.8 * (d.X.nbytes + d.y.nbytes)
 
 
 # Mutations of a valid file for the differential fuzz, each editing the list

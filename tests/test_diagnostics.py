@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from plgee import estimator
 from plgee.diagnostics import (
     _max_quad_form,
     condition_trend_report,
@@ -24,14 +25,18 @@ def gaussian_dataset(n=60, m=3, p=2, rho=0.4, beta0=(1.0, -0.5), seed=0):
     return gen_gaussian(X, np.array(beta0), exchangeable_matrix(m, rho), seed=seed)
 
 
-@pytest.mark.parametrize("cells, p", [(1, 1), (5, 1), (1, 4), (37, 6)])
-def test_max_quad_form_matches_einsum(cells, p):
-    rng = np.random.default_rng(cells * 10 + p)
-    Xf = rng.normal(size=(cells, p))
+@pytest.mark.parametrize("n, m, p", [(1, 1, 1), (5, 1, 1), (1, 1, 4), (1, 3, 2), (37, 4, 6)])
+def test_max_quad_form_matches_einsum(n, m, p, monkeypatch):
+    rng = np.random.default_rng(n * 100 + m * 10 + p)
+    X = rng.normal(size=(n, m, p))
     A = rng.normal(size=(p, p))
     A = A @ A.T + np.eye(p)
-    want = float(np.max(np.einsum("cp,pq,cq->c", Xf, A, Xf)))
-    assert _max_quad_form(Xf, A) == pytest.approx(want, rel=1e-12)
+    want = float(np.max(np.einsum("nmp,pq,nmq->nm", X, A, X)))
+    # every subject in one block, then blocks of 1 and 3 subjects
+    for subjects in (None, 1, 3):
+        if subjects is not None:
+            monkeypatch.setattr(estimator, "_BLOCK_CELLS", subjects * m * p)
+        assert _max_quad_form(X, A) == pytest.approx(want, rel=1e-12)
 
 
 def gamma_D_loop(data, family, beta, R):
@@ -60,6 +65,16 @@ def test_batched_gamma_D_matches_subject_loop(n, m, p, family):
 
 
 class TestDesignDiagnostics:
+    @pytest.mark.parametrize("subjects", [1, 3])
+    def test_subject_blocks_match_one_block(self, subjects, monkeypatch):
+        data = gaussian_dataset(n=30, m=4, seed=9)
+        beta, R = np.array([1.0, -0.5]), exchangeable_matrix(4, 0.3)
+        want = design_diagnostics(data, LOG, beta, R)
+        monkeypatch.setattr(estimator, "_BLOCK_CELLS", subjects * 4 * 2)
+        got = design_diagnostics(data, LOG, beta, R)
+        for name in ("gamma_D", "gamma0", "gamma0_indep", "lambda_min_H_indep"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12)
+
     def test_identity_correlation_values(self):
         data = gaussian_dataset(m=3, seed=1)
         rep = design_diagnostics(data, IDENTITY, np.array([1.0, -0.5]), np.eye(3))

@@ -3,8 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from plgee import estimator
+from plgee import estimator, model
 from plgee.errors import (
+    DegenerateVarianceError,
+    LinkOverflowError,
     NotPositiveDefiniteError,
     PreconditionError,
     SingularDesignError,
@@ -240,8 +242,10 @@ class TestAssemblyHelpers:
         assert counts[gram] == fit.iterations + 1
 
     def test_two_step_fit_peak_memory_below_design_size(self):
-        # the Gram sums run over subject blocks, so no (n, m, p) temporary
-        # is made; products over the full stack peak at 2.75x X.nbytes
+        # the model is evaluated and every sum formed over subject blocks, so
+        # the fit holds a few (n, m) arrays and no (n, m, p) temporary; whole-
+        # array model evaluation peaks at 1.13x X.nbytes, full-stack products
+        # at 2.75x
         rng = np.random.default_rng(2)
         n, m, p = 20000, 10, 8
         X = rng.uniform(-1, 1, size=(n, m, p))
@@ -260,7 +264,61 @@ class TestAssemblyHelpers:
             if not was_tracing:
                 tracemalloc.stop()
         assert fit.method == "pseudo_likelihood" and fit.converged
-        assert peak < 1.5 * data.X.nbytes
+        assert peak < 0.75 * data.X.nbytes
+
+
+class TestSubjectBlocks:
+    """Fits that evaluate the model and form every sum a block of subjects
+    at a time, against one block."""
+
+    @pytest.mark.parametrize("subjects", [1, 3])
+    def test_fits_match_one_block(self, subjects, monkeypatch):
+        rng = np.random.default_rng(12)
+        X = rng.uniform(-1, 1, size=(40, 3, 2))
+        X[:, :, 0] = 1.0
+        data = LongitudinalDataset(X, rng.poisson(np.exp(X @ [0.5, -0.4])).astype(float))
+        fits = [gee_independence_fit(data, LOG), two_step_fit(data, LOG)]
+        corr = estimate_correlation(data, LOG, fits[0].beta_hat)
+        monkeypatch.setattr(estimator, "_BLOCK_CELLS", subjects * 3 * 2)
+        assert len(estimator._blocks(data.X)) > 1
+        blocked = [gee_independence_fit(data, LOG), two_step_fit(data, LOG)]
+        for fit, got in zip(fits, blocked):
+            assert (got.method, got.iterations) == (fit.method, fit.iterations)
+            assert_rel_close(got.beta_hat, fit.beta_hat)
+            assert_rel_close(got.cov_beta.a, fit.cov_beta.a)
+        assert fits[1].method == "pseudo_likelihood"
+        assert_rel_close(blocked[1].correlation_used.R_tilde.a, fits[1].correlation_used.R_tilde.a)
+        assert_rel_close(estimate_correlation(data, LOG, fits[0].beta_hat).R_tilde.a,
+                         corr.R_tilde.a)
+
+    def test_link_overflow_names_subject_in_later_block(self, monkeypatch):
+        X = np.zeros((10, 2, 1))
+        X[7, 1, 0] = 1000.0
+        data = LongitudinalDataset(X, np.zeros((10, 2)))
+        monkeypatch.setattr(estimator, "_BLOCK_CELLS", 3 * 2 * 1)
+        with pytest.raises(LinkOverflowError) as info:
+            estimate_correlation(data, LOG, [1.0])
+        assert (info.value.subject, info.value.time) == (7, 1)
+        assert str(info.value) == "log link overflow at subject 7, time 1"
+
+    def test_degenerate_variance_names_subject_in_later_block(self, monkeypatch):
+        # canonical variances are clamped positive, so zero one by hand: the
+        # variance is 0 where theta is 1, which is subject 8, time 0 alone
+        X = np.zeros((10, 2, 1))
+        X[8, 0, 0] = 1.0
+        data = LongitudinalDataset(X, np.zeros((10, 2)))
+        real = model._mean_and_variance
+
+        def zero_variance_at_one(family, theta):
+            mu, var = real(family, theta)
+            return mu, np.where(theta == 1.0, 0.0, var)
+
+        monkeypatch.setattr(model, "_mean_and_variance", zero_variance_at_one)
+        monkeypatch.setattr(estimator, "_BLOCK_CELLS", 3 * 2 * 1)
+        with pytest.raises(DegenerateVarianceError) as info:
+            estimate_correlation(data, IDENTITY, [1.0])
+        assert (info.value.subject, info.value.time) == (8, 0)
+        assert str(info.value) == "degenerate variance at subject 8, time 0"
 
 
 class TestTwoStep:

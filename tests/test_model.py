@@ -192,6 +192,23 @@ class TestEvalModel:
         assert np.allclose(ev1.theta, ev2.theta, atol=1e-14)
         assert np.allclose(ev1.var, ev2.var, atol=1e-14)
 
+    def test_rows_are_the_whole_evaluation_rows(self):
+        rng = np.random.default_rng(6)
+        d = LongitudinalDataset(rng.normal(size=(7, 3, 2)), rng.normal(size=(7, 3)))
+        beta = np.array([0.3, -0.8])
+        whole = eval_model(d, LOGIT, beta)
+        for rows in (slice(0, 7), slice(2, 5), slice(6, 9)):
+            part = eval_model(d, LOGIT, beta, rows)
+            for name in ("theta", "mu", "var", "eps"):
+                assert np.allclose(getattr(part, name), getattr(whole, name)[rows],
+                                   rtol=1e-15, atol=1e-15)
+        X = np.zeros((4, 2, 1))
+        X[2, 1, 0] = 1000.0
+        with pytest.raises(LinkOverflowError) as exc:
+            eval_model(LongitudinalDataset(X, np.zeros((4, 2))), LOG, np.array([1.0]),
+                       slice(1, 4))
+        assert (exc.value.subject, exc.value.time) == (2, 1)
+
     def test_overflow_carries_coordinates(self):
         X = np.zeros((2, 2, 1))
         X[1, 1, 0] = 1000.0

@@ -289,6 +289,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"missing .*'{key}'"):
             SimConfig.from_json(doc)
 
+    def test_from_json_unknown_family_is_config_error(self):
+        doc = {"n": 40, "m": 2, "p": 2, "family": "probitx", "beta0": [1.0, -0.5],
+               "design": {"kind": "grid"}, "correlation": {"kind": "ar1"}}
+        with pytest.raises(ConfigError, match="unknown link kind 'probitx'"):
+            SimConfig.from_json(doc)
+
     def test_from_json_absent_keys_take_field_defaults(self):
         c = SimConfig.from_json({
             "n": 40, "m": 2, "p": 2, "family": "identity", "beta0": [1, -0.5],
