@@ -200,7 +200,7 @@ def eval_model(data, family, beta, rows=slice(None)):
     if not np.all(np.isfinite(beta)):
         raise InvalidInputError("beta has non-finite entries")
     X = data.X[rows]
-    # one GEMV on the (cells, p) flattening: numpy's batched matvec is ~4x slower
+    # one GEMV on the (cells, p) flattening: numpy's batched matvec is several times slower
     theta = (X.reshape(-1, data.p) @ beta).reshape(X.shape[:2])
     try:
         mu, var = _mean_and_variance(family, theta)

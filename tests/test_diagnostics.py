@@ -25,18 +25,20 @@ def gaussian_dataset(n=60, m=3, p=2, rho=0.4, beta0=(1.0, -0.5), seed=0):
     return gen_gaussian(X, np.array(beta0), exchangeable_matrix(m, rho), seed=seed)
 
 
-@pytest.mark.parametrize("n, m, p", [(1, 1, 1), (5, 1, 1), (1, 1, 4), (1, 3, 2), (37, 4, 6)])
-def test_max_quad_form_matches_einsum(n, m, p, monkeypatch):
-    rng = np.random.default_rng(n * 100 + m * 10 + p)
-    X = rng.normal(size=(n, m, p))
+@pytest.mark.parametrize("cells, p", [(1, 1), (5, 1), (1, 4), (37, 6)])
+def test_max_quad_form_matches_einsum(cells, p, monkeypatch):
+    rng = np.random.default_rng(cells * 10 + p)
+    Xf = rng.normal(size=(cells, p))
     A = rng.normal(size=(p, p))
     A = A @ A.T + np.eye(p)
-    want = float(np.max(np.einsum("nmp,pq,nmq->nm", X, A, X)))
-    # every subject in one block, then blocks of 1 and 3 subjects
-    for subjects in (None, 1, 3):
-        if subjects is not None:
-            monkeypatch.setattr(estimator, "_BLOCK_CELLS", subjects * m * p)
-        assert _max_quad_form(X, A) == pytest.approx(want, rel=1e-12)
+    want = float(np.max(np.einsum("cp,pq,cq->c", Xf, A, Xf)))
+    # the cells as subjects of one time each, and as one subject; every
+    # subject in one block, then blocks of 1 and 3 subjects
+    for X in (Xf.reshape(cells, 1, p), Xf.reshape(1, cells, p)):
+        for subjects in (None, 1, 3):
+            if subjects is not None:
+                monkeypatch.setattr(estimator, "_BLOCK_CELLS", subjects * X.shape[1] * p)
+            assert _max_quad_form(X, A) == pytest.approx(want, rel=1e-12)
 
 
 def gamma_D_loop(data, family, beta, R):
