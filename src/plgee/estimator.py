@@ -12,6 +12,7 @@ fixed-size blocks of subjects: a fit's temporaries stay a few (n, m) arrays
 plus about a megabyte per block, never a second copy of the (n, m, p) design.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import partial, reduce
 
@@ -153,9 +154,13 @@ def _general_system(data, family, beta, Q):
     return g, t, partial(_sandwiched_gram, data.X, sd, Q)
 
 
+def _norm(v):
+    """Euclidean norm of a vector, as np.linalg.norm forms it."""
+    return math.sqrt(v @ v)
+
+
 def _convergence_scale(data, opts):
-    xty = _score(data.X, data.y)
-    return opts.grad_tol * (1.0 + float(np.linalg.norm(xty)))
+    return opts.grad_tol * (1.0 + _norm(_score(data.X, data.y)))
 
 
 def _scoring_inverse(H, where):
@@ -188,7 +193,7 @@ def _newton_solve(data, family, beta_init, opts, system, method):
         g, t, gram = system(beta)
     except LinkOverflowError as exc:
         raise LineSearchFailure(f"link overflow at the initial point: {exc}") from exc
-    gnorm = float(np.linalg.norm(g))
+    gnorm = _norm(g)
     trace = [(beta.copy(), gnorm)]
     H_inv = _scoring_inverse(gram(), "at the initial point")
     converged = gnorm <= tol
@@ -206,10 +211,11 @@ def _newton_solve(data, family, beta_init, opts, system, method):
             except LinkOverflowError:
                 scale *= 0.5
                 continue
-            gnorm_new = float(np.linalg.norm(g_new))
+            gnorm_new = _norm(g_new)
             if gnorm_new < gnorm:
                 accepted = True
                 break
+            t_new = gram = None     # the rejected candidate's arrays go before the next
             scale *= 0.5
         if not accepted:
             raise LineSearchFailure(
@@ -217,12 +223,12 @@ def _newton_solve(data, family, beta_init, opts, system, method):
                 f"at iteration {it} (gnorm={gnorm:.6g})"
             )
 
-        step_size = float(np.linalg.norm(scale * step))
+        step_size = _norm(scale * step)
         beta, g, t, gnorm = cand, g_new, t_new, gnorm_new
         trace.append((beta.copy(), gnorm))
         H_inv = _scoring_inverse(gram(), f"after iteration {it}")
         converged = gnorm <= tol
-        if step_size <= opts.step_tol * (1.0 + float(np.linalg.norm(beta))):
+        if step_size <= opts.step_tol * (1.0 + _norm(beta)):
             break
 
     _, cov = _sandwich(data.X, t, H_inv)

@@ -14,6 +14,7 @@ a stack of them, relative to it.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,20 +53,27 @@ def _sym_array(S):
 @dataclass(frozen=True)
 class EigenDecomposition:
     values: np.ndarray   # nondecreasing
-    vectors: np.ndarray  # orthonormal columns, vectors[:, k] <-> values[k]
+    basis: np.ndarray    # eigh's orthonormal columns, basis[:, k] <-> values[k]
+
+    @cached_property
+    def vectors(self):
+        """``basis`` with each column's largest-magnitude entry made positive."""
+        lead = self.basis[np.argmax(np.abs(self.basis), axis=0), np.arange(len(self.values))]
+        return np.where(lead < 0, -self.basis, self.basis)
 
     def power(self, k):
-        """S^k = V diag(values**k) V' of the decomposed S.  Negative or
-        fractional k need S SPD: decompose it with ``require_spd`` set."""
-        return (self.vectors * self.values ** k) @ self.vectors.T
+        """S^k = V diag(values**k) V' of the decomposed S, from ``basis``: a
+        column's sign cancels bit for bit.  Negative or fractional k need S
+        SPD: decompose it with ``require_spd`` set."""
+        return (self.basis * self.values ** k) @ self.basis.T
 
 
 def sym_eigen(S, require_spd=None):
     """Eigendecomposition of a symmetric matrix (LAPACK ``eigh``).
 
-    Eigenvalues are returned in nondecreasing order.  Each eigenvector's
-    largest-magnitude component is made positive so the output is
-    deterministic up to exact ties.
+    Eigenvalues are returned in nondecreasing order.  Each eigenvector in
+    ``vectors`` has its largest-magnitude component made positive, so the
+    output is deterministic up to exact ties.
 
     With ``require_spd`` set to the matrix's name, S must be numerically SPD.
     The eigenvalue floor is 1e-12 * max(1, trace/dim), scaled so that
@@ -74,7 +82,7 @@ def sym_eigen(S, require_spd=None):
     lambda_min.
     """
     a = _sym_array(S)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InvalidInputError("matrix has non-finite entries")
     values, vectors = np.linalg.eigh(a)
     if require_spd is not None:
@@ -86,8 +94,7 @@ def sym_eigen(S, require_spd=None):
                 f"(lambda_min={lam_min:.6g}, tol={tol:.6g})",
                 lambda_min=lam_min,
             )
-    lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(a.shape[0])]
-    return EigenDecomposition(values=values, vectors=np.where(lead < 0, -vectors, vectors))
+    return EigenDecomposition(values=values, basis=vectors)
 
 
 def max_relative_eigenvalue(A, eig):

@@ -13,6 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
+from numpy.random import PCG64, Generator   # numpy 2 would import it on first use
 
 from .errors import (ConfigError, EmptyReportError, InvalidInputError, NotPositiveDefiniteError,
                      PlgeeError)
@@ -47,7 +48,7 @@ def mix_seed(seed, index):
 
 
 def _uniforms(seed, shape):
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = Generator(PCG64(seed))
     return rng.random(shape)
 
 
@@ -221,7 +222,7 @@ def make_design(config, seed=None):
     # categorical: levels assigned cyclically over cells, then shuffled
     cells = n * m
     levels = np.arange(cells) % p
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = Generator(PCG64(seed))
     levels = levels[rng.permutation(cells)]
     X = np.zeros((cells, p))
     X[np.arange(cells), levels] = 1.0
@@ -255,7 +256,7 @@ def _poisson_quantile_grid(v, lam, cap=100000):
     cdf = pmf.copy()
     active = cdf < v
     k = 0
-    while np.any(active):
+    while active.any():
         k += 1
         if k > cap:
             raise PlgeeError("poisson quantile search exceeded its cap")
@@ -379,6 +380,13 @@ def run_replicates(config, workers=1):
     return [_run_replicate(config, r) for r in reps]
 
 
+def _median(values):
+    """np.median of finite floats, bit for bit, without its numpy.ma import."""
+    s = sorted(values)
+    k = len(s) // 2
+    return s[k] if len(s) % 2 else (s[k - 1] + s[k]) / 2
+
+
 def summarize_replicates(config, results):
     """Aggregate bias/variance/coverage/normality over replicate results.
 
@@ -423,7 +431,7 @@ def summarize_replicates(config, results):
         efficiency_ratio=eff.tolist(),
         z_within_1960_frac=float(np.mean(np.abs(z_pool) <= Z_TWO_SIDED_95)),
         ks_distance=ks_distance_to_normal(z_pool),
-        median_beta_error_norm=float(np.median(np.linalg.norm(err, axis=1))),
+        median_beta_error_norm=_median(np.linalg.norm(err, axis=1).tolist()),
         mean_corr_max_abs_error=float(np.mean(corr_err)),
         max_corr_max_abs_error=float(np.max(corr_err)),
         lambda_min_R_bar=float(sym_eigen(R_bar).values[0]),

@@ -1,6 +1,9 @@
 import codecs
 import csv
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -888,3 +891,37 @@ class TestExitCodes:
         codes.add(main(["fit", "--data", "/nope.csv", "--link", "identity"]))
         capsys.readouterr()
         assert codes <= {0, 1, 2}
+
+
+class TestImports:
+    """`import plgee.cli` loads everything a command uses, and no scipy."""
+
+    SCRIPT = """
+import json, sys
+import plgee.cli
+loaded = set(sys.modules)
+added = {}
+for argv in json.loads(sys.argv[1]):
+    plgee.cli.main(argv)
+    added[argv[0]] = sorted(set(sys.modules) - loaded)
+scipy = sorted(m for m in loaded if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"scipy": scipy, "added": added}))
+"""
+
+    def test_commands_import_nothing_and_no_scipy(self, data_csv, counts_csv, tmp_path):
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps({
+            "n": 40, "m": 3, "p": 2, "family": "log", "beta0": [0.5, -0.3],
+            "design": {"kind": "iid_uniform"},
+            "correlation": {"kind": "exchangeable", "rho": 0.3},
+            "replications": 3, "base_seed": 5}))
+        out = str(tmp_path / "out.json")
+        argvs = [["fit", "--data", counts_csv, "--link", "log", "--out", out],
+                 ["diagnose", "--data", data_csv, "--link", "identity", "--out", out],
+                 ["simulate", "--config", str(config), "--out", out,
+                  "--replicates-csv", str(tmp_path / "reps.csv")]]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(argvs)],
+                              capture_output=True, text=True, env=env, check=True)
+        doc = json.loads(proc.stdout)
+        assert doc == {"scipy": [], "added": {"fit": [], "diagnose": [], "simulate": []}}

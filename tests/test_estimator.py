@@ -241,30 +241,56 @@ class TestAssemblyHelpers:
         assert counts["eval_model"] > fit.iterations + 1    # some step was halved
         assert counts[gram] == fit.iterations + 1
 
-    def test_two_step_fit_peak_memory_below_design_size(self):
-        # the model is evaluated and every sum formed over subject blocks, so
-        # the fit holds a few (n, m) arrays and no (n, m, p) temporary; whole-
-        # array model evaluation peaks at 1.13x X.nbytes, full-stack products
-        # at 2.75x
+    @staticmethod
+    def large_counts():
         rng = np.random.default_rng(2)
         n, m, p = 20000, 10, 8
         X = rng.uniform(-1, 1, size=(n, m, p))
         X[:, :, 0] = 1.0
         y = rng.poisson(np.exp(X @ np.linspace(0.5, -0.3, p))).astype(float)
-        data = LongitudinalDataset(X, y)
+        return LongitudinalDataset(X, y)
+
+    @staticmethod
+    def traced_peak(call):
+        """(call(), the peak bytes tracemalloc sees above the start)."""
         was_tracing = tracemalloc.is_tracing()
         if not was_tracing:
             tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            fit = two_step_fit(data, LOG)
-            peak = tracemalloc.get_traced_memory()[1] - base
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1] - base
         finally:
             if not was_tracing:
                 tracemalloc.stop()
+
+    def test_two_step_fit_peak_memory_below_design_size(self):
+        # the model is evaluated and every sum formed over subject blocks, so
+        # the fit holds a few (n, m) arrays and no (n, m, p) temporary; whole-
+        # array model evaluation peaks at 1.13x X.nbytes, full-stack products
+        # at 2.75x
+        data = self.large_counts()
+        fit, peak = self.traced_peak(lambda: two_step_fit(data, LOG))
         assert fit.method == "pseudo_likelihood" and fit.converged
         assert peak < 0.75 * data.X.nbytes
+
+    def test_step_halving_does_not_raise_peak_memory(self, monkeypatch):
+        # a rejected candidate's arrays are released before the next one is
+        # evaluated: keeping them peaked at 0.67x X.nbytes against 0.54x
+        data = self.large_counts()
+        systems = []
+        real = estimator._independence_system
+        monkeypatch.setattr(estimator, "_independence_system",
+                            lambda *args: systems.append(1) or real(*args))
+        halved, halved_peak = self.traced_peak(lambda: gee_independence_fit(data, LOG))
+        assert len(systems) == halved.iterations + 2       # one halving
+        systems.clear()
+        near, near_peak = self.traced_peak(
+            lambda: gee_independence_fit(data, LOG, beta_init=halved.beta_hat + 1e-3))
+        assert len(systems) == near.iterations + 1         # none
+        # the halved fit holds about a kilobyte more: its longer trace
+        assert halved_peak <= near_peak + 0.01 * data.X.nbytes
 
 
 class TestSubjectBlocks:
