@@ -1,7 +1,7 @@
 """Command-line front end: CSV ingestion, fitting, diagnostics, simulation.
 
-All outputs are JSON with sorted keys and floats printed to 17 significant
-digits, so byte-identical reruns are the norm and round-tripping is exact.
+All outputs are strict JSON with sorted keys and 17-significant-digit floats
+(null for NaN or infinity), so reruns are byte-identical and round-trip exactly.
 Exit codes: 0 success, 1 error, 2 completed-with-warnings (non-convergence,
 fewer subjects than covariates, or too many failed replicates).
 """
@@ -11,6 +11,8 @@ import array
 import csv
 import io
 import json
+import locale  # noqa: F401  (argparse loads it through gettext when build_parser runs)
+import math
 import sys
 import warnings
 
@@ -55,7 +57,7 @@ def _format_float(x):
 
 
 def dumps_stable(obj):
-    """JSON text with sorted keys and 17-significant-digit floats."""
+    """Strict JSON: sorted keys, 17-significant-digit floats, null for NaN and infinities."""
     if obj is None:
         return "null"
     if obj is True:
@@ -63,11 +65,11 @@ def dumps_stable(obj):
     if obj is False:
         return "false"
     if isinstance(obj, float):
-        return _format_float(obj)
+        return format(obj, ".17g") if math.isfinite(obj) else "null"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, np.floating):
-        return _format_float(float(obj))
+        return dumps_stable(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, np.ndarray):

@@ -14,7 +14,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import LinkOverflowError, ShapeError
-from .estimator import _blocks, _flat, _sandwiched_blocks, _weighted_gram, estimate_correlation
+from .estimator import _blocks, _flat, _sandwiched_block, _weighted_gram, estimate_correlation
 from .matkernel import SymMatrix, max_relative_eigenvalue, sym_eigen
 from .model import _link_arrays, eval_model
 
@@ -73,7 +73,7 @@ def smoothness_maxima(data, family, beta_center, radius_r=0.0):
     k2 = 0.0
     k3 = 0.0
     for idx, beta in enumerate(probes):
-        theta = data.X @ beta
+        theta = _flat(data.X) @ beta      # one GEMV; only the maxima over cells are kept
         try:
             _, d1, d2, d3 = _link_arrays(family, theta)
         except LinkOverflowError as exc:
@@ -97,11 +97,13 @@ def _general_gram(X, sd, Q):
     """(sum_i B_i' Q B_i, the stack of the B_i' Q B_i), B_i = diag(sd_i) X_i,
     from one Q B product per block of subjects."""
     D = np.empty((X.shape[0], X.shape[2], X.shape[2]))
-    parts = []
-    for rows, B, QB in _sandwiched_blocks(X, sd, Q):
-        parts.append(_flat(B).T @ _flat(QB))
+
+    def block_gram(rows):
+        B, QB = _sandwiched_block(X, sd, Q, rows)
         np.matmul(np.swapaxes(B, 1, 2), QB, out=D[rows])
-    return reduce(np.add, parts), D
+        return _flat(B).T @ _flat(QB)
+
+    return reduce(np.add, map(block_gram, _blocks(X))), D
 
 
 def design_diagnostics(data, family, beta, R, M_hat=None, true_corr=None):

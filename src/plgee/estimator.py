@@ -102,18 +102,21 @@ def _weighted_gram(X, w):
                            for rows in _blocks(X)))
 
 
-def _sandwiched_blocks(X, sd, Q):
-    """(rows, B, Q B) per block of subjects, where B_i = diag(sd_i) X_i."""
-    for rows in _blocks(X):
-        B = sd[rows, :, None] * X[rows]
-        yield rows, B, np.matmul(Q, B)
+def _sandwiched_block(X, sd, Q, rows):
+    """(B, Q B) for one block of subjects, where B_i = diag(sd_i) X_i.  Callers
+    map over _blocks, so one block's pair is alive at a time."""
+    B = sd[rows, :, None] * X[rows]
+    return B, np.matmul(Q, B)
 
 
 def _sandwiched_gram(X, sd, Q):
     """sum_i B_i' Q B_i with B_i = diag(sd_i) X_i (a batched matmul and a
     GEMM per block)."""
-    return reduce(np.add, (_flat(B).T @ _flat(QB)
-                           for _, B, QB in _sandwiched_blocks(X, sd, Q)))
+    def block_gram(rows):
+        B, QB = _sandwiched_block(X, sd, Q, rows)
+        return _flat(B).T @ _flat(QB)
+
+    return reduce(np.add, map(block_gram, _blocks(X)))
 
 
 def _subject_scores(X, t):
@@ -121,15 +124,17 @@ def _subject_scores(X, t):
     return np.matmul(t[:, None, :], X)[:, 0, :]
 
 
-# A system maps beta to (g, t, gram): the estimating function
+# A system maps (beta, cells) to (g, t, gram): the estimating function
 # g = sum_i X_i' t_i, the working residuals t, one row per subject, and a
 # callable that builds the scoring matrix H at beta from the arrays it binds.
-# The line search calls it only at the points it accepts.
+# t and those arrays are the planes of cells, which each evaluation overwrites.
+# The line search calls gram only at the points it accepts.
 
-def _blockwise_system(data, family, beta, cell_values):
+def _blockwise_system(data, family, beta, cell_values, cells=None):
     """(g, t, w): the model is evaluated a block of subjects at a time, and
-    cell_values(ModelEval) gives the block's rows of the (n, m) arrays t and w."""
-    t, w = np.empty_like(data.y), np.empty_like(data.y)
+    cell_values(ModelEval) gives the block's rows of t and w, the planes of
+    cells (a new (2, n, m) array by default)."""
+    t, w = np.empty((2,) + data.y.shape) if cells is None else cells
 
     def block_score(rows):
         t[rows], w[rows] = cell_values(eval_model(data, family, beta, rows))
@@ -138,19 +143,19 @@ def _blockwise_system(data, family, beta, cell_values):
     return reduce(np.add, map(block_score, _blocks(data.X))), t, w
 
 
-def _independence_system(data, family, beta):
-    g, eps, var = _blockwise_system(data, family, beta, lambda ev: (ev.eps, ev.var))
+def _independence_system(data, family, beta, cells):
+    g, eps, var = _blockwise_system(data, family, beta, lambda ev: (ev.eps, ev.var), cells)
     return g, eps, partial(_weighted_gram, data.X, var)
 
 
-def _general_system(data, family, beta, Q):
+def _general_system(data, family, beta, Q, cells=None):
     """Estimating function and scoring matrix for a fixed correlation inverse Q;
     the working residuals are A^{1/2} Q A^{-1/2} eps, per subject."""
     def cell_values(ev):
         sd = ev.sd
         return sd * ((ev.eps / sd) @ Q.T), sd
 
-    g, t, sd = _blockwise_system(data, family, beta, cell_values)
+    g, t, sd = _blockwise_system(data, family, beta, cell_values, cells)
     return g, t, partial(_sandwiched_gram, data.X, sd, Q)
 
 
@@ -185,12 +190,15 @@ def _newton_solve(data, family, beta_init, opts, system, method):
     decrease or the link overflows along the way.  H is built only at the
     accepted points and decomposed once there: at the initial point that is
     the rank check, and at beta_hat it gives H^{-1} for the sandwich
-    covariance the result carries.
+    covariance the result carries.  Every point is evaluated into one pair of
+    (n, m) arrays: H^{-1} is taken at an accepted point before any candidate
+    overwrites its t and gram, and beta_hat is the point evaluated last.
     """
     beta = np.asarray(beta_init, dtype=float).copy()
     tol = _convergence_scale(data, opts)
+    cells = np.empty((2,) + data.y.shape)
     try:
-        g, t, gram = system(beta)
+        g, t, gram = system(beta, cells)
     except LinkOverflowError as exc:
         raise LineSearchFailure(f"link overflow at the initial point: {exc}") from exc
     gnorm = _norm(g)
@@ -207,7 +215,7 @@ def _newton_solve(data, family, beta_init, opts, system, method):
         for _ in range(opts.step_halving_max + 1):
             cand = beta + scale * step
             try:
-                g_new, t_new, gram = system(cand)
+                g_new, t, gram = system(cand, cells)
             except LinkOverflowError:
                 scale *= 0.5
                 continue
@@ -215,7 +223,6 @@ def _newton_solve(data, family, beta_init, opts, system, method):
             if gnorm_new < gnorm:
                 accepted = True
                 break
-            t_new = gram = None     # the rejected candidate's arrays go before the next
             scale *= 0.5
         if not accepted:
             raise LineSearchFailure(
@@ -224,7 +231,7 @@ def _newton_solve(data, family, beta_init, opts, system, method):
             )
 
         step_size = _norm(scale * step)
-        beta, g, t, gnorm = cand, g_new, t_new, gnorm_new
+        beta, g, gnorm = cand, g_new, gnorm_new
         trace.append((beta.copy(), gnorm))
         H_inv = _scoring_inverse(gram(), f"after iteration {it}")
         converged = gnorm <= tol
@@ -249,7 +256,7 @@ def gee_independence_fit(data, family, beta_init=None, opts=SolverOptions()):
         beta_init = np.zeros(data.p)
     return _newton_solve(
         data, family, beta_init, opts,
-        lambda b: _independence_system(data, family, b),
+        lambda b, cells: _independence_system(data, family, b, cells),
         METHOD_INDEPENDENCE,
     )
 
@@ -291,7 +298,7 @@ def pseudo_likelihood_fit(data, family, corr, beta_init=None, opts=SolverOptions
         beta_init = np.zeros(data.p)
     result = _newton_solve(
         data, family, beta_init, opts,
-        lambda b: _general_system(data, family, b, Q),
+        lambda b, cells: _general_system(data, family, b, Q, cells),
         METHOD_PSEUDO_LIKELIHOOD,
     )
     result.correlation_used = corr

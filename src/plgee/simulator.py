@@ -9,7 +9,6 @@ bit for bit.
 """
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -368,13 +367,14 @@ def _run_replicate(config, r):
 def run_replicates(config, workers=1):
     """Run every replicate once, in a process pool when workers > 1.
 
-    The pool has at most one process per replicate.  Results come back in
-    replicate order either way, so worker count does not affect anything
-    built from them.
+    The pool, imported only by a run that starts it, has at most one process
+    per replicate.  Results come back in replicate order either way, so
+    worker count does not affect anything built from them.
     """
     reps = range(config.replications)
     workers = min(workers, config.replications)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_replicate, [config] * config.replications, reps))
     return [_run_replicate(config, r) for r in reps]

@@ -55,7 +55,11 @@ def counts_csv(tmp_path):
 class TestStableJson:
     def test_sorted_keys_and_float_format(self):
         text = dumps_stable({"b": 1.5, "a": [True, None, float("nan")]})
-        assert text == '{"a":[true,null,NaN],"b":1.5}'
+        assert text == '{"a":[true,null,null],"b":1.5}'
+
+    def test_non_finite_floats_are_null(self):
+        values = [float("nan"), float("inf"), -float("inf"), np.float32("nan"), np.float64("-inf")]
+        assert dumps_stable(values) == "[null,null,null,null,null]"
 
     def test_round_trip_precision(self):
         x = 0.1 + 0.2
@@ -873,6 +877,37 @@ class TestSimulate:
         assert out == ""
         assert json.loads(err)["error"] == "config"
 
+    def test_log_link_workers_do_not_change_json_or_csv_bytes(self, tmp_path, capsys):
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps({
+            "n": 60, "m": 3, "p": 2, "family": "log", "beta0": [0.5, -0.3],
+            "design": {"kind": "iid_uniform"},
+            "correlation": {"kind": "exchangeable", "rho": 0.3},
+            "replications": 4, "base_seed": 8}))
+        outputs = []
+        for workers in ("1", "2"):
+            out, reps = tmp_path / f"out{workers}.json", tmp_path / f"reps{workers}.csv"
+            code, _, _ = run_cli(["simulate", "--config", str(path), "--workers", workers,
+                                  "--out", str(out), "--replicates-csv", str(reps)], capsys)
+            assert code == 0
+            outputs.append((out.read_bytes(), reps.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_one_replicate_report_is_strict_json(self, config_json, capsys):
+        # one replicate's variances are 0, so its efficiency ratios are NaN
+        with open(config_json) as fh:
+            doc = json.load(fh)
+        doc["replications"] = 1
+        with open(config_json, "w") as fh:
+            json.dump(doc, fh)
+        code, out, _ = run_cli(["simulate", "--config", config_json], capsys)
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not strict JSON")
+
+        assert json.loads(out, parse_constant=reject)["efficiency_ratio"] == [None, None]
+
     def test_report_matches_library_call(self, config_json, capsys):
         from plgee.simulator import monte_carlo_run
         _, out, _ = run_cli(["simulate", "--config", config_json], capsys)
@@ -894,7 +929,8 @@ class TestExitCodes:
 
 
 class TestImports:
-    """`import plgee.cli` loads everything a command uses, and no scipy."""
+    """`import plgee.cli` loads everything a command uses, and neither scipy
+    nor the process pool, which only a run with --workers > 1 starts."""
 
     SCRIPT = """
 import json, sys
@@ -905,7 +941,9 @@ for argv in json.loads(sys.argv[1]):
     plgee.cli.main(argv)
     added[argv[0]] = sorted(set(sys.modules) - loaded)
 scipy = sorted(m for m in loaded if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({"scipy": scipy, "added": added}))
+pool = sorted(m for m in loaded
+              if m.partition(".")[0] == "multiprocessing" or m.startswith("concurrent.futures"))
+print(json.dumps({"scipy": scipy, "pool": pool, "added": added}))
 """
 
     def test_commands_import_nothing_and_no_scipy(self, data_csv, counts_csv, tmp_path):
@@ -924,4 +962,5 @@ print(json.dumps({"scipy": scipy, "added": added}))
         proc = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(argvs)],
                               capture_output=True, text=True, env=env, check=True)
         doc = json.loads(proc.stdout)
-        assert doc == {"scipy": [], "added": {"fit": [], "diagnose": [], "simulate": []}}
+        assert doc == {"scipy": [], "pool": [],
+                       "added": {"fit": [], "diagnose": [], "simulate": []}}

@@ -15,7 +15,8 @@ from plgee.diagnostics import (
 from plgee.errors import NotPositiveDefiniteError, ShapeError
 from plgee.estimator import estimate_correlation, gee_independence_fit, sandwich_covariance
 from plgee.matkernel import SymMatrix, matrix_stats, sym_eigen
-from plgee.model import IDENTITY, LOG, LOGIT, LongitudinalDataset, eval_model, link_eval
+from plgee.model import (IDENTITY, LOG, LOGIT, LongitudinalDataset, _link_arrays, eval_model,
+                         link_eval)
 from plgee.simulator import exchangeable_matrix, gen_gaussian
 
 
@@ -172,6 +173,18 @@ class TestSmoothnessMaxima:
         km = smoothness_maxima(data, LOG, np.zeros(2), 0.5)
         assert km["k2"] == pytest.approx(1.0)
         assert km["k3"] == pytest.approx(1.0)
+
+    def test_theta_is_eval_models_gemv(self):
+        # each probe's theta is the one GEMV on the (cells, p) flattening that
+        # eval_model forms, bit for bit (numpy's batched 3-D matvec gives a
+        # theta whose k2 differs in the last bit on this draw)
+        rng = np.random.default_rng(84)
+        X = rng.uniform(-1, 1, size=(40, 10, 8))
+        data = LongitudinalDataset(X, np.zeros((40, 10)))
+        beta = rng.uniform(-0.5, 0.5, size=8)
+        _, d1, d2, d3 = _link_arrays(LOGIT, eval_model(data, LOGIT, beta).theta)
+        assert smoothness_maxima(data, LOGIT, beta, 0.0) == {
+            "k2": float(np.max(np.abs(d2 / d1))), "k3": float(np.max(np.abs(d3 / d1)))}
 
     def test_logit_grid_oracle(self):
         # single covariate ranging over [-2, 2]: probe maxima should match a

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from plgee import estimator, model
+from plgee.diagnostics import _general_gram
 from plgee.errors import (
     DegenerateVarianceError,
     LinkOverflowError,
@@ -269,15 +270,32 @@ class TestAssemblyHelpers:
         # the model is evaluated and every sum formed over subject blocks, so
         # the fit holds a few (n, m) arrays and no (n, m, p) temporary; whole-
         # array model evaluation peaks at 1.13x X.nbytes, full-stack products
-        # at 2.75x
+        # at 2.75x, and two blocks of B and Q B alive at once, with the
+        # accepted point's arrays kept through each line search, at 0.58x
         data = self.large_counts()
         fit, peak = self.traced_peak(lambda: two_step_fit(data, LOG))
         assert fit.method == "pseudo_likelihood" and fit.converged
-        assert peak < 0.75 * data.X.nbytes
+        assert peak < 0.5 * data.X.nbytes
+
+    @pytest.mark.parametrize("build", [_sandwiched_gram, _general_gram])
+    def test_sandwiched_grams_hold_one_block_at_a_time(self, build, monkeypatch):
+        # building the next block's B and Q B while the previous pair is
+        # still alive peaked at four blocks' worth
+        rng = np.random.default_rng(3)
+        n, m, p = 4000, 4, 8
+        X = rng.uniform(-1, 1, size=(n, m, p))
+        sd = rng.uniform(0.5, 2.0, size=(n, m))
+        Q = np.linalg.inv(exchangeable_matrix(m, 0.3))
+        monkeypatch.setattr(estimator, "_BLOCK_CELLS", n // 8 * m * p)
+        result, peak = self.traced_peak(lambda: build(X, sd, Q))
+        if isinstance(result, tuple):       # _general_gram also returns the (n, p, p) stack
+            peak -= result[1].nbytes
+        assert peak < 3 * X.nbytes / 8
 
     def test_step_halving_does_not_raise_peak_memory(self, monkeypatch):
-        # a rejected candidate's arrays are released before the next one is
-        # evaluated: keeping them peaked at 0.67x X.nbytes against 0.54x
+        # a candidate is evaluated into the arrays of the point before it:
+        # keeping a rejected candidate's arrays alive while the next one is
+        # evaluated peaked at 0.54x X.nbytes against 0.35x
         data = self.large_counts()
         systems = []
         real = estimator._independence_system
@@ -404,8 +422,8 @@ class TestTwoStep:
         beta_hat = two_step_fit(data, LOGIT).beta_hat
         real = estimator._general_system
 
-        def singular_at_beta_hat(data, family, beta, Q):
-            g, t, gram = real(data, family, beta, Q)
+        def singular_at_beta_hat(data, family, beta, Q, cells=None):
+            g, t, gram = real(data, family, beta, Q, cells)
             if np.array_equal(beta, beta_hat):
                 return g, t, lambda: 0.0 * gram()
             return g, t, gram

@@ -387,7 +387,7 @@ class TestHarness:
                 assert len(r["covered"]) == c.p
 
     def test_pool_never_larger_than_replications(self, monkeypatch):
-        import plgee.simulator as simulator
+        import concurrent.futures
         sizes = []
 
         class InProcessPool:
@@ -403,7 +403,7 @@ class TestHarness:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(simulator, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         c = config(n=40, replications=3)
         rows = run_replicates(c, workers=10_000)
         assert sizes == [3]
