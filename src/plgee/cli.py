@@ -3,7 +3,8 @@
 All outputs are strict JSON with sorted keys and 17-significant-digit floats
 (null for NaN or infinity), so reruns are byte-identical and round-trip exactly.
 Exit codes: 0 success, 1 error, 2 completed-with-warnings (non-convergence,
-fewer subjects than covariates, or too many failed replicates).
+fewer subjects than covariates, or too many failed replicates), each cause
+named by a JSON warning line on stderr.
 """
 
 import argparse
@@ -45,16 +46,6 @@ MAX_FAILURE_FRACTION = 0.02
 # ---------------------------------------------------------------------------
 # stable JSON
 # ---------------------------------------------------------------------------
-
-def _format_float(x):
-    if x != x:
-        return "NaN"
-    if x == float("inf"):
-        return "Infinity"
-    if x == float("-inf"):
-        return "-Infinity"
-    return format(x, ".17g")
-
 
 def dumps_stable(obj):
     """Strict JSON: sorted keys, 17-significant-digit floats, null for NaN and infinities."""
@@ -364,13 +355,19 @@ def cmd_fit(args):
         "fallback_flag": bool(fit.fallback_to_independence),
     }
     _write_json(payload, args.out)
+    code = 0
     if data.n < data.p:
         # the sandwich's middle matrix is a sum of n rank-one terms
         _write_notice("warning", "fewer-subjects-than-covariates",
                       f"n={data.n} subjects < p={data.p} covariates: the sandwich "
                       "covariance is singular, so stderr and wald_ci are not valid")
-        return 2
-    return 0 if fit.converged else 2
+        code = 2
+    if not fit.converged:
+        _write_notice("warning", "not-converged",
+                      f"the {fit.method} fit did not converge (iterations={fit.iterations}, "
+                      f"gnorm={fit.final_gnorm:.6g}); beta_hat is its last iterate")
+        code = 2
+    return code
 
 
 def _parse_list(text, convert, flag):
@@ -434,13 +431,16 @@ def cmd_simulate(args):
             for d in results:
                 if d["ok"]:
                     writer.writerow([d["rep"], 1]
-                                    + [_format_float(v) for v in d["beta_two"]]
-                                    + [_format_float(v) for v in d["z"]]
+                                    + [format(v, ".17g") for v in d["beta_two"] + d["z"]]
                                     + [int(c) for c in d["covered"]])
                 else:
                     writer.writerow([d["rep"], 0] + [""] * (3 * config.p))
-    frac_failed = report.n_failures / report.replications
-    return 0 if frac_failed <= MAX_FAILURE_FRACTION else 2
+    if report.n_failures / report.replications > MAX_FAILURE_FRACTION:
+        _write_notice("warning", "replicates-failed",
+                      f"{report.n_failures} of {report.replications} replicates failed, "
+                      f"more than the {MAX_FAILURE_FRACTION:g} fraction allowed")
+        return 2
+    return 0
 
 
 def build_parser():

@@ -9,12 +9,12 @@ along a grid of subject prefixes, leaving judgment to the user.
 
 import math
 from dataclasses import dataclass, fields
-from functools import reduce
 
 import numpy as np
 
 from .errors import LinkOverflowError, ShapeError
-from .estimator import _blocks, _flat, _sandwiched_block, _weighted_gram, estimate_correlation
+from .estimator import (_blocks, _flat, _sandwiched_block, _sandwiched_gram, _weighted_gram,
+                        estimate_correlation)
 from .matkernel import SymMatrix, max_relative_eigenvalue, sym_eigen
 from .model import _link_arrays, eval_model
 
@@ -73,16 +73,17 @@ def smoothness_maxima(data, family, beta_center, radius_r=0.0):
     k2 = 0.0
     k3 = 0.0
     for idx, beta in enumerate(probes):
-        theta = _flat(data.X) @ beta      # one GEMV; only the maxima over cells are kept
-        try:
-            _, d1, d2, d3 = _link_arrays(family, theta)
-        except LinkOverflowError as exc:
-            raise LinkOverflowError(
-                f"link overflow at probe point {idx} "
-                f"(beta={np.array2string(beta, precision=4)})"
-            ) from exc
-        k2 = max(k2, float(np.max(np.abs(d2 / d1))))
-        k3 = max(k3, float(np.max(np.abs(d3 / d1))))
+        for rows in _blocks(data.X):
+            theta = _flat(data.X[rows]) @ beta      # eval_model's GEMV, a block at a time
+            try:
+                _, d1, d2, d3 = _link_arrays(family, theta)
+            except LinkOverflowError as exc:
+                raise LinkOverflowError(
+                    f"link overflow at probe point {idx} "
+                    f"(beta={np.array2string(beta, precision=4)})"
+                ) from exc
+            k2 = max(k2, float(np.max(np.abs(d2 / d1))))
+            k3 = max(k3, float(np.max(np.abs(d3 / d1))))
     return {"k2": k2, "k3": k3}
 
 
@@ -93,19 +94,6 @@ def _max_quad_form(X, A):
                for rows in _blocks(X))
 
 
-def _general_gram(X, sd, Q):
-    """(sum_i B_i' Q B_i, the stack of the B_i' Q B_i), B_i = diag(sd_i) X_i,
-    from one Q B product per block of subjects."""
-    D = np.empty((X.shape[0], X.shape[2], X.shape[2]))
-
-    def block_gram(rows):
-        B, QB = _sandwiched_block(X, sd, Q, rows)
-        np.matmul(np.swapaxes(B, 1, 2), QB, out=D[rows])
-        return _flat(B).T @ _flat(QB)
-
-    return reduce(np.add, map(block_gram, _blocks(X))), D
-
-
 def design_diagnostics(data, family, beta, R, M_hat=None, true_corr=None):
     """Evaluate all regularity quantities at (beta, R).
 
@@ -114,9 +102,10 @@ def design_diagnostics(data, family, beta, R, M_hat=None, true_corr=None):
     supply it again as ``true_corr`` to get the oracle-only extras.
     """
     beta = np.asarray(beta, dtype=float)
-    ev = eval_model(data, family, beta)
+    var = eval_model(data, family, beta).var      # the report needs no other cell values
+    sd = np.sqrt(var)                               # ModelEval.sd, taken once
 
-    H_indep = SymMatrix(_weighted_gram(data.X, ev.var))
+    H_indep = SymMatrix(_weighted_gram(data.X, var))
     eig_Hi = sym_eigen(H_indep, require_spd="independence scoring matrix")
 
     eig_R = sym_eigen(R, require_spd="correlation matrix")
@@ -125,16 +114,21 @@ def design_diagnostics(data, family, beta, R, M_hat=None, true_corr=None):
     pi_n = float(q_max / q_min)
     tau_tilde = float(data.m * q_max)
 
-    H, D = _general_gram(data.X, ev.sd, Q)
-    H = SymMatrix(H)
+    H = SymMatrix(_sandwiched_gram(data.X, sd, Q))
     eig_H = sym_eigen(H, require_spd="general scoring matrix")
 
     gamma0_indep = _max_quad_form(data.X, eig_Hi.power(-1))
     gamma0 = _max_quad_form(data.X, eig_H.power(-1))
     gamma_tilde = tau_tilde * gamma0
 
-    # largest eigenvalue of H^{-1/2} B_i' Q B_i H^{-1/2} over the subjects
-    gamma_D = max(max_relative_eigenvalue(D[rows], eig_H) for rows in _blocks(data.X))
+    # largest eigenvalue of H^{-1/2} B_i' Q B_i H^{-1/2} over the subjects; a
+    # block's B and Q B are released before its eigenproblems are solved
+    def subject_grams(rows):
+        B, QB = _sandwiched_block(data.X, sd, Q, rows)
+        return np.swapaxes(B, 1, 2) @ QB
+
+    gamma_D = max(max_relative_eigenvalue(subject_grams(rows), eig_H)
+                  for rows in _blocks(data.X))
 
     c_n = None
     if M_hat is not None:

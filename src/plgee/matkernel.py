@@ -106,7 +106,9 @@ def max_relative_eigenvalue(A, eig):
     """
     root = eig.power(-0.5)
     W = root @ (A.a if isinstance(A, SymMatrix) else np.asarray(A, dtype=float)) @ root
-    return float(np.max(np.linalg.eigvalsh(0.5 * (W + np.swapaxes(W, -1, -2)))))
+    W = W + np.swapaxes(W, -1, -2)
+    W *= 0.5            # in place: one stack-sized temporary fewer alive
+    return float(np.max(np.linalg.eigvalsh(W)))
 
 
 @dataclass(frozen=True)

@@ -369,8 +369,11 @@ def run_replicates(config, workers=1):
 
     The pool, imported only by a run that starts it, has at most one process
     per replicate.  Results come back in replicate order either way, so
-    worker count does not affect anything built from them.
+    worker count does not affect anything built from them.  Fewer than one
+    worker raises InvalidInputError.
     """
+    if workers < 1:
+        raise InvalidInputError(f"workers must be at least 1, got {workers}")
     reps = range(config.replications)
     workers = min(workers, config.replications)
     if workers > 1:

@@ -630,13 +630,18 @@ class TestFit:
     def test_unconverged_preliminary_fit_exits_2(self, counts_csv, capsys, monkeypatch):
         monkeypatch.setattr(cli, "two_step_fit", lambda data, family: two_step_fit(
             data, family, opts=SolverOptions(max_iter=1)))
-        code, out, _ = run_cli(["fit", "--data", counts_csv, "--link", "log"], capsys)
+        code, out, err = run_cli(["fit", "--data", counts_csv, "--link", "log"], capsys)
         assert code == 2
         doc = json.loads(out)
         assert doc["converged"] is False
         assert doc["fallback_flag"] is True
         assert doc["R_tilde"] is None
         assert doc["method"] == "independence"
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "warning": "not-converged",
+            "detail": f"the independence fit did not converge (iterations=1, "
+                      f"gnorm={doc['final_gnorm']:.6g}); beta_hat is its last iterate"}
 
     @pytest.mark.parametrize("n, want", [(1, 2), (2, 0), (3, 0)])
     def test_fewer_subjects_than_covariates_exits_2(self, tmp_path, capsys, n, want):
@@ -852,10 +857,39 @@ class TestSimulate:
         for row, d in zip(rows, results, strict=True):
             if d["ok"]:
                 assert row == ([str(d["rep"]), "1"]
-                               + [cli._format_float(v) for v in d["beta_two"] + d["z"]]
+                               + [format(v, ".17g") for v in d["beta_two"] + d["z"]]
                                + [str(int(c)) for c in d["covered"]])
             else:
                 assert row == [str(d["rep"]), "0"] + [""] * 6
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_fewer_than_one_worker_is_error(self, config_json, capsys, workers):
+        code, out, err = run_cli(["simulate", "--config", config_json,
+                                  "--workers", workers], capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err) == {"error": "invalid-input",
+                                   "detail": f"workers must be at least 1, got {workers}"}
+
+    def test_too_many_failed_replicates_exits_2_with_warning(self, config_json, tmp_path,
+                                                             capsys, monkeypatch):
+        import plgee.simulator as simulator
+        run_one = simulator._run_replicate
+        monkeypatch.setattr(simulator, "_run_replicate", lambda config, r: (
+            {"rep": r, "ok": False} if r == 2 else run_one(config, r)))
+        reps = tmp_path / "reps.csv"
+        code, out, err = run_cli(["simulate", "--config", config_json,
+                                  "--replicates-csv", str(reps)], capsys)
+        assert code == 2
+        with open(config_json) as fh:
+            config = SimConfig.from_json(json.load(fh))
+        results = simulator.run_replicates(config)
+        assert out == dumps_stable(simulator.summarize_replicates(config, results).to_json()) + "\n"
+        assert reps.read_text().splitlines()[3] == "2,0,,,,,,"
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "warning": "replicates-failed",
+            "detail": "1 of 6 replicates failed, more than the 0.02 fraction allowed"}
 
     def test_misspelled_config_key_is_config_error(self, config_json, capsys):
         with open(config_json) as fh:

@@ -12,7 +12,7 @@ from plgee.diagnostics import (
     smoothness_maxima,
     trend_flags,
 )
-from plgee.errors import NotPositiveDefiniteError, ShapeError
+from plgee.errors import LinkOverflowError, NotPositiveDefiniteError, ShapeError
 from plgee.estimator import estimate_correlation, gee_independence_fit, sandwich_covariance
 from plgee.matkernel import SymMatrix, matrix_stats, sym_eigen
 from plgee.model import (IDENTITY, LOG, LOGIT, LongitudinalDataset, _link_arrays, eval_model,
@@ -70,13 +70,17 @@ def test_batched_gamma_D_matches_subject_loop(n, m, p, family):
 class TestDesignDiagnostics:
     @pytest.mark.parametrize("subjects", [1, 3])
     def test_subject_blocks_match_one_block(self, subjects, monkeypatch):
+        # logit, so that k2 and k3 vary over the cells (log gives 1 at each)
         data = gaussian_dataset(n=30, m=4, seed=9)
         beta, R = np.array([1.0, -0.5]), exchangeable_matrix(4, 0.3)
-        want = design_diagnostics(data, LOG, beta, R)
+        want = design_diagnostics(data, LOGIT, beta, R)
         monkeypatch.setattr(estimator, "_BLOCK_CELLS", subjects * 4 * 2)
-        got = design_diagnostics(data, LOG, beta, R)
+        got = design_diagnostics(data, LOGIT, beta, R)
         for name in ("gamma_D", "gamma0", "gamma0_indep", "lambda_min_H_indep"):
             assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12)
+        # each cell's theta is the same GEMV row whatever the block
+        assert (got.k2, got.k3) == (want.k2, want.k3)
+        assert 0.0 < want.k2 < 1.0
 
     def test_identity_correlation_values(self):
         data = gaussian_dataset(m=3, seed=1)
@@ -185,6 +189,25 @@ class TestSmoothnessMaxima:
         _, d1, d2, d3 = _link_arrays(LOGIT, eval_model(data, LOGIT, beta).theta)
         assert smoothness_maxima(data, LOGIT, beta, 0.0) == {
             "k2": float(np.max(np.abs(d2 / d1))), "k3": float(np.max(np.abs(d3 / d1)))}
+
+    @pytest.mark.parametrize("subjects", [1, 3])
+    def test_subject_blocks_match_one_block(self, subjects, monkeypatch):
+        data = gaussian_dataset(n=30, m=4, seed=12)
+        beta = np.array([1.0, -0.5])
+        want = smoothness_maxima(data, LOGIT, beta, 0.7)
+        monkeypatch.setattr(estimator, "_BLOCK_CELLS", subjects * 4 * 2)
+        got = smoothness_maxima(data, LOGIT, beta, 0.7)
+        # the probes come from the blockwise independence scoring matrix,
+        # whose sum may round differently with the blocks
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_overflow_in_a_later_block_names_the_probe(self, monkeypatch):
+        X = np.ones((6, 2, 1))
+        X[4] = 800.0         # theta = 800 > the log link's limit, in the third block
+        data = LongitudinalDataset(X, np.zeros((6, 2)))
+        monkeypatch.setattr(estimator, "_BLOCK_CELLS", 2 * 2 * 1)
+        with pytest.raises(LinkOverflowError, match=r"^link overflow at probe point 0 \(beta="):
+            smoothness_maxima(data, LOG, np.ones(1), 0.0)
 
     def test_logit_grid_oracle(self):
         # single covariate ranging over [-2, 2]: probe maxima should match a

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from plgee import estimator, model
-from plgee.diagnostics import _general_gram
+from plgee.diagnostics import design_diagnostics
 from plgee.errors import (
     DegenerateVarianceError,
     LinkOverflowError,
@@ -277,7 +277,19 @@ class TestAssemblyHelpers:
         assert fit.method == "pseudo_likelihood" and fit.converged
         assert peak < 0.5 * data.X.nbytes
 
-    @pytest.mark.parametrize("build", [_sandwiched_gram, _general_gram])
+    def test_design_diagnostics_peak_memory_below_design_size(self):
+        # gamma_D and k2/k3 are reduced a block of subjects at a time and only
+        # the model's variances are kept: a stack of the n subjects' p x p
+        # matrices B_i' Q B_i for gamma_D peaked at 2.18x X.nbytes, and
+        # holding the whole ModelEval through the report at 0.86x (0.50x now)
+        data = self.large_counts()
+        R = exchangeable_matrix(data.m, 0.3)
+        report, peak = self.traced_peak(
+            lambda: design_diagnostics(data, LOG, np.linspace(0.5, -0.3, data.p), R))
+        assert report.gamma_D > 0.0
+        assert peak < 0.75 * data.X.nbytes
+
+    @pytest.mark.parametrize("build", [_sandwiched_gram])
     def test_sandwiched_grams_hold_one_block_at_a_time(self, build, monkeypatch):
         # building the next block's B and Q B while the previous pair is
         # still alive peaked at four blocks' worth
@@ -287,9 +299,7 @@ class TestAssemblyHelpers:
         sd = rng.uniform(0.5, 2.0, size=(n, m))
         Q = np.linalg.inv(exchangeable_matrix(m, 0.3))
         monkeypatch.setattr(estimator, "_BLOCK_CELLS", n // 8 * m * p)
-        result, peak = self.traced_peak(lambda: build(X, sd, Q))
-        if isinstance(result, tuple):       # _general_gram also returns the (n, p, p) stack
-            peak -= result[1].nbytes
+        _, peak = self.traced_peak(lambda: build(X, sd, Q))
         assert peak < 3 * X.nbytes / 8
 
     def test_step_halving_does_not_raise_peak_memory(self, monkeypatch):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from plgee.errors import ConfigError, NotPositiveDefiniteError
+from plgee.errors import ConfigError, InvalidInputError, NotPositiveDefiniteError
 from plgee.model import IDENTITY, LOG, LOGIT, PROBIT
 from plgee.simulator import (
     CorrelationSpec,
@@ -410,3 +410,10 @@ class TestHarness:
         assert rows == run_replicates(c, workers=1)
         run_replicates(config(n=40, replications=1), workers=8)   # one replicate: no pool
         assert sizes == [3]
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_fewer_than_one_worker_is_rejected(self, workers, monkeypatch):
+        import plgee.simulator as simulator
+        monkeypatch.setattr(simulator, "_run_replicate", pytest.fail)    # nothing runs
+        with pytest.raises(InvalidInputError, match=f"workers must be at least 1, got {workers}"):
+            run_replicates(config(), workers=workers)
