@@ -35,6 +35,7 @@ from .estimator import (
 from .model import LINK_KINDS, LinkFamily, LongitudinalDataset
 from .simulator import (
     SimConfig,
+    _rng,
     mix_seed,
     run_replicates,
     summarize_replicates,
@@ -331,8 +332,7 @@ def write_dataset_csv(data, path):
 def _load_dataset(args):
     data = parse_dataset_csv(args.data)
     if args.shuffle_subjects is not None:
-        rng = np.random.Generator(np.random.PCG64(mix_seed(args.shuffle_subjects, 0)))
-        data = data.permuted(rng.permutation(data.n))
+        data = data.permuted(_rng(mix_seed(args.shuffle_subjects, 0)).permutation(data.n))
     return data
 
 

@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
-from numpy.random import PCG64, Generator   # numpy 2 would import it on first use
 
 from .errors import (ConfigError, EmptyReportError, InvalidInputError, NotPositiveDefiniteError,
                      PlgeeError)
@@ -46,9 +45,15 @@ def mix_seed(seed, index):
     return x ^ (x >> 31)
 
 
+def _rng(seed):
+    """The PCG64 generator of `seed`.  numpy.random (which loads OpenSSL) is
+    imported here, so that only a run that draws pays for it."""
+    from numpy.random import PCG64, Generator
+    return Generator(PCG64(seed))
+
+
 def _uniforms(seed, shape):
-    rng = Generator(PCG64(seed))
-    return rng.random(shape)
+    return _rng(seed).random(shape)
 
 
 def _standard_normals(seed, shape):
@@ -221,8 +226,7 @@ def make_design(config, seed=None):
     # categorical: levels assigned cyclically over cells, then shuffled
     cells = n * m
     levels = np.arange(cells) % p
-    rng = Generator(PCG64(seed))
-    levels = levels[rng.permutation(cells)]
+    levels = levels[_rng(seed).permutation(cells)]
     X = np.zeros((cells, p))
     X[np.arange(cells), levels] = 1.0
     return X.reshape(n, m, p)

@@ -24,7 +24,7 @@ from plgee.estimator import (
     two_step_fit,
 )
 from plgee.model import IDENTITY, LongitudinalDataset
-from plgee.simulator import SimConfig, exchangeable_matrix, gen_gaussian
+from plgee.simulator import SimConfig, exchangeable_matrix, gen_gaussian, mix_seed
 
 
 def sample_dataset(n=60, m=3, p=2, seed=0):
@@ -560,6 +560,14 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+def fresh_python(script, *args):
+    """JSON printed by `script` run in a new interpreter with this sys.path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, env=env, check=True)
+    return json.loads(proc.stdout)
+
+
 class TestFit:
     def test_two_step_payload(self, data_csv, capsys):
         code, out, _ = run_cli(
@@ -672,6 +680,23 @@ class TestFit:
         b0 = json.loads(out0)["beta_hat"]
         b1 = json.loads(out1)["beta_hat"]
         assert np.allclose(b0, b1, atol=1e-8)
+
+
+class TestShuffleSubjects:
+    @pytest.mark.parametrize("command", ["fit", "diagnose"])
+    def test_shuffle_is_the_seeded_permutation(self, tmp_path, capsys, command):
+        """--shuffle-subjects 3 writes the bytes of the same command run on a
+        CSV whose subjects are stored in the order of the seed-3 stream."""
+        data = sample_dataset()
+        order = np.random.Generator(np.random.PCG64(mix_seed(3, 0))).permutation(data.n)
+        plain, permuted = tmp_path / "plain.csv", tmp_path / "permuted.csv"
+        write_dataset_csv(data, plain)
+        write_dataset_csv(data.permuted(order), permuted)
+        argv = [command, "--link", "identity", "--data"]
+        want = run_cli(argv + [str(permuted)], capsys)
+        assert want[0] == 0
+        assert run_cli(argv + [str(plain), "--shuffle-subjects", "3"], capsys) == want
+        assert run_cli(argv + [str(plain)], capsys)[1] != want[1]
 
 
 class TestDiagnose:
@@ -927,6 +952,35 @@ class TestSimulate:
             outputs.append((out.read_bytes(), reps.read_bytes()))
         assert outputs[0] == outputs[1]
 
+    POOL_PARENT = """
+import json, sys
+import plgee.cli
+code = plgee.cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, "numpy.random" in sys.modules]))
+"""
+
+    def test_pool_children_import_the_generator_themselves(self, tmp_path, capsys):
+        """A parent that never imported numpy.random starts the pool: each
+        child imports it on its first draw, and the bytes do not change."""
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps({
+            "n": 60, "m": 3, "p": 2, "family": "log", "beta0": [0.5, -0.3],
+            "design": {"kind": "categorical"},
+            "correlation": {"kind": "exchangeable", "rho": 0.3},
+            "replications": 4, "base_seed": 8}))
+
+        def argv(workers):
+            return ["simulate", "--config", str(path), "--workers", workers,
+                    "--out", str(tmp_path / f"out{workers}.json"),
+                    "--replicates-csv", str(tmp_path / f"reps{workers}.csv")]
+
+        assert run_cli(argv("1"), capsys)[0] == 0
+        # exit code 0, and the parent ends without numpy.random: only its children drew
+        assert fresh_python(self.POOL_PARENT, json.dumps(argv("2"))) == [0, False]
+        for name in ("out{}.json", "reps{}.csv"):
+            one, two = (tmp_path / name.format(w) for w in (1, 2))
+            assert one.read_bytes() == two.read_bytes()
+
     def test_one_replicate_report_is_strict_json(self, config_json, capsys):
         # one replicate's variances are 0, so its efficiency ratios are NaN
         with open(config_json) as fh:
@@ -963,8 +1017,10 @@ class TestExitCodes:
 
 
 class TestImports:
-    """`import plgee.cli` loads everything a command uses, and neither scipy
-    nor the process pool, which only a run with --workers > 1 starts."""
+    """`import plgee.cli` loads everything fit and diagnose use, and neither
+    scipy, nor the process pool, which only a run with --workers > 1 starts,
+    nor numpy.random (with the OpenSSL it loads), which only a run that
+    draws imports.  numpy 2 imports numpy.random lazily, on first use."""
 
     SCRIPT = """
 import json, sys
@@ -977,7 +1033,16 @@ for argv in json.loads(sys.argv[1]):
 scipy = sorted(m for m in loaded if m == "scipy" or m.startswith("scipy."))
 pool = sorted(m for m in loaded
               if m.partition(".")[0] == "multiprocessing" or m.startswith("concurrent.futures"))
-print(json.dumps({"scipy": scipy, "pool": pool, "added": added}))
+rng = sorted(m for m in loaded if m.startswith("numpy.random") or m == "_hashlib")
+print(json.dumps({"scipy": scipy, "pool": pool, "rng": rng, "added": added}))
+"""
+
+    RANDOM = """
+import json, sys
+import plgee.cli
+loaded = set(sys.modules)
+import numpy.random
+print(json.dumps(sorted(set(sys.modules) - loaded)))
 """
 
     def test_commands_import_nothing_and_no_scipy(self, data_csv, counts_csv, tmp_path):
@@ -988,13 +1053,15 @@ print(json.dumps({"scipy": scipy, "pool": pool, "added": added}))
             "correlation": {"kind": "exchangeable", "rho": 0.3},
             "replications": 3, "base_seed": 5}))
         out = str(tmp_path / "out.json")
-        argvs = [["fit", "--data", counts_csv, "--link", "log", "--out", out],
+        fit = ["fit", "--data", counts_csv, "--link", "log", "--out", out]
+        argvs = [fit,
                  ["diagnose", "--data", data_csv, "--link", "identity", "--out", out],
                  ["simulate", "--config", str(config), "--out", out,
                   "--replicates-csv", str(tmp_path / "reps.csv")]]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
-        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(argvs)],
-                              capture_output=True, text=True, env=env, check=True)
-        doc = json.loads(proc.stdout)
-        assert doc == {"scipy": [], "pool": [],
-                       "added": {"fit": [], "diagnose": [], "simulate": []}}
+        doc = fresh_python(self.SCRIPT, json.dumps(argvs))
+        shuffled = fresh_python(self.SCRIPT, json.dumps([fit + ["--shuffle-subjects", "3"]]))
+        random = fresh_python(self.RANDOM)
+        assert "numpy.random" in random
+        assert doc == {"scipy": [], "pool": [], "rng": [],
+                       "added": {"fit": [], "diagnose": [], "simulate": random}}
+        assert shuffled["added"] == {"fit": random}
