@@ -121,8 +121,8 @@ def design_diagnostics(data, family, beta, R, M_hat=None, true_corr=None):
     gamma0 = _max_quad_form(data.X, eig_H.power(-1))
     gamma_tilde = tau_tilde * gamma0
 
-    # largest eigenvalue of H^{-1/2} B_i' Q B_i H^{-1/2} over the subjects; a
-    # block's B and Q B are released before its eigenproblems are solved
+    # largest eigenvalue of H^{-1/2} B_i' Q B_i H^{-1/2} over the subjects, solved
+    # only where a norm bound can reach it; a block's B and Q B are released first
     def subject_grams(rows):
         B, QB = _sandwiched_block(data.X, sd, Q, rows)
         return np.swapaxes(B, 1, 2) @ QB

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from plgee import estimator
+from plgee import diagnostics, estimator
 from plgee.diagnostics import (
     _max_quad_form,
     condition_trend_report,
@@ -54,7 +54,7 @@ def gamma_D_loop(data, family, beta, R):
 
 @pytest.mark.parametrize("n, m, p, family", [
     (1, 1, 1, IDENTITY), (1, 3, 2, LOG), (7, 1, 1, LOGIT), (12, 4, 1, LOG),
-    (40, 3, 3, IDENTITY), (25, 5, 4, LOGIT),
+    (40, 3, 3, IDENTITY), (25, 5, 4, LOGIT), (240, 4, 3, LOG),
 ])
 def test_batched_gamma_D_matches_subject_loop(n, m, p, family):
     rng = np.random.default_rng(1000 + 100 * n + 10 * m + p)
@@ -81,6 +81,27 @@ class TestDesignDiagnostics:
         # each cell's theta is the same GEMV row whatever the block
         assert (got.k2, got.k3) == (want.k2, want.k3)
         assert 0.0 < want.k2 < 1.0
+
+    @pytest.mark.parametrize("subjects", [None, 1, 3, 150])
+    def test_gamma_D_of_subject_blocks_solves_no_maximum_away(self, subjects, monkeypatch):
+        # H sums its blocks in another order for another block size, so gamma_D
+        # agrees with the one-block value to rounding only; at any one block
+        # size it is the maximum over every subject's eigenvalues bit for bit
+        data = gaussian_dataset(n=400, m=5, p=4, beta0=(1.0, -0.5, 0.3, 0.2), seed=11)
+        beta, R = np.linspace(-0.4, 0.4, 4), exchangeable_matrix(5, 0.3)
+        one_block = design_diagnostics(data, LOG, beta, R).gamma_D
+        if subjects is not None:
+            monkeypatch.setattr(estimator, "_BLOCK_CELLS", subjects * 5 * 4)
+        got = design_diagnostics(data, LOG, beta, R).gamma_D
+        assert got == pytest.approx(one_block, rel=1e-12)
+
+        def every_subject_solved(A, eig):
+            root = eig.power(-0.5)
+            W = root @ A @ root
+            return float(np.max(np.linalg.eigvalsh(0.5 * (W + np.swapaxes(W, -1, -2)))))
+
+        monkeypatch.setattr(diagnostics, "max_relative_eigenvalue", every_subject_solved)
+        assert got == design_diagnostics(data, LOG, beta, R).gamma_D
 
     def test_identity_correlation_values(self):
         data = gaussian_dataset(m=3, seed=1)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -224,6 +226,77 @@ class TestMaxRelativeEigenvalue:
         want = max(scipy.linalg.eigh(a, s, eigvals_only=True)[-1] for a in stack)
         got = max_relative_eigenvalue(stack, sym_eigen(s))
         assert got == pytest.approx(want, rel=1e-12)
+
+    @staticmethod
+    def whole_stack(stack, s):
+        """The maximum over every matrix of the stack, W formed as the kernel
+        forms it: the value the norm bound must give bit for bit."""
+        root = sym_eigen(s).power(-0.5)
+        W = root @ stack @ root
+        return np.max(np.linalg.eigvalsh(0.5 * (W + np.swapaxes(W, 1, 2))))
+
+    @staticmethod
+    def rank_one(rng, n, p):
+        """v_i v_i', where the norm bound equals lambda_max in exact arithmetic;
+        half the rows share one length, so their bounds tie with the maximum."""
+        v = rng.normal(size=(n, p))
+        v[::2] /= np.linalg.norm(v[::2], axis=1, keepdims=True)
+        return v[:, :, None] * v[:, None, :]
+
+    @pytest.mark.parametrize("n, p", [(1, 3), (2, 1), (17, 4), (200, 8), (200, 2)])
+    def test_pruned_stack_is_whole_stack_bit_for_bit(self, n, p):
+        rng = np.random.default_rng(59 + 10 * n + p)
+        s = random_spd(rng, p)
+        psd = rng.normal(size=(n, p, p))
+        stacks = {
+            "symmetric": np.array([random_sym(rng, p) for _ in range(n)]),
+            "rank one": self.rank_one(rng, n, p),
+            "identical": np.repeat(random_sym(rng, p)[None], n, axis=0),
+            "negative definite": -(psd @ np.swapaxes(psd, 1, 2) + np.eye(p)),
+            "indefinite": np.array([random_sym(rng, p) - 0.5 * np.eye(p) for _ in range(n)]),
+        }
+        for name, stack in stacks.items():
+            for spd in (s, np.eye(p)):
+                got = max_relative_eigenvalue(stack, sym_eigen(spd))
+                assert got == self.whole_stack(stack, spd), name
+
+    @pytest.mark.parametrize("scale", [1e-320, 1e-160, 1e-140, 1e160, 1e300])
+    def test_norms_that_underflow_or_overflow_still_bound(self, scale):
+        # squares of entries below 1e-154 lose their digits (or vanish) and
+        # those above 1e154 overflow; neither may drop the maximum or warn
+        rng = np.random.default_rng(61)
+        stack = self.rank_one(rng, 100, 3) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = max_relative_eigenvalue(stack, sym_eigen(np.eye(3)))
+        assert got == self.whole_stack(stack, np.eye(3))
+        assert got > 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("subject", [0, 7, 19])
+    def test_nonfinite_stack_raises_as_before(self, bad, subject):
+        rng = np.random.default_rng(67)
+        stack = np.array([random_sym(rng, 3) for _ in range(20)])
+        stack[subject, 0, 1] = stack[subject, 1, 0] = bad
+        with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+            max_relative_eigenvalue(stack, sym_eigen(random_spd(rng, 3)))
+
+    def test_one_dominant_matrix_is_nearly_all_that_is_solved(self, monkeypatch):
+        rng = np.random.default_rng(71)
+        v = rng.normal(size=(400, 8, 8))
+        stack = 1e-3 * (v @ np.swapaxes(v, 1, 2))
+        stack[123] *= 1e3
+        want = self.whole_stack(stack, np.eye(8))
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a):
+            solved.append(1 if a.ndim == 2 else len(a))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        assert max_relative_eigenvalue(stack, sym_eigen(np.eye(8))) == want
+        assert sum(solved) <= 3
 
     def test_relative_to_itself_is_one(self):
         s = random_spd(np.random.default_rng(47), 5)

@@ -15,7 +15,7 @@ from plgee.estimator import (
     pseudo_likelihood_fit,
     two_step_fit,
 )
-from plgee.matkernel import SymMatrix
+from plgee.matkernel import SymMatrix, max_relative_eigenvalue, sym_eigen
 from plgee.model import IDENTITY, LOG, LOGIT, PROBIT, LongitudinalDataset
 from plgee.simulator import exchangeable_matrix, gen_discrete, gen_gaussian
 
@@ -105,3 +105,22 @@ def test_identity_correlation_collapses_to_independence(case):
     indep = converged(gee_independence_fit(data, family))
     assert_close(pl.beta_hat, indep.beta_hat, rel=1e-10)
     assert_close(pl.cov_beta.a, indep.cov_beta.a, rel=1e-10)
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 6), st.integers(1, 8),
+       st.sampled_from([1.0, 1e-3, 1e3]))
+def test_norm_bound_keeps_the_stack_maximum_bit_for_bit(seed, n, m, p, spread):
+    # B_i' Q B_i with SPD Q, relative to an SPD S: the stacks gamma_D solves.
+    # Subject scales spread over up to six decades, so the bound prunes most
+    rng = np.random.default_rng(seed)
+    B = rng.normal(size=(n, m, p)) * spread ** rng.uniform(-1, 1, size=(n, 1, 1))
+    Q = random_invertible(rng, m)
+    Q = Q @ Q.T
+    S = random_invertible(rng, p)
+    eig = sym_eigen(S @ S.T)
+    stack = np.swapaxes(B, 1, 2) @ (Q @ B)
+    root = eig.power(-0.5)
+    W = root @ stack @ root
+    want = np.max(np.linalg.eigvalsh(0.5 * (W + np.swapaxes(W, 1, 2))))
+    assert max_relative_eigenvalue(stack, eig) == want
