@@ -3,8 +3,9 @@
 All outputs are strict JSON with sorted keys and 17-significant-digit floats
 (null for NaN or infinity), so reruns are byte-identical and round-trip exactly.
 Exit codes: 0 success, 1 error, 2 completed-with-warnings (non-convergence,
-fewer subjects than covariates, or too many failed replicates), each cause
-named by a JSON warning line on stderr.
+fewer subjects than covariates, a binary simulation whose latent correlation
+its marginals cannot attain, or too many failed replicates), each cause named
+by a JSON warning line on stderr.
 """
 
 import argparse
@@ -134,12 +135,21 @@ class _Records:
         self.y, self.x = array.array("d"), array.array("d")     # y; x1..xp per record
 
     def extend(self, ids, times, values):
-        """Append records: subject ids, an int64 array of times and a float
-        array of rows y, x1..xp."""
-        ids, index = list(map(str.strip, ids)), self.index
-        for s in dict.fromkeys(ids):       # new ids, in first-appearance order
-            index.setdefault(s, len(index))
-        self.subject.extend(map(index.__getitem__, ids))
+        """Append records: a nonempty object array of raw subject ids, an
+        int64 array of times and a float array of rows y, x1..xp.
+
+        A subject's records usually come together, so ids are indexed once
+        per run of equal raw ids: only a run's first id is stripped and
+        looked up, in file order, which gives the indices of a per-record
+        lookup, and its index is repeated over the run."""
+        first = np.empty(len(ids), bool)       # does a run start at this record?
+        first[0] = True
+        np.not_equal(ids[1:], ids[:-1], out=first[1:])
+        starts, index = np.flatnonzero(first), self.index
+        runs = np.array([index.setdefault(s.strip(), len(index)) for s in ids[starts]], np.int64)
+        # repeated by run lengths: a gather through np.cumsum(first) is as fast,
+        # but pages in 128 kB of numpy code that no other step of a run uses
+        self.subject.frombytes(runs.repeat(np.diff(starts, append=len(ids))).tobytes())
         self.time.frombytes(times.tobytes())
         self.y.frombytes(values[:, 0].tobytes())
         self.x.frombytes(values[:, 1:].tobytes())
@@ -242,6 +252,9 @@ def _parse_fast(fh):
     chunk loadtxt rejects or warns about.  numpy's int64 and float parsing
     accepts a subset of Python's int/float grammar and gives the same
     values on it, so an accepted file gives the exact parser's records.
+    Two per-chunk steps run only where they can change the outcome: the
+    "\\r\\n" replace in a chunk that holds a "\\r", and the line-length scan
+    in a chunk longer than the field limit.
     """
     limit = csv.field_size_limit()
     line = fh.readline().replace(b"\r\n", b"\n")
@@ -254,12 +267,13 @@ def _parse_fast(fh):
         # for a chunk of blank lines, or numpy 1.23 reading an int via float
         warnings.simplefilter("error")
         while chunk := fh.read(CSV_CHUNK_BYTES):
-            # readline() rejoins a split "\r\n"; replace() copies no LF chunk
-            chunk = (chunk + fh.readline()).replace(b"\r\n", b"\n")
+            chunk += fh.readline()      # which also rejoins a split "\r\n"
+            if b"\r" in chunk:
+                chunk = chunk.replace(b"\r\n", b"\n")
             if chunk.translate(None, _PLAIN):
                 return None
-            lines = chunk.decode("ascii").splitlines()
-            if max(map(len, lines)) > limit:
+            lines = chunk.decode("ascii").split("\n")     # its only line break; loadtxt skips ""
+            if len(chunk) > limit and max(map(len, lines)) > limit:
                 return None
             try:
                 rows = np.loadtxt(lines, delimiter=",", quotechar=None, comments=None,
@@ -295,11 +309,15 @@ def parse_dataset_csv(path):
     Plain files take a fast pass: when every line ends with `\\n` or
     `\\r\\n` and every other byte is printable ASCII other than `"`, numpy's
     C tokenizer (`np.loadtxt`) splits and converts the records, chunk by
-    chunk.  When it rejects or warns about a chunk, or the file is not
-    plain, the exact parser (the `csv` module and Python's `int`/`float`,
-    one record at a time) reads the file from the top.  The grammar and the
-    messages above are the exact parser's; a file the fast pass accepts
-    gives the same arrays and errors.
+    chunk.  It indexes subject ids once per run of equal raw ids, so a file
+    that lists each subject's records together strips and looks up one id
+    per subject (and chunk); it skips the CRLF replace in a chunk without a
+    `\\r`, and the line-length scan in a chunk shorter than the field limit.
+    When it rejects or warns about a chunk, or the file is not plain, the
+    exact parser (the `csv` module and Python's `int`/`float`, one record
+    at a time) reads the file from the top.  The grammar and the messages
+    above are the exact parser's; a file the fast pass accepts gives the
+    same arrays and errors.
     """
     with open(path, "rb") as fh:
         records, error = _parse_fast(fh), None
@@ -416,7 +434,9 @@ def cmd_simulate(args):
             doc = json.load(fh)
         except ValueError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    config = SimConfig.from_json(doc)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)    # recorded, even under -W error
+        config = SimConfig.from_json(doc)
     results = run_replicates(config, workers=args.workers)
     report = summarize_replicates(config, results)
     _write_json(report.to_json(), args.out)
@@ -435,12 +455,15 @@ def cmd_simulate(args):
                                     + [int(c) for c in d["covered"]])
                 else:
                     writer.writerow([d["rep"], 0] + [""] * (3 * config.p))
+    for w in caught:    # SimConfig warns only of a latent rho past the Frechet bound
+        _write_notice("warning", "latent-correlation-above-frechet-bound", str(w.message))
+    code = 2 if caught else 0
     if report.n_failures / report.replications > MAX_FAILURE_FRACTION:
         _write_notice("warning", "replicates-failed",
                       f"{report.n_failures} of {report.replications} replicates failed, "
                       f"more than the {MAX_FAILURE_FRACTION:g} fraction allowed")
-        return 2
-    return 0
+        code = 2
+    return code
 
 
 def build_parser():

@@ -122,13 +122,15 @@ def design_diagnostics(data, family, beta, R, M_hat=None, true_corr=None):
     gamma_tilde = tau_tilde * gamma0
 
     # largest eigenvalue of H^{-1/2} B_i' Q B_i H^{-1/2} over the subjects, solved
-    # only where a norm bound can reach it; a block's B and Q B are released first
+    # only where a norm bound can reach the maximum of the blocks so far; a
+    # block's B and Q B are released first
     def subject_grams(rows):
         B, QB = _sandwiched_block(data.X, sd, Q, rows)
         return np.swapaxes(B, 1, 2) @ QB
 
-    gamma_D = max(max_relative_eigenvalue(subject_grams(rows), eig_H)
-                  for rows in _blocks(data.X))
+    gamma_D = -np.inf
+    for rows in _blocks(data.X):
+        gamma_D = max_relative_eigenvalue(subject_grams(rows), eig_H, floor=gamma_D)
 
     c_n = None
     if M_hat is not None:

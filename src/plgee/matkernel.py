@@ -97,17 +97,19 @@ def sym_eigen(S, require_spd=None):
     return EigenDecomposition(values=values, basis=vectors)
 
 
-def max_relative_eigenvalue(A, eig):
+def max_relative_eigenvalue(A, eig, floor=-np.inf):
     """lambda_max(S^{-1/2} A S^{-1/2}), where ``eig`` decomposes the SPD S.
 
     A is one symmetric matrix (a SymMatrix or an array) or an (n, p, p) stack
     of them; for a stack the result is the largest eigenvalue over the whole
-    stack.
+    stack, or ``floor`` if that is larger.
 
     For a stack, lambda_max(W_i) <= ||W_i||_F: once the matrix of largest norm
-    is solved, only those whose norm reaches its eigenvalue, less 1e-10
-    relative and 1e-150 for rounding, are solved.  LAPACK solves each matrix
-    on its own, so the result is the whole stack's bit for bit.
+    is solved, only those whose norm reaches its eigenvalue (or the floor),
+    less 1e-10 relative and 1e-150 for rounding, are solved.  LAPACK solves
+    each matrix on its own, so the result is the whole stack's bit for bit.
+    A caller that reduces a stack block by block passes the running maximum
+    as the floor, so each block prunes against every block before it.
     """
     root = eig.power(-0.5)
     W = root @ (A.a if isinstance(A, SymMatrix) else np.asarray(A, dtype=float)) @ root
@@ -118,9 +120,9 @@ def max_relative_eigenvalue(A, eig):
     flat = W.reshape(len(W), 1, -1)     # a view: W is C-contiguous
     with np.errstate(over="ignore"):    # an inf norm only widens the search
         norm = np.sqrt((flat @ np.swapaxes(flat, 1, 2)).ravel())
-    top = np.max(np.linalg.eigvalsh(W[np.argmax(norm)]))    # a NaN norm is solved, and raises
+    top = max(floor, np.max(np.linalg.eigvalsh(W[np.argmax(norm)])))    # a NaN norm raises
     near = norm * (1 + 1e-10) + 1e-150 >= top
-    return float(np.max(np.linalg.eigvalsh(W[near])))
+    return float(np.max(np.linalg.eigvalsh(W[near]), initial=top))
 
 
 @dataclass(frozen=True)

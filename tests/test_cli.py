@@ -483,6 +483,25 @@ def _fuzz_lines(rng):
     return [",".join(header)] + [",".join(r) for r in records]
 
 
+def _padded_id_lines(rng):
+    """_fuzz_lines with subject ids padded by spaces, one padding kept over a
+    run of records or drawn anew, and slices of records moved, so that a
+    subject's records come back after another subject's."""
+    header, *records = _fuzz_lines(rng)
+    records = [r.split(",", 1) for r in records]
+    left = right = ""
+    for r in records:
+        if rng.random() < 0.3:
+            left, right = (str(rng.choice(["", " ", "  "])) for _ in range(2))
+        r[0] = left + r[0] + right
+    for _ in range(int(rng.integers(0, 3))):
+        i, j = sorted(int(k) for k in rng.integers(0, len(records) + 1, size=2))
+        moved, records[i:j] = records[i:j], []
+        k = int(rng.integers(len(records) + 1))
+        records[k:k] = moved
+    return [header] + [",".join(r) for r in records]
+
+
 def _outcome(path):
     try:
         d = parse_dataset_csv(path)
@@ -491,29 +510,36 @@ def _outcome(path):
     return d.X.shape, d.X.tobytes(), d.y.tobytes()
 
 
-def differential_fuzz(tmp_path, monkeypatch, n_files, seed):
-    """Parse n_files mutated files with the fast pass on and off, at random
-    chunk sizes; returns the outcomes the fast pass produced."""
+def _fast_and_exact(path):
+    """(whether the fast pass accepted the file, the outcome with it, the
+    outcome with the exact parser alone)."""
+    fast, took = cli._parse_fast, []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_parse_fast", lambda fh: took.append(fast(fh)) or took[-1])
+        got = _outcome(path)
+        patch.setattr(cli, "_parse_fast", lambda fh: None)
+        want = _outcome(path)
+    return bool(took) and took[0] is not None, got, want
+
+
+def differential_fuzz(tmp_path, monkeypatch, n_files, seed, fuzz_lines=_fuzz_lines):
+    """Parse n_files mutated files, each drawn by fuzz_lines, with the fast
+    pass on and off, at random chunk sizes; returns the outcomes the fast
+    pass produced."""
     rng = np.random.default_rng(seed)
-    fast = cli._parse_fast
     accepted = []
     path = tmp_path / "fuzz.csv"
     for _ in range(n_files):
-        lines = _fuzz_lines(rng)
+        lines = fuzz_lines(rng)
         for _ in range(int(rng.integers(0, 3))):
             _MUTATIONS[int(rng.integers(len(_MUTATIONS)))](lines, rng)
         newline = str(rng.choice(["\n"] * 6 + ["\r\n", "\r"]))
         text = newline.join(lines) + (newline if rng.random() < 0.9 else "")
         path.write_bytes(text.encode("utf-8"))
         monkeypatch.setattr(cli, "CSV_CHUNK_BYTES", int(rng.choice([1, 9, 64, 1 << 18])))
-        took = []
-        monkeypatch.setattr(cli, "_parse_fast",
-                            lambda fh: took.append(fast(fh)) or took[-1])
-        got = _outcome(path)
-        monkeypatch.setattr(cli, "_parse_fast", lambda fh: None)
-        want = _outcome(path)
+        took, got, want = _fast_and_exact(path)
         assert got == want, text[:500]
-        if took and took[0] is not None:
+        if took:
             accepted.append(got)
     return accepted
 
@@ -522,6 +548,13 @@ class TestCsvFastPass:
     def test_differential_fuzz_against_exact_parser(self, tmp_path, monkeypatch):
         accepted = differential_fuzz(tmp_path, monkeypatch, n_files=2000, seed=2024)
         # the fast pass took a fair share, both parsed and rejected files
+        assert len(accepted) > 500
+        assert sum(isinstance(o[0], str) for o in accepted) > 50
+        assert sum(isinstance(o[0], tuple) for o in accepted) > 300
+
+    def test_differential_fuzz_with_padded_and_returning_ids(self, tmp_path, monkeypatch):
+        accepted = differential_fuzz(tmp_path, monkeypatch, n_files=2000, seed=2031,
+                                     fuzz_lines=_padded_id_lines)
         assert len(accepted) > 500
         assert sum(isinstance(o[0], str) for o in accepted) > 50
         assert sum(isinstance(o[0], tuple) for o in accepted) > 300
@@ -552,6 +585,53 @@ class TestCsvFastPass:
     def test_blank_body_emits_no_warning(self, tmp_path, recwarn):
         assert _schema_message(tmp_path, HEAD + "\n\n") == "CSV contains no data rows"
         assert len(recwarn) == 0
+
+
+class TestCsvSubjectRuns:
+    """The fast pass indexes subject ids once per run of equal raw ids: runs
+    that strip to one id, an id that comes back, and runs cut by chunk
+    boundaries give the exact parser's arrays and errors."""
+
+    @pytest.mark.parametrize("chunk", [1, 9, 64, 1 << 15])
+    @pytest.mark.parametrize("text, message", [
+        (HEAD + " 7,1,0,1\n 7,2,0,2\n7,3,0,3\n8,1,0,4\n8,2,0,5\n8,3,0,6\n", None),
+        (HEAD + "7,1,0,1\n 7,1,0,2\n", "duplicate (subject,time) = (7,1)"),
+        (HEAD + "a,1,0,1\na,2,0,2\nb,1,0,3\nb,2,0,4\na,3,0,5\nb,3,0,6\n", None),
+        (HEAD + "a,1,0,1\nb,1,0,2\nb,2,0,3\na,2,0,4\nb,3,0,5\n",
+         "subject b has 3 rows, expected 2"),
+        (HEAD + "a,1,0,1\nb,1,0,2\na,1,0,3\n", "duplicate (subject,time) = (a,1)"),
+        (HEAD + _records(5, 7, start=1), None),
+    ], ids=["padded-runs", "padded-duplicate", "id-returns", "id-returns-ragged",
+            "id-returns-duplicate", "runs-across-chunks"])
+    def test_runs_match_exact_parser(self, tmp_path, monkeypatch, chunk, text, message):
+        path = tmp_path / "runs.csv"
+        path.write_text(text)
+        monkeypatch.setattr(cli, "CSV_CHUNK_BYTES", chunk)
+        took, got, want = _fast_and_exact(path)
+        assert took and got == want
+        if message is not None:
+            assert got == ("SchemaError", message)
+
+    def test_padded_runs_and_returning_id_are_one_subject(self, tmp_path):
+        path = tmp_path / "runs.csv"
+        path.write_text(HEAD + " 7,1,0,1\n 7,2,0,2\nb,1,0,3\nb,2,0,4\n7 ,3,0,5\nb,3,0,6\n")
+        d = parse_dataset_csv(path)
+        assert d.X[:, :, 0].tolist() == [[1.0, 2.0, 5.0], [3.0, 4.0, 6.0]]
+
+    @pytest.mark.parametrize("cut", [5, 2, 1], ids=["mid-line", "before-cr", "cr-lf"])
+    def test_only_crlf_in_a_chunk_tail(self, tmp_path, monkeypatch, cut):
+        # one CRLF line, which the chunk's read() ends inside, `cut` bytes
+        # before its end: readline() brings the "\r" (or the "\n" after it)
+        lines = _records(4, 3, start=1).splitlines(keepends=True)
+        lines[4] = lines[4].replace("\n", "\r\n")
+        path = tmp_path / "crlf.csv"
+        path.write_text(HEAD + "".join(lines), newline="")
+        monkeypatch.setattr(cli, "CSV_CHUNK_BYTES", len("".join(lines[:5])) - cut)
+        took, got, want = _fast_and_exact(path)
+        assert took and got == want
+        lf = tmp_path / "lf.csv"
+        lf.write_text(HEAD + _records(4, 3, start=1))
+        assert got == _outcome(lf)
 
 
 def run_cli(argv, capsys):
@@ -927,6 +1007,36 @@ class TestSimulate:
         assert out == ""
         assert json.loads(err) == {"error": "config",
                                    "detail": "unknown key(s) in config: replicatons"}
+
+    HIGH_RHO = {"n": 60, "m": 3, "p": 2, "family": "logit", "beta0": [0.2, -0.3],
+                "design": {"kind": "iid_uniform"},
+                "correlation": {"kind": "exchangeable", "rho": 0.97},
+                "replications": 3, "base_seed": 4}
+    FRECHET = {"warning": "latent-correlation-above-frechet-bound",
+               "detail": "latent rho > 0.95 with binary marginals: attainable response "
+                         "correlation is Frechet-bounded well below the latent value"}
+
+    def test_latent_rho_past_frechet_bound_is_a_json_warning(self, tmp_path, capsys):
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(self.HIGH_RHO))
+        code, out, err = run_cli(["simulate", "--config", str(path)], capsys)
+        assert code == 2
+        assert json.loads(out)["replications"] == 3
+        assert err.count("\n") == 1
+        assert json.loads(err) == self.FRECHET
+
+    def test_latent_rho_warning_under_warnings_as_errors(self, tmp_path):
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(self.HIGH_RHO))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-c",
+             "import sys, plgee.cli; sys.exit(plgee.cli.main(sys.argv[1:]))",
+             "simulate", "--config", str(path)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 2, proc.stderr
+        assert json.loads(proc.stdout)["replications"] == 3
+        assert json.loads(proc.stderr) == self.FRECHET
 
     def test_config_not_json_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -95,13 +95,41 @@ class TestDesignDiagnostics:
         got = design_diagnostics(data, LOG, beta, R).gamma_D
         assert got == pytest.approx(one_block, rel=1e-12)
 
-        def every_subject_solved(A, eig):
+        def every_subject_solved(A, eig, floor=-np.inf):
             root = eig.power(-0.5)
             W = root @ A @ root
-            return float(np.max(np.linalg.eigvalsh(0.5 * (W + np.swapaxes(W, -1, -2)))))
+            W = 0.5 * (W + np.swapaxes(W, -1, -2))
+            return max(floor, float(np.max(np.linalg.eigvalsh(W))))
 
         monkeypatch.setattr(diagnostics, "max_relative_eigenvalue", every_subject_solved)
         assert got == design_diagnostics(data, LOG, beta, R).gamma_D
+
+    @pytest.mark.parametrize("subjects", [1, 3])
+    def test_floor_carried_across_blocks_keeps_gamma_D_bits(self, subjects, monkeypatch):
+        # each block prunes against the maximum of the blocks before it: the
+        # same gamma_D, bit for bit, as blocks reduced on their own, from
+        # fewer eigenproblems
+        data = gaussian_dataset(n=400, m=5, p=4, beta0=(1.0, -0.5, 0.3, 0.2), seed=11)
+        beta, R = np.linspace(-0.4, 0.4, 4), exchangeable_matrix(5, 0.3)
+        one_block = design_diagnostics(data, LOG, beta, R).gamma_D
+        monkeypatch.setattr(estimator, "_BLOCK_CELLS", subjects * 5 * 4)
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a):
+            solved.append(1 if a.ndim == 2 else len(a))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        carried = design_diagnostics(data, LOG, beta, R).gamma_D
+        carried_solves = sum(solved)
+        kernel = diagnostics.max_relative_eigenvalue
+        monkeypatch.setattr(diagnostics, "max_relative_eigenvalue",
+                            lambda A, eig, floor: max(floor, kernel(A, eig)))
+        solved.clear()
+        assert carried == design_diagnostics(data, LOG, beta, R).gamma_D
+        assert carried_solves < sum(solved)
+        assert carried == pytest.approx(one_block, rel=1e-12)
 
     def test_identity_correlation_values(self):
         data = gaussian_dataset(m=3, seed=1)

@@ -260,6 +260,15 @@ class TestMaxRelativeEigenvalue:
                 got = max_relative_eigenvalue(stack, sym_eigen(spd))
                 assert got == self.whole_stack(stack, spd), name
 
+    @pytest.mark.parametrize("n, p", [(1, 3), (17, 4), (200, 8)])
+    def test_floor_is_the_result_only_when_no_matrix_reaches_it(self, n, p):
+        rng = np.random.default_rng(63 + 10 * n + p)
+        s, stack = random_spd(rng, p), self.rank_one(rng, n, p)
+        want = self.whole_stack(stack, s)
+        for floor, result in ((-np.inf, want), (0.5 * want, want), (want, want),
+                              (2.0 * want, 2.0 * want)):
+            assert max_relative_eigenvalue(stack, sym_eigen(s), floor=floor) == result
+
     @pytest.mark.parametrize("scale", [1e-320, 1e-160, 1e-140, 1e160, 1e300])
     def test_norms_that_underflow_or_overflow_still_bound(self, scale):
         # squares of entries below 1e-154 lose their digits (or vanish) and
