@@ -409,7 +409,7 @@ def cmd_diagnose(args):
     grid = _parse_list(args.grid, int, "--grid") if args.grid else [data.n]
     # the full-n report is the trend's last row, computed once
     full_grid = grid if grid[-1] == data.n else grid + [data.n]
-    reports = condition_trend_report(data, family, beta, R=None, n_grid=full_grid)
+    reports = condition_trend_report(data, family, beta, n_grid=full_grid)
     report, trend = reports[-1], reports[:len(grid)]
     payload = {
         "report": report.to_json(),

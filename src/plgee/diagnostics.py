@@ -12,10 +12,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import LinkOverflowError, ShapeError
-from .estimator import (_blocks, _flat, _sandwiched_block, _sandwiched_gram, _weighted_gram,
-                        estimate_correlation)
-from .matkernel import SymMatrix, max_relative_eigenvalue, sym_eigen
+from .errors import LinkOverflowError, NotPositiveDefiniteError, ShapeError
+from .estimator import (_blocks, _flat, _sandwiched_block, _sandwiched_gram, _subject_scores,
+                        _weighted_gram, estimate_correlation)
+from .matkernel import max_relative_eigenvalue, sym_eigen
 from .model import _link_arrays, eval_model
 
 DEFAULT_DET_FLOOR = 1e-6
@@ -24,9 +24,8 @@ DEFAULT_DET_FLOOR = 1e-6
 @dataclass(frozen=True)
 class DiagnosticsReport:
     n_used: int
-    H_indep: SymMatrix
-    H_general: SymMatrix
     lambda_min_H_indep: float
+    lambda_min_H_general: float
     gamma0_indep: float
     pi_n: float
     tau_tilde_n: float
@@ -41,13 +40,10 @@ class DiagnosticsReport:
     sqrt_n_pi_gamma_tilde: float
     det_R: float
     lambda_min_R: float
-    tau_oracle: float | None = None
-    lambda_min_R_bar: float | None = None
 
     def to_json(self):
-        """Flat dict of the scalar fields, ready for JSON output."""
-        values = ((f.name, getattr(self, f.name)) for f in fields(self))
-        return {name: v for name, v in values if not isinstance(v, SymMatrix)}
+        """Flat dict of the fields, ready for JSON output."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def smoothness_maxima(data, family, beta_center, radius_r=0.0):
@@ -94,19 +90,22 @@ def _max_quad_form(X, A):
                for rows in _blocks(X))
 
 
-def design_diagnostics(data, family, beta, R, M_hat=None, true_corr=None):
-    """Evaluate all regularity quantities at (beta, R).
+def design_diagnostics(data, family, beta, R):
+    """Evaluate all regularity quantities at (beta, R), R the working
+    correlation (normally the estimated average correlation).
 
-    R is normally the estimated average correlation; in simulations the
-    caller can pass the known true correlation instead (oracle mode) and
-    supply it again as ``true_corr`` to get the oracle-only extras.
+    c_n is lambda_max(M^{-1/2} H M^{-1/2}), with M = sum_i V_i V_i' the
+    sandwich meat of the residuals at beta and H the scoring matrix; it is
+    None where M is not numerically SPD (fewer subjects than covariates, or
+    every residual zero).
     """
     beta = np.asarray(beta, dtype=float)
-    var = eval_model(data, family, beta).var      # the report needs no other cell values
-    sd = np.sqrt(var)                               # ModelEval.sd, taken once
+    ev = eval_model(data, family, beta)
+    var, eps = ev.var, ev.eps       # the report needs no other cell values
+    del ev
 
-    H_indep = SymMatrix(_weighted_gram(data.X, var))
-    eig_Hi = sym_eigen(H_indep, require_spd="independence scoring matrix")
+    eig_Hi = sym_eigen(_weighted_gram(data.X, var), require_spd="independence scoring matrix")
+    sd = np.sqrt(var, out=var)      # ModelEval.sd, in place: var is not needed again
 
     eig_R = sym_eigen(R, require_spd="correlation matrix")
     Q = eig_R.power(-1)
@@ -114,42 +113,40 @@ def design_diagnostics(data, family, beta, R, M_hat=None, true_corr=None):
     pi_n = float(q_max / q_min)
     tau_tilde = float(data.m * q_max)
 
-    H = SymMatrix(_sandwiched_gram(data.X, sd, Q))
+    H = _sandwiched_gram(data.X, sd, Q)
     eig_H = sym_eigen(H, require_spd="general scoring matrix")
 
     gamma0_indep = _max_quad_form(data.X, eig_Hi.power(-1))
     gamma0 = _max_quad_form(data.X, eig_H.power(-1))
     gamma_tilde = tau_tilde * gamma0
 
-    # largest eigenvalue of H^{-1/2} B_i' Q B_i H^{-1/2} over the subjects, solved
-    # only where a norm bound can reach the maximum of the blocks so far; a
-    # block's B and Q B are released first
-    def subject_grams(rows):
+    # gamma_D is the largest eigenvalue of H^{-1/2} B_i' Q B_i H^{-1/2} over the
+    # subjects, solved only where a norm bound can reach the maximum of the blocks
+    # so far; the same Q B gives the subjects' scores V_i = (Q B_i)' s_i, s_i the
+    # standardized residuals.  A block's B and Q B are released first
+    def block_terms(rows):
         B, QB = _sandwiched_block(data.X, sd, Q, rows)
-        return np.swapaxes(B, 1, 2) @ QB
+        return np.swapaxes(B, 1, 2) @ QB, _subject_scores(QB, eps[rows] / sd[rows])
 
-    gamma_D = -np.inf
+    gamma_D, M = -np.inf, np.zeros((data.p, data.p))
     for rows in _blocks(data.X):
-        gamma_D = max_relative_eigenvalue(subject_grams(rows), eig_H, floor=gamma_D)
+        grams, V = block_terms(rows)
+        M += V.T @ V
+        gamma_D = max_relative_eigenvalue(grams, eig_H, floor=gamma_D)
+        del grams               # before the next block's are built
 
-    c_n = None
-    if M_hat is not None:
-        c_n = max_relative_eigenvalue(H, sym_eigen(M_hat, require_spd="M_hat"))
+    try:
+        c_n = max_relative_eigenvalue(H, sym_eigen(M, require_spd="sandwich meat"))
+    except NotPositiveDefiniteError:
+        c_n = None
 
     km = smoothness_maxima(data, family, beta, 0.0)
-
-    tau_oracle = None
-    lam_min_rbar = None
-    if true_corr is not None:
-        tau_oracle = max_relative_eigenvalue(true_corr, eig_R)   # lambda_max(R^{-1} R_bar)
-        lam_min_rbar = float(sym_eigen(true_corr).values[0])
 
     sqrt_n = math.sqrt(data.n)
     return DiagnosticsReport(
         n_used=data.n,
-        H_indep=H_indep,
-        H_general=H,
         lambda_min_H_indep=float(eig_Hi.values[0]),
+        lambda_min_H_general=float(eig_H.values[0]),
         gamma0_indep=gamma0_indep,
         pi_n=pi_n,
         tau_tilde_n=tau_tilde,
@@ -164,8 +161,6 @@ def design_diagnostics(data, family, beta, R, M_hat=None, true_corr=None):
         sqrt_n_pi_gamma_tilde=sqrt_n * pi_n * gamma_tilde,
         det_R=float(np.prod(eig_R.values)),
         lambda_min_R=float(eig_R.values[0]),
-        tau_oracle=tau_oracle,
-        lambda_min_R_bar=lam_min_rbar,
     )
 
 
@@ -215,13 +210,11 @@ def example2_closed_form(data, family, beta):
     return {"nu": nu, "nu_min": float(np.min(nu))}
 
 
-def condition_trend_report(data, family, beta, R=None, n_grid=None,
-                           M_hat=None, true_corr=None):
+def condition_trend_report(data, family, beta, n_grid=None):
     """Diagnostics along increasing subject prefixes (stored order).
 
-    With R=None each prefix uses its own estimated correlation, so det_R
-    doubles as the determinant-floor sequence; a fixed R (oracle mode) is
-    used for every prefix when supplied.
+    Each prefix uses its own estimated correlation, so det_R doubles as the
+    determinant-floor sequence.
     """
     if n_grid is None:
         n_grid = [data.n]
@@ -233,11 +226,8 @@ def condition_trend_report(data, family, beta, R=None, n_grid=None,
     reports = []
     for n_head in n_grid:
         prefix = data.subset(n_head)
-        R_used = R if R is not None else estimate_correlation(prefix, family, beta).R_tilde
         reports.append(design_diagnostics(
-            prefix, family, beta, R_used, M_hat=None if n_head != data.n else M_hat,
-            true_corr=true_corr,
-        ))
+            prefix, family, beta, estimate_correlation(prefix, family, beta).R_tilde))
     return reports
 
 
@@ -248,7 +238,7 @@ def trend_flags(reports, det_floor=DEFAULT_DET_FLOOR):
     yields no trend claims (everything True except the determinant floor,
     which is always checked).
     """
-    lam_over_tau = [sym_eigen(r.H_general).values[0] / r.tau_tilde_n for r in reports]
+    lam_over_tau = [r.lambda_min_H_general / r.tau_tilde_n for r in reports]
     lam_indep = [r.lambda_min_H_indep for r in reports]
     pi2g = [r.pi2_gamma_tilde for r in reports]
     sng = [r.sqrt_n_pi_gamma_tilde for r in reports]

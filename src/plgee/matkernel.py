@@ -104,12 +104,13 @@ def max_relative_eigenvalue(A, eig, floor=-np.inf):
     of them; for a stack the result is the largest eigenvalue over the whole
     stack, or ``floor`` if that is larger.
 
-    For a stack, lambda_max(W_i) <= ||W_i||_F: once the matrix of largest norm
-    is solved, only those whose norm reaches its eigenvalue (or the floor),
-    less 1e-10 relative and 1e-150 for rounding, are solved.  LAPACK solves
-    each matrix on its own, so the result is the whole stack's bit for bit.
-    A caller that reduces a stack block by block passes the running maximum
-    as the floor, so each block prunes against every block before it.
+    For a stack, lambda_max(W_i) <= ||W_i||_F: a matrix is solved only when
+    its norm, with 1e-10 relative and 1e-150 added for rounding, reaches the
+    floor and, once the matrix of largest norm is solved, its eigenvalue.
+    LAPACK solves each matrix on its own, so the result is the whole stack's
+    bit for bit.  A caller that reduces a stack block by block passes the
+    running maximum as the floor, so each block prunes against every block
+    before it, and a block wholly below the floor solves nothing.
     """
     root = eig.power(-0.5)
     W = root @ (A.a if isinstance(A, SymMatrix) else np.asarray(A, dtype=float)) @ root
@@ -119,10 +120,12 @@ def max_relative_eigenvalue(A, eig, floor=-np.inf):
         return float(np.max(np.linalg.eigvalsh(W)))
     flat = W.reshape(len(W), 1, -1)     # a view: W is C-contiguous
     with np.errstate(over="ignore"):    # an inf norm only widens the search
-        norm = np.sqrt((flat @ np.swapaxes(flat, 1, 2)).ravel())
-    top = max(floor, np.max(np.linalg.eigvalsh(W[np.argmax(norm)])))    # a NaN norm raises
-    near = norm * (1 + 1e-10) + 1e-150 >= top
-    return float(np.max(np.linalg.eigvalsh(W[near]), initial=top))
+        bound = np.sqrt((flat @ np.swapaxes(flat, 1, 2)).ravel()) * (1 + 1e-10) + 1e-150
+    largest = np.argmax(bound)
+    if bound[largest] < floor:          # False for a NaN, which is solved and raises
+        return float(floor)
+    top = max(floor, np.max(np.linalg.eigvalsh(W[largest])))
+    return float(np.max(np.linalg.eigvalsh(W[bound >= top]), initial=top))
 
 
 @dataclass(frozen=True)

@@ -859,6 +859,23 @@ class TestDiagnose:
         assert doc["error"] == "schema"
         assert flag in doc["detail"]
 
+    def test_c_n_null_only_on_a_prefix_with_fewer_subjects_than_covariates(
+            self, tmp_path, capsys):
+        # 3 subjects of m=2 give an SPD R-tilde and H, but a sandwich meat of
+        # rank 3 < p=4: that row's c_n is null, and the run still succeeds
+        rng = np.random.default_rng(23)
+        X = rng.uniform(-1, 1, size=(40, 2, 4))
+        path = tmp_path / "wide.csv"
+        write_dataset_csv(gen_gaussian(X, np.array([1.0, -0.5, 0.3, 0.2]),
+                                       exchangeable_matrix(2, 0.3), seed=23), path)
+        code, out, err = run_cli(
+            ["diagnose", "--data", str(path), "--link", "identity", "--grid", "3,40"], capsys)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert [row["c_n"] is None for row in doc["trend"]] == [True, False]
+        assert doc["report"]["c_n"] == doc["trend"][1]["c_n"] > 0
+        assert "tau_oracle" not in doc["report"]
+
     @pytest.mark.parametrize("grid, trend_n", [("20,40,60", [20, 40, 60]),
                                                ("20,40", [20, 40])])
     def test_full_n_report_computed_once(self, data_csv, capsys, monkeypatch,

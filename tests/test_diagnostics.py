@@ -14,7 +14,7 @@ from plgee.diagnostics import (
 )
 from plgee.errors import LinkOverflowError, NotPositiveDefiniteError, ShapeError
 from plgee.estimator import estimate_correlation, gee_independence_fit, sandwich_covariance
-from plgee.matkernel import SymMatrix, matrix_stats, sym_eigen
+from plgee.matkernel import SymMatrix, matrix_stats, max_relative_eigenvalue, sym_eigen
 from plgee.model import (IDENTITY, LOG, LOGIT, LongitudinalDataset, _link_arrays, eval_model,
                          link_eval)
 from plgee.simulator import exchangeable_matrix, gen_gaussian
@@ -125,7 +125,7 @@ class TestDesignDiagnostics:
         carried_solves = sum(solved)
         kernel = diagnostics.max_relative_eigenvalue
         monkeypatch.setattr(diagnostics, "max_relative_eigenvalue",
-                            lambda A, eig, floor: max(floor, kernel(A, eig)))
+                            lambda A, eig, floor=-np.inf: max(floor, kernel(A, eig)))
         solved.clear()
         assert carried == design_diagnostics(data, LOG, beta, R).gamma_D
         assert carried_solves < sum(solved)
@@ -142,8 +142,12 @@ class TestDesignDiagnostics:
         m = 3
         data = LongitudinalDataset(np.eye(m)[None, :, :], np.zeros((1, m)))
         rep = design_diagnostics(data, IDENTITY, np.zeros(m), np.eye(m))
-        assert np.allclose(rep.H_indep.a, np.eye(m))
+        assert np.allclose(estimator._weighted_gram(data.X, np.ones((1, m))), np.eye(m))
+        assert rep.lambda_min_H_indep == pytest.approx(1.0)
+        assert rep.lambda_min_H_general == pytest.approx(1.0)
         assert rep.gamma0_indep == pytest.approx(1.0)
+        # every residual is zero, so the sandwich meat is too: c_n has no value
+        assert rep.c_n is None
 
     def test_gamma_D_bounded_by_dn_gamma_tilde(self):
         data = gaussian_dataset(n=200, seed=2)
@@ -182,7 +186,11 @@ class TestDesignDiagnostics:
         R = corr.R_tilde.a
         assert np.max(np.abs(R)) <= 2.0
         rep = design_diagnostics(data, IDENTITY, beta, R)
-        Hg, Hi = rep.H_general.a, rep.H_indep.a
+        var = eval_model(data, IDENTITY, beta).var
+        Hg = estimator._sandwiched_gram(data.X, np.sqrt(var), np.linalg.inv(R))
+        Hi = estimator._weighted_gram(data.X, var)
+        assert rep.lambda_min_H_general == pytest.approx(sym_eigen(Hg).values[0], rel=1e-12)
+        assert rep.lambda_min_H_indep == pytest.approx(sym_eigen(Hi).values[0], rel=1e-12)
         m = data.m
         upper = (rep.tau_tilde_n / m) * Hi - Hg
         lower = Hg - (1.0 / (2.0 * m)) * Hi
@@ -190,24 +198,20 @@ class TestDesignDiagnostics:
             eig = sym_eigen(SymMatrix(diff))
             assert eig.values[0] >= -1e-9 * abs(np.trace(diff))
 
-    def test_c_n_present_iff_M_supplied(self):
+    @pytest.mark.parametrize("family", [IDENTITY, LOG, LOGIT], ids=["identity", "log", "logit"])
+    @pytest.mark.parametrize("subjects", [None, 7], ids=["one-block", "blocks-of-7"])
+    def test_c_n_is_relative_to_the_sandwich_meat(self, family, subjects, monkeypatch):
+        # M-hat summed over the gamma_D blocks is the sandwich's, at any block size
         data = gaussian_dataset(n=80, seed=7)
         beta = gee_independence_fit(data, IDENTITY).beta_hat
-        corr = estimate_correlation(data, IDENTITY, beta)
-        rep0 = design_diagnostics(data, IDENTITY, beta, corr.R_tilde)
-        assert rep0.c_n is None
-        parts = sandwich_covariance(data, IDENTITY, beta, corr)
-        rep1 = design_diagnostics(data, IDENTITY, beta, corr.R_tilde,
-                                  M_hat=parts.M_hat)
-        assert rep1.c_n is not None and rep1.c_n > 0
-
-    def test_oracle_mode_extras(self):
-        data = gaussian_dataset(n=80, seed=8)
-        R_bar = exchangeable_matrix(3, 0.4)
-        rep = design_diagnostics(data, IDENTITY, np.array([1.0, -0.5]), R_bar,
-                                 true_corr=R_bar)
-        assert rep.tau_oracle == pytest.approx(1.0, abs=1e-10)
-        assert rep.lambda_min_R_bar == pytest.approx(0.6, abs=1e-10)
+        corr = estimate_correlation(data, family, beta)
+        parts = sandwich_covariance(data, family, beta, corr)
+        want = max_relative_eigenvalue(parts.H_tilde, sym_eigen(parts.M_hat))
+        if subjects is not None:
+            monkeypatch.setattr(estimator, "_BLOCK_CELLS", subjects * 3 * 2)
+        rep = design_diagnostics(data, family, beta, corr.R_tilde)
+        assert rep.c_n == pytest.approx(want, rel=1e-12)
+        assert rep.c_n > 0
 
     def test_singular_R_rejected(self):
         data = gaussian_dataset(seed=9)

@@ -287,15 +287,15 @@ class TestMaxRelativeEigenvalue:
         rng = np.random.default_rng(67)
         stack = np.array([random_sym(rng, 3) for _ in range(20)])
         stack[subject, 0, 1] = stack[subject, 1, 0] = bad
-        with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
-            max_relative_eigenvalue(stack, sym_eigen(random_spd(rng, 3)))
+        eig = sym_eigen(random_spd(rng, 3))
+        # also above a floor that every finite matrix's bound lies below
+        for floor in (-np.inf, 1e300):
+            with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError):
+                max_relative_eigenvalue(stack, eig, floor=floor)
 
-    def test_one_dominant_matrix_is_nearly_all_that_is_solved(self, monkeypatch):
-        rng = np.random.default_rng(71)
-        v = rng.normal(size=(400, 8, 8))
-        stack = 1e-3 * (v @ np.swapaxes(v, 1, 2))
-        stack[123] *= 1e3
-        want = self.whole_stack(stack, np.eye(8))
+    @staticmethod
+    def count_solves(monkeypatch):
+        """A list that np.linalg.eigvalsh appends each call's matrix count to."""
         solved = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -304,8 +304,26 @@ class TestMaxRelativeEigenvalue:
             return eigvalsh(a)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        return solved
+
+    def test_one_dominant_matrix_is_nearly_all_that_is_solved(self, monkeypatch):
+        rng = np.random.default_rng(71)
+        v = rng.normal(size=(400, 8, 8))
+        stack = 1e-3 * (v @ np.swapaxes(v, 1, 2))
+        stack[123] *= 1e3
+        want = self.whole_stack(stack, np.eye(8))
+        solved = self.count_solves(monkeypatch)
         assert max_relative_eigenvalue(stack, sym_eigen(np.eye(8))) == want
         assert sum(solved) <= 3
+
+    def test_stack_wholly_below_the_floor_solves_nothing(self, monkeypatch):
+        rng = np.random.default_rng(73)
+        stack = self.rank_one(rng, 50, 4)
+        bound = max(np.linalg.norm(a) for a in stack)
+        solved = self.count_solves(monkeypatch)
+        assert max_relative_eigenvalue(stack, sym_eigen(np.eye(4)), floor=2.0 * bound) \
+            == 2.0 * bound
+        assert solved == []
 
     def test_relative_to_itself_is_one(self):
         s = random_spd(np.random.default_rng(47), 5)

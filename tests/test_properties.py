@@ -9,6 +9,7 @@ from the logit generator.
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
+from plgee.diagnostics import condition_trend_report
 from plgee.estimator import (
     CorrelationEstimate,
     gee_independence_fit,
@@ -109,10 +110,11 @@ def test_identity_correlation_collapses_to_independence(case):
 
 @PROPERTY
 @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(1, 6), st.integers(1, 8),
-       st.sampled_from([1.0, 1e-3, 1e3]))
-def test_norm_bound_keeps_the_stack_maximum_bit_for_bit(seed, n, m, p, spread):
+       st.sampled_from([1.0, 1e-3, 1e3]), st.sampled_from([-np.inf, 0.0, 0.5, 0.999, 1.0, 2.0]))
+def test_norm_bound_keeps_the_stack_maximum_bit_for_bit(seed, n, m, p, spread, floor_share):
     # B_i' Q B_i with SPD Q, relative to an SPD S: the stacks gamma_D solves.
-    # Subject scales spread over up to six decades, so the bound prunes most
+    # Subject scales spread over up to six decades, so the bound prunes most;
+    # the floor, a share of the maximum, is what a block before this one left
     rng = np.random.default_rng(seed)
     B = rng.normal(size=(n, m, p)) * spread ** rng.uniform(-1, 1, size=(n, 1, 1))
     Q = random_invertible(rng, m)
@@ -123,4 +125,25 @@ def test_norm_bound_keeps_the_stack_maximum_bit_for_bit(seed, n, m, p, spread):
     root = eig.power(-0.5)
     W = root @ stack @ root
     want = np.max(np.linalg.eigvalsh(0.5 * (W + np.swapaxes(W, 1, 2))))
-    assert max_relative_eigenvalue(stack, eig) == want
+    floor = floor_share * want
+    assert max_relative_eigenvalue(stack, eig, floor=floor) == max(floor, want)
+
+
+INVARIANT_DIAGNOSTICS = ("gamma0", "gamma0_indep", "gamma_tilde", "gamma_D", "c_n", "pi_n",
+                         "tau_tilde_n", "k2", "k3", "det_R", "lambda_min_R")
+
+
+@PROPERTY
+@given(cases)
+def test_diagnostics_invariant_under_reparametrisation(case):
+    # X -> XA with beta -> A^{-1} beta leaves every cell's theta, so R-tilde, and
+    # maps H, M-hat and each B_i' Q B_i to A' (.) A: leverages and relative
+    # eigenvalues stay.  lambda_min(H) is not invariant and is left out.
+    family, data, rng = draw(case)
+    A = random_invertible(rng, data.p)
+    beta = rng.uniform(-0.5, 0.5, size=data.p)
+    [rep] = condition_trend_report(data, family, beta)
+    [moved] = condition_trend_report(LongitudinalDataset(data.X @ A, data.y), family,
+                                     np.linalg.solve(A, beta))
+    for name in INVARIANT_DIAGNOSTICS:
+        assert_close(getattr(moved, name), getattr(rep, name), rel=1e-8)

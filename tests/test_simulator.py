@@ -356,6 +356,8 @@ class TestHarness:
         assert all(0.0 <= x <= 1.0 for x in rep.coverage)
         assert 0.0 <= rep.z_within_1960_frac <= 1.0
         assert rep.lambda_min_R_bar == pytest.approx(0.7, abs=1e-10)
+        # lambda_max(R_mean^{-1} R_bar): the mean estimate is near R_bar
+        assert rep.tau_oracle == pytest.approx(1.0, abs=0.1)
 
     def test_one_independence_fit_per_replicate(self, monkeypatch):
         import plgee.estimator as estimator
