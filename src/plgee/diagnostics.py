@@ -12,9 +12,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import LinkOverflowError, NotPositiveDefiniteError, ShapeError
-from .estimator import (_blocks, _flat, _sandwiched_block, _sandwiched_gram, _subject_scores,
-                        _weighted_gram, estimate_correlation)
+from .errors import NotPositiveDefiniteError, ShapeError
+from .estimator import (_average_correlation, _blocks, _flat, _sandwiched_block,
+                        _sandwiched_gram, _subject_scores, _weighted_gram)
 from .matkernel import max_relative_eigenvalue, sym_eigen
 from .model import _link_arrays, eval_model
 
@@ -46,43 +46,6 @@ class DiagnosticsReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def smoothness_maxima(data, family, beta_center, radius_r=0.0):
-    """Max |mu''/mu'| and |mu'''/mu'| over the center plus 2p+1 probe points.
-
-    Probes sit at +/- radius * sqrt(m) along the inverse-square-root
-    eigendirections of the independence scoring matrix, a finite surrogate
-    for the sup over the shrinking parameter ball.
-    """
-    if radius_r < 0:
-        raise ShapeError("radius must be nonnegative")
-    beta_center = np.asarray(beta_center, dtype=float)
-    probes = [beta_center]
-    if radius_r > 0:
-        ev = eval_model(data, family, beta_center)
-        eig = sym_eigen(_weighted_gram(data.X, ev.var),
-                        require_spd="independence scoring matrix")
-        scale = radius_r * math.sqrt(data.m)
-        for k in range(data.p):
-            d = (scale / math.sqrt(eig.values[k])) * eig.vectors[:, k]
-            probes.append(beta_center + d)
-            probes.append(beta_center - d)
-    k2 = 0.0
-    k3 = 0.0
-    for idx, beta in enumerate(probes):
-        for rows in _blocks(data.X):
-            theta = _flat(data.X[rows]) @ beta      # eval_model's GEMV, a block at a time
-            try:
-                _, d1, d2, d3 = _link_arrays(family, theta)
-            except LinkOverflowError as exc:
-                raise LinkOverflowError(
-                    f"link overflow at probe point {idx} "
-                    f"(beta={np.array2string(beta, precision=4)})"
-                ) from exc
-            k2 = max(k2, float(np.max(np.abs(d2 / d1))))
-            k3 = max(k3, float(np.max(np.abs(d3 / d1))))
-    return {"k2": k2, "k3": k3}
-
-
 def _max_quad_form(X, A):
     """max over the cells x_ij of the (n, m, p) design X of x_ij' A x_ij,
     a block of subjects at a time."""
@@ -90,19 +53,29 @@ def _max_quad_form(X, A):
                for rows in _blocks(X))
 
 
-def design_diagnostics(data, family, beta, R):
-    """Evaluate all regularity quantities at (beta, R), R the working
-    correlation (normally the estimated average correlation).
+def design_diagnostics(data, family, beta):
+    """Evaluate all regularity quantities at (beta, R-tilde), R-tilde the
+    average correlation of the standardized residuals at beta, from one
+    evaluation of the model.
 
-    c_n is lambda_max(M^{-1/2} H M^{-1/2}), with M = sum_i V_i V_i' the
+    k2 and k3 are the maxima of |mu''/mu'| and |mu'''/mu'| over the cells at
+    beta.  c_n is lambda_max(M^{-1/2} H M^{-1/2}), with M = sum_i V_i V_i' the
     sandwich meat of the residuals at beta and H the scoring matrix; it is
-    None where M is not numerically SPD (fewer subjects than covariates, or
-    every residual zero).
+    None where M is not numerically SPD (fewer subjects than covariates).
     """
     beta = np.asarray(beta, dtype=float)
     ev = eval_model(data, family, beta)
-    var, eps = ev.var, ev.eps       # the report needs no other cell values
+    theta, var, eps = ev.theta, ev.var, ev.eps      # the report needs no mu
     del ev
+
+    R = _average_correlation(data.X, lambda rows: (eps[rows], var[rows]))
+
+    def ratio_maxima(rows):     # a block's link arrays are released on return
+        _, d1, d2, d3 = _link_arrays(family, theta[rows])
+        return np.max(np.abs(d2 / d1)), np.max(np.abs(d3 / d1))
+
+    k2, k3 = map(float, np.max([ratio_maxima(rows) for rows in _blocks(data.X)], axis=0))
+    del theta
 
     eig_Hi = sym_eigen(_weighted_gram(data.X, var), require_spd="independence scoring matrix")
     sd = np.sqrt(var, out=var)      # ModelEval.sd, in place: var is not needed again
@@ -140,8 +113,6 @@ def design_diagnostics(data, family, beta, R):
     except NotPositiveDefiniteError:
         c_n = None
 
-    km = smoothness_maxima(data, family, beta, 0.0)
-
     sqrt_n = math.sqrt(data.n)
     return DiagnosticsReport(
         n_used=data.n,
@@ -154,8 +125,8 @@ def design_diagnostics(data, family, beta, R):
         gamma_tilde=gamma_tilde,
         gamma_D=gamma_D,
         c_n=c_n,
-        k2=km["k2"],
-        k3=km["k3"],
+        k2=k2,
+        k3=k3,
         sqrt_n_times_gamma0_indep=sqrt_n * gamma0_indep,
         pi2_gamma_tilde=pi_n * pi_n * gamma_tilde,
         sqrt_n_pi_gamma_tilde=sqrt_n * pi_n * gamma_tilde,
@@ -213,7 +184,7 @@ def example2_closed_form(data, family, beta):
 def condition_trend_report(data, family, beta, n_grid=None):
     """Diagnostics along increasing subject prefixes (stored order).
 
-    Each prefix uses its own estimated correlation, so det_R doubles as the
+    Each prefix's report is at its own R-tilde, so det_R doubles as the
     determinant-floor sequence.
     """
     if n_grid is None:
@@ -223,12 +194,7 @@ def condition_trend_report(data, family, beta, n_grid=None):
         raise ShapeError(f"grid values must lie in [1, {data.n}]")
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ShapeError("grid must be strictly increasing")
-    reports = []
-    for n_head in n_grid:
-        prefix = data.subset(n_head)
-        reports.append(design_diagnostics(
-            prefix, family, beta, estimate_correlation(prefix, family, beta).R_tilde))
-    return reports
+    return [design_diagnostics(data.subset(n_head), family, beta) for n_head in n_grid]
 
 
 def trend_flags(reports, det_floor=DEFAULT_DET_FLOOR):

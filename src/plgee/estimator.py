@@ -261,24 +261,35 @@ def gee_independence_fit(data, family, beta_init=None, opts=SolverOptions()):
     )
 
 
+def _average_correlation(X, cells):
+    """R-tilde = (1/n) sum_i s_i s_i', s_i = eps_i / sqrt(var_i) the standardized
+    residuals, summed a block of subjects at a time; cells(rows) gives the
+    block's (eps, var).  A variance that is not positive and finite raises,
+    naming its subject and time."""
+    def block_outer(rows):
+        eps, var = cells(rows)
+        ok = (var > 0.0) & np.isfinite(var)
+        if not ok.all():
+            bad = np.argwhere(~ok)[0]
+            i, j = range(len(X))[rows][bad[0]], int(bad[1])
+            raise DegenerateVarianceError(
+                f"degenerate variance at subject {i}, time {j}", subject=i, time=j)
+        s = eps / np.sqrt(var)
+        return s.T @ s
+
+    return reduce(np.add, map(block_outer, _blocks(X))) / len(X)
+
+
 def estimate_correlation(data, family, beta):
     """Average outer product of standardized residuals at beta."""
     beta = np.asarray(beta, dtype=float)
 
-    def block_outer(rows):
+    def cells(rows):
         ev = eval_model(data, family, beta, rows)
-        ok = (ev.var > 0.0) & np.isfinite(ev.var)
-        if not ok.all():
-            bad = np.argwhere(~ok)[0]
-            i, j = range(data.n)[rows][bad[0]], int(bad[1])
-            raise DegenerateVarianceError(
-                f"degenerate variance at subject {i}, time {j}", subject=i, time=j)
-        s = ev.eps / ev.sd
-        return s.T @ s
+        return ev.eps, ev.var
 
-    R = reduce(np.add, map(block_outer, _blocks(data.X))) / data.n
     return CorrelationEstimate(
-        R_tilde=SymMatrix(R),
+        R_tilde=SymMatrix(_average_correlation(data.X, cells)),
         computed_at_beta=beta.copy(),
         n_used=data.n,
     )

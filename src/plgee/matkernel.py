@@ -125,6 +125,7 @@ def max_relative_eigenvalue(A, eig, floor=-np.inf):
     if bound[largest] < floor:          # False for a NaN, which is solved and raises
         return float(floor)
     top = max(floor, np.max(np.linalg.eigvalsh(W[largest])))
+    bound[largest] = -np.inf            # solved: not a candidate again
     return float(np.max(np.linalg.eigvalsh(W[bound >= top]), initial=top))
 
 

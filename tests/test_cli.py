@@ -19,7 +19,6 @@ from plgee.cli import (
 from plgee.errors import InvalidInputError, PlgeeError, SchemaError
 from plgee.estimator import (
     SolverOptions,
-    estimate_correlation,
     gee_independence_fit,
     two_step_fit,
 )
@@ -896,10 +895,9 @@ class TestDiagnose:
         assert calls == trend_n + [60] * (trend_n[-1] != 60)
         doc = json.loads(out)
         assert [t["n_used"] for t in doc["trend"]] == trend_n
-        # the report is the full-n diagnostics at the full-data correlation
+        # the report is the full-n diagnostics
         data, beta = parse_dataset_csv(data_csv), np.array([1.0, -0.5])
-        corr = estimate_correlation(data, IDENTITY, beta)
-        want = real(data, IDENTITY, beta, corr.R_tilde).to_json()
+        want = real(data, IDENTITY, beta).to_json()
         assert dumps_stable(doc["report"]) == dumps_stable(want)
 
 

@@ -9,12 +9,13 @@ from plgee.diagnostics import (
     design_diagnostics,
     example1_closed_form,
     example2_closed_form,
-    smoothness_maxima,
     trend_flags,
 )
-from plgee.errors import LinkOverflowError, NotPositiveDefiniteError, ShapeError
+from plgee.errors import (DegenerateVarianceError, LinkOverflowError, NotPositiveDefiniteError,
+                          ShapeError)
 from plgee.estimator import estimate_correlation, gee_independence_fit, sandwich_covariance
 from plgee.matkernel import SymMatrix, matrix_stats, max_relative_eigenvalue, sym_eigen
+from plgee import model
 from plgee.model import (IDENTITY, LOG, LOGIT, LongitudinalDataset, _link_arrays, eval_model,
                          link_eval)
 from plgee.simulator import exchangeable_matrix, gen_gaussian
@@ -42,10 +43,12 @@ def test_max_quad_form_matches_einsum(cells, p, monkeypatch):
             assert _max_quad_form(X, A) == pytest.approx(want, rel=1e-12)
 
 
-def gamma_D_loop(data, family, beta, R):
-    """gamma_D by its definition: a per-subject loop of p x p eigenproblems."""
+def gamma_D_loop(data, family, beta):
+    """gamma_D by its definition: a per-subject loop of p x p eigenproblems, at
+    R-tilde, the average outer product of the standardized residuals."""
     ev = eval_model(data, family, beta)
-    Q = np.linalg.inv(R)
+    s = ev.eps / ev.sd
+    Q = np.linalg.inv(sum(np.outer(s[i], s[i]) for i in range(data.n)) / data.n)
     G = [(ev.sd[i, :, None] * data.X[i]).T @ Q @ (ev.sd[i, :, None] * data.X[i])
          for i in range(data.n)]
     H = sum(G)
@@ -53,7 +56,7 @@ def gamma_D_loop(data, family, beta, R):
 
 
 @pytest.mark.parametrize("n, m, p, family", [
-    (1, 1, 1, IDENTITY), (1, 3, 2, LOG), (7, 1, 1, LOGIT), (12, 4, 1, LOG),
+    (1, 1, 1, IDENTITY), (4, 3, 2, LOG), (7, 1, 1, LOGIT), (12, 4, 1, LOG),
     (40, 3, 3, IDENTITY), (25, 5, 4, LOGIT), (240, 4, 3, LOG),
 ])
 def test_batched_gamma_D_matches_subject_loop(n, m, p, family):
@@ -61,10 +64,8 @@ def test_batched_gamma_D_matches_subject_loop(n, m, p, family):
     X = rng.uniform(-1, 1, size=(n, m, p))
     data = LongitudinalDataset(X, rng.poisson(1.0, size=(n, m)).astype(float))
     beta = rng.uniform(-0.5, 0.5, size=p)
-    A = rng.normal(size=(m, m))
-    R = A @ A.T + m * np.eye(m)
-    rep = design_diagnostics(data, family, beta, R)
-    assert rep.gamma_D == pytest.approx(gamma_D_loop(data, family, beta, R), rel=1e-12)
+    rep = design_diagnostics(data, family, beta)
+    assert rep.gamma_D == pytest.approx(gamma_D_loop(data, family, beta), rel=1e-12)
 
 
 class TestDesignDiagnostics:
@@ -72,11 +73,11 @@ class TestDesignDiagnostics:
     def test_subject_blocks_match_one_block(self, subjects, monkeypatch):
         # logit, so that k2 and k3 vary over the cells (log gives 1 at each)
         data = gaussian_dataset(n=30, m=4, seed=9)
-        beta, R = np.array([1.0, -0.5]), exchangeable_matrix(4, 0.3)
-        want = design_diagnostics(data, LOGIT, beta, R)
+        beta = np.array([1.0, -0.5])
+        want = design_diagnostics(data, LOGIT, beta)
         monkeypatch.setattr(estimator, "_BLOCK_CELLS", subjects * 4 * 2)
-        got = design_diagnostics(data, LOGIT, beta, R)
-        for name in ("gamma_D", "gamma0", "gamma0_indep", "lambda_min_H_indep"):
+        got = design_diagnostics(data, LOGIT, beta)
+        for name in ("gamma_D", "gamma0", "gamma0_indep", "lambda_min_H_indep", "det_R"):
             assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12)
         # each cell's theta is the same GEMV row whatever the block
         assert (got.k2, got.k3) == (want.k2, want.k3)
@@ -88,11 +89,11 @@ class TestDesignDiagnostics:
         # agrees with the one-block value to rounding only; at any one block
         # size it is the maximum over every subject's eigenvalues bit for bit
         data = gaussian_dataset(n=400, m=5, p=4, beta0=(1.0, -0.5, 0.3, 0.2), seed=11)
-        beta, R = np.linspace(-0.4, 0.4, 4), exchangeable_matrix(5, 0.3)
-        one_block = design_diagnostics(data, LOG, beta, R).gamma_D
+        beta = np.linspace(-0.4, 0.4, 4)
+        one_block = design_diagnostics(data, LOG, beta).gamma_D
         if subjects is not None:
             monkeypatch.setattr(estimator, "_BLOCK_CELLS", subjects * 5 * 4)
-        got = design_diagnostics(data, LOG, beta, R).gamma_D
+        got = design_diagnostics(data, LOG, beta).gamma_D
         assert got == pytest.approx(one_block, rel=1e-12)
 
         def every_subject_solved(A, eig, floor=-np.inf):
@@ -102,7 +103,7 @@ class TestDesignDiagnostics:
             return max(floor, float(np.max(np.linalg.eigvalsh(W))))
 
         monkeypatch.setattr(diagnostics, "max_relative_eigenvalue", every_subject_solved)
-        assert got == design_diagnostics(data, LOG, beta, R).gamma_D
+        assert got == design_diagnostics(data, LOG, beta).gamma_D
 
     @pytest.mark.parametrize("subjects", [1, 3])
     def test_floor_carried_across_blocks_keeps_gamma_D_bits(self, subjects, monkeypatch):
@@ -110,8 +111,8 @@ class TestDesignDiagnostics:
         # same gamma_D, bit for bit, as blocks reduced on their own, from
         # fewer eigenproblems
         data = gaussian_dataset(n=400, m=5, p=4, beta0=(1.0, -0.5, 0.3, 0.2), seed=11)
-        beta, R = np.linspace(-0.4, 0.4, 4), exchangeable_matrix(5, 0.3)
-        one_block = design_diagnostics(data, LOG, beta, R).gamma_D
+        beta = np.linspace(-0.4, 0.4, 4)
+        one_block = design_diagnostics(data, LOG, beta).gamma_D
         monkeypatch.setattr(estimator, "_BLOCK_CELLS", subjects * 5 * 4)
         solved = []
         eigvalsh = np.linalg.eigvalsh
@@ -121,62 +122,58 @@ class TestDesignDiagnostics:
             return eigvalsh(a)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        carried = design_diagnostics(data, LOG, beta, R).gamma_D
+        carried = design_diagnostics(data, LOG, beta).gamma_D
         carried_solves = sum(solved)
         kernel = diagnostics.max_relative_eigenvalue
         monkeypatch.setattr(diagnostics, "max_relative_eigenvalue",
                             lambda A, eig, floor=-np.inf: max(floor, kernel(A, eig)))
         solved.clear()
-        assert carried == design_diagnostics(data, LOG, beta, R).gamma_D
+        assert carried == design_diagnostics(data, LOG, beta).gamma_D
         assert carried_solves < sum(solved)
         assert carried == pytest.approx(one_block, rel=1e-12)
 
     def test_identity_correlation_values(self):
-        data = gaussian_dataset(m=3, seed=1)
-        rep = design_diagnostics(data, IDENTITY, np.array([1.0, -0.5]), np.eye(3))
-        assert rep.pi_n == pytest.approx(1.0)
-        assert rep.tau_tilde_n == pytest.approx(3.0)
+        # residual columns orthogonal, each of squared length n: R-tilde = I
+        r = np.array([[1.0, 1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, -1.0, -1.0], [-1.0, -1.0, 1.0]])
+        X = np.random.default_rng(1).uniform(-1, 1, size=(4, 3, 2))
+        rep = design_diagnostics(LongitudinalDataset(X, r), IDENTITY, np.zeros(2))
+        assert rep.det_R == pytest.approx(1.0, rel=1e-12)
+        assert rep.pi_n == pytest.approx(1.0, rel=1e-12)
+        assert rep.tau_tilde_n == pytest.approx(3.0, rel=1e-12)
         assert rep.gamma_tilde == pytest.approx(rep.tau_tilde_n * rep.gamma0)
 
-    def test_single_subject_identity_design(self):
-        m = 3
-        data = LongitudinalDataset(np.eye(m)[None, :, :], np.zeros((1, m)))
-        rep = design_diagnostics(data, IDENTITY, np.zeros(m), np.eye(m))
-        assert np.allclose(estimator._weighted_gram(data.X, np.ones((1, m))), np.eye(m))
+    def test_single_subject_single_time(self):
+        # x = 1 and y = 2 at beta = 0: R-tilde = 4, so Q = H = 1/4, and the
+        # meat is (Q x s)^2 = 1/4 with s = 2
+        data = LongitudinalDataset(np.ones((1, 1, 1)), np.full((1, 1), 2.0))
+        rep = design_diagnostics(data, IDENTITY, np.zeros(1))
+        assert rep.det_R == pytest.approx(4.0)
         assert rep.lambda_min_H_indep == pytest.approx(1.0)
-        assert rep.lambda_min_H_general == pytest.approx(1.0)
+        assert rep.lambda_min_H_general == pytest.approx(0.25)
         assert rep.gamma0_indep == pytest.approx(1.0)
-        # every residual is zero, so the sandwich meat is too: c_n has no value
-        assert rep.c_n is None
+        assert rep.gamma_D == pytest.approx(1.0)
+        assert rep.c_n == pytest.approx(1.0)
 
     def test_gamma_D_bounded_by_dn_gamma_tilde(self):
         data = gaussian_dataset(n=200, seed=2)
         beta = np.array([1.0, -0.5])
-        corr = estimate_correlation(data, IDENTITY, beta)
-        rep = design_diagnostics(data, IDENTITY, beta, corr.R_tilde)
+        rep = design_diagnostics(data, IDENTITY, beta)
         ev = eval_model(data, IDENTITY, beta)
         d_n = float(np.max(ev.var))
         assert rep.gamma_D <= d_n * rep.gamma_tilde * (1 + 1e-9)
 
     def test_gamma0_indep_positive_finite(self):
         data = gaussian_dataset(seed=3)
-        rep = design_diagnostics(data, IDENTITY, np.zeros(2), np.eye(3))
+        rep = design_diagnostics(data, IDENTITY, np.zeros(2))
         assert 0 < rep.gamma0_indep < np.inf
 
     def test_tau_floor_when_trace_small(self):
         # lambda_min(R) <= trace/m <= 2 forces tau_tilde = m*lambda_max(R^-1) >= m/2
         data = gaussian_dataset(seed=4)
-        R = exchangeable_matrix(3, 0.5)
-        rep = design_diagnostics(data, IDENTITY, np.zeros(2), R)
-        assert np.trace(R) <= 2 * data.m
-        assert rep.tau_tilde_n >= 0.5
-
-    def test_pi_invariant_under_correlation_scaling(self):
-        data = gaussian_dataset(seed=5)
-        R = exchangeable_matrix(3, 0.3)
-        r1 = design_diagnostics(data, IDENTITY, np.zeros(2), R)
-        r2 = design_diagnostics(data, IDENTITY, np.zeros(2), 4.0 * R)
-        assert r1.pi_n == pytest.approx(r2.pi_n, rel=1e-12)
+        beta = np.array([1.0, -0.5])
+        rep = design_diagnostics(data, IDENTITY, beta)
+        assert np.trace(estimate_correlation(data, IDENTITY, beta).R_tilde.a) <= 2 * data.m
+        assert rep.tau_tilde_n >= 0.5 * data.m
 
     def test_sandwich_bound_chain(self):
         # (1/2m) H_indep <= H_general <= (tau/m) H_indep when |R entries| <= 2
@@ -185,7 +182,7 @@ class TestDesignDiagnostics:
         corr = estimate_correlation(data, IDENTITY, beta)
         R = corr.R_tilde.a
         assert np.max(np.abs(R)) <= 2.0
-        rep = design_diagnostics(data, IDENTITY, beta, R)
+        rep = design_diagnostics(data, IDENTITY, beta)
         var = eval_model(data, IDENTITY, beta).var
         Hg = estimator._sandwiched_gram(data.X, np.sqrt(var), np.linalg.inv(R))
         Hi = estimator._weighted_gram(data.X, var)
@@ -209,69 +206,81 @@ class TestDesignDiagnostics:
         want = max_relative_eigenvalue(parts.H_tilde, sym_eigen(parts.M_hat))
         if subjects is not None:
             monkeypatch.setattr(estimator, "_BLOCK_CELLS", subjects * 3 * 2)
-        rep = design_diagnostics(data, family, beta, corr.R_tilde)
+        rep = design_diagnostics(data, family, beta)
         assert rep.c_n == pytest.approx(want, rel=1e-12)
         assert rep.c_n > 0
 
     def test_singular_R_rejected(self):
-        data = gaussian_dataset(seed=9)
-        with pytest.raises(NotPositiveDefiniteError):
-            design_diagnostics(data, IDENTITY, np.zeros(2), np.ones((3, 3)))
+        # two subjects' residuals span two of the m=3 dimensions
+        data = gaussian_dataset(seed=9).subset(2)
+        with pytest.raises(NotPositiveDefiniteError, match="^correlation matrix "):
+            design_diagnostics(data, IDENTITY, np.zeros(2))
+
+    def test_degenerate_variance_names_subject_in_later_block(self, monkeypatch):
+        # canonical variances are clamped positive, so zero one by hand: the
+        # variance is 0 where theta is 1, which is subject 8, time 0 alone
+        X = np.full((10, 2, 1), 0.5)
+        X[8, 0, 0] = 1.0
+        data = LongitudinalDataset(X, np.zeros((10, 2)))
+        real = model._mean_and_variance
+
+        def zero_variance_at_one(family, theta):
+            mu, var = real(family, theta)
+            return mu, np.where(theta == 1.0, 0.0, var)
+
+        monkeypatch.setattr(model, "_mean_and_variance", zero_variance_at_one)
+        monkeypatch.setattr(estimator, "_BLOCK_CELLS", 3 * 2 * 1)
+        with pytest.raises(DegenerateVarianceError) as info:
+            design_diagnostics(data, IDENTITY, [1.0])
+        assert (info.value.subject, info.value.time) == (8, 0)
+        assert str(info.value) == "degenerate variance at subject 8, time 0"
+
+    def test_log_link_overflow_names_subject_and_time(self, monkeypatch):
+        X = np.ones((6, 2, 1))
+        X[4, 1] = 800.0      # theta = 800 > the log link's limit, in the third block
+        data = LongitudinalDataset(X, np.zeros((6, 2)))
+        monkeypatch.setattr(estimator, "_BLOCK_CELLS", 2 * 2 * 1)
+        with pytest.raises(LinkOverflowError,
+                           match=r"^log link overflow at subject 4, time 1$") as info:
+            design_diagnostics(data, LOG, np.ones(1))
+        assert (info.value.subject, info.value.time) == (4, 1)
 
 
 class TestSmoothnessMaxima:
+    """k2 and k3: the maxima of |mu''/mu'| and |mu'''/mu'| over the cells at beta."""
+
     def test_identity_link_zero(self):
-        data = gaussian_dataset(seed=10)
-        km = smoothness_maxima(data, IDENTITY, np.zeros(2), 1.0)
-        assert km == {"k2": 0.0, "k3": 0.0}
+        rep = design_diagnostics(gaussian_dataset(seed=10), IDENTITY, np.zeros(2))
+        assert (rep.k2, rep.k3) == (0.0, 0.0)
 
     def test_log_link_unity(self):
-        data = gaussian_dataset(seed=11)
-        km = smoothness_maxima(data, LOG, np.zeros(2), 0.5)
-        assert km["k2"] == pytest.approx(1.0)
-        assert km["k3"] == pytest.approx(1.0)
+        rep = design_diagnostics(gaussian_dataset(seed=11), LOG, np.zeros(2))
+        assert (rep.k2, rep.k3) == (1.0, 1.0)
 
     def test_theta_is_eval_models_gemv(self):
-        # each probe's theta is the one GEMV on the (cells, p) flattening that
-        # eval_model forms, bit for bit (numpy's batched 3-D matvec gives a
-        # theta whose k2 differs in the last bit on this draw)
+        # theta is the one GEMV on the (cells, p) flattening that eval_model
+        # forms, reduced a block at a time: the whole array's maxima bit for
+        # bit (numpy's batched 3-D matvec gives a theta whose k2 differs in
+        # the last bit on this draw)
         rng = np.random.default_rng(84)
         X = rng.uniform(-1, 1, size=(40, 10, 8))
         data = LongitudinalDataset(X, np.zeros((40, 10)))
         beta = rng.uniform(-0.5, 0.5, size=8)
         _, d1, d2, d3 = _link_arrays(LOGIT, eval_model(data, LOGIT, beta).theta)
-        assert smoothness_maxima(data, LOGIT, beta, 0.0) == {
-            "k2": float(np.max(np.abs(d2 / d1))), "k3": float(np.max(np.abs(d3 / d1)))}
-
-    @pytest.mark.parametrize("subjects", [1, 3])
-    def test_subject_blocks_match_one_block(self, subjects, monkeypatch):
-        data = gaussian_dataset(n=30, m=4, seed=12)
-        beta = np.array([1.0, -0.5])
-        want = smoothness_maxima(data, LOGIT, beta, 0.7)
-        monkeypatch.setattr(estimator, "_BLOCK_CELLS", subjects * 4 * 2)
-        got = smoothness_maxima(data, LOGIT, beta, 0.7)
-        # the probes come from the blockwise independence scoring matrix,
-        # whose sum may round differently with the blocks
-        assert got == pytest.approx(want, rel=1e-12)
-
-    def test_overflow_in_a_later_block_names_the_probe(self, monkeypatch):
-        X = np.ones((6, 2, 1))
-        X[4] = 800.0         # theta = 800 > the log link's limit, in the third block
-        data = LongitudinalDataset(X, np.zeros((6, 2)))
-        monkeypatch.setattr(estimator, "_BLOCK_CELLS", 2 * 2 * 1)
-        with pytest.raises(LinkOverflowError, match=r"^link overflow at probe point 0 \(beta="):
-            smoothness_maxima(data, LOG, np.ones(1), 0.0)
+        rep = design_diagnostics(data, LOGIT, beta)
+        assert (rep.k2, rep.k3) == (float(np.max(np.abs(d2 / d1))),
+                                    float(np.max(np.abs(d3 / d1))))
 
     def test_logit_grid_oracle(self):
-        # single covariate ranging over [-2, 2]: probe maxima should match a
-        # dense grid maximization of |mu''/mu'| at the evaluated points
+        # single covariate ranging over [-2, 2]: the maxima over the cells
+        # match a dense grid maximization of |mu''/mu'| at the same points
         thetas = np.linspace(-2.0, 2.0, 41)
         X = thetas.reshape(-1, 1, 1)
         data = LongitudinalDataset(X, np.zeros((len(thetas), 1)))
-        km = smoothness_maxima(data, LOGIT, np.array([1.0]), 0.0)
+        rep = design_diagnostics(data, LOGIT, np.array([1.0]))
         dense = max(abs(link_eval(LOGIT, t).d2) / link_eval(LOGIT, t).d1
                     for t in thetas)
-        assert km["k2"] == pytest.approx(dense, abs=1e-3)
+        assert rep.k2 == pytest.approx(dense, abs=1e-3)
 
 
 class TestExample1:
@@ -411,6 +420,19 @@ class TestTrends:
         nu_last = example2_closed_form(data, IDENTITY, beta0)
         nu_100 = example2_closed_form(data.subset(100), IDENTITY, beta0)
         assert nu_last["nu_min"] == pytest.approx(nu_100["nu_min"])
+
+    def test_one_model_evaluation_per_grid_row(self, monkeypatch):
+        data = gaussian_dataset(n=60, seed=20)
+        evaluated = []
+
+        def counted(data, *args, **kwargs):
+            evaluated.append(data.n)
+            return eval_model(data, *args, **kwargs)
+
+        for module in (diagnostics, estimator):
+            monkeypatch.setattr(module, "eval_model", counted)
+        condition_trend_report(data, IDENTITY, np.array([1.0, -0.5]), n_grid=[20, 40, 60])
+        assert evaluated == [20, 40, 60]
 
     def test_bad_grid_rejected(self):
         data = gaussian_dataset(n=20, seed=19)

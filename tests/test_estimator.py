@@ -278,16 +278,17 @@ class TestAssemblyHelpers:
         assert peak < 0.5 * data.X.nbytes
 
     def test_design_diagnostics_peak_memory_below_design_size(self):
-        # gamma_D and k2/k3 are reduced a block of subjects at a time and only
-        # the model's variances are kept: a stack of the n subjects' p x p
-        # matrices B_i' Q B_i for gamma_D peaked at 2.18x X.nbytes, and
-        # holding the whole ModelEval through the report at 0.86x (0.50x now)
+        # R-tilde, gamma_D and k2/k3 are reduced a block of subjects at a time
+        # from one model evaluation, and theta is released once k2/k3 are
+        # taken: a stack of the n subjects' p x p matrices B_i' Q B_i for
+        # gamma_D peaked at 2.18x X.nbytes, holding the whole ModelEval
+        # through the report at 0.86x, and keeping theta through it at 0.63x
+        # (0.51x now)
         data = self.large_counts()
-        R = exchangeable_matrix(data.m, 0.3)
         report, peak = self.traced_peak(
-            lambda: design_diagnostics(data, LOG, np.linspace(0.5, -0.3, data.p), R))
+            lambda: design_diagnostics(data, LOG, np.linspace(0.5, -0.3, data.p)))
         assert report.gamma_D > 0.0
-        assert peak < 0.75 * data.X.nbytes
+        assert peak < 0.55 * data.X.nbytes
 
     @pytest.mark.parametrize("build", [_sandwiched_gram])
     def test_sandwiched_grams_hold_one_block_at_a_time(self, build, monkeypatch):

@@ -325,6 +325,30 @@ class TestMaxRelativeEigenvalue:
             == 2.0 * bound
         assert solved == []
 
+    @pytest.mark.parametrize("blocks", [1, 4])
+    def test_largest_norm_matrix_is_solved_once_per_block(self, blocks, monkeypatch):
+        # a stack reduced block by block with the running maximum as the
+        # floor, as design_diagnostics does; every matrix v v' has |v| = 1, so
+        # all norms tie and every matrix is a candidate: each is solved once,
+        # the largest-norm one of a block first and not again with the rest
+        v = np.random.default_rng(79).normal(size=(40, 3))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        stack = v[:, :, None] * v[:, None, :]
+        want = self.whole_stack(stack, np.eye(3))
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(a):
+            solved.extend(w.tobytes() for w in a.reshape(-1, 3, 3))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        got = -np.inf
+        for part in np.array_split(stack, blocks):
+            got = max_relative_eigenvalue(part, sym_eigen(np.eye(3)), floor=got)
+        assert got == want
+        assert len(solved) == len(set(solved)) == len(stack)
+
     def test_relative_to_itself_is_one(self):
         s = random_spd(np.random.default_rng(47), 5)
         assert max_relative_eigenvalue(s, sym_eigen(s)) == pytest.approx(1.0, rel=1e-12)
