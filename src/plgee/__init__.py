@@ -3,11 +3,9 @@
 from .estimator import (
     CorrelationEstimate,
     FitResult,
-    SolverOptions,
     estimate_correlation,
     gee_independence_fit,
     pseudo_likelihood_fit,
-    sandwich_covariance,
     two_step_fit,
     wald_intervals,
 )
@@ -25,11 +23,9 @@ from .model import (
 __all__ = [
     "CorrelationEstimate",
     "FitResult",
-    "SolverOptions",
     "estimate_correlation",
     "gee_independence_fit",
     "pseudo_likelihood_fit",
-    "sandwich_covariance",
     "two_step_fit",
     "wald_intervals",
     "IDENTITY",

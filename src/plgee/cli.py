@@ -328,21 +328,6 @@ def parse_dataset_csv(path):
     return records.dataset(error)
 
 
-def write_dataset_csv(data, path):
-    """Write `data` in the layout parse_dataset_csv reads: subjects 1..n,
-    CRLF line ends, floats to 17 significant digits."""
-    n, m, p = data.X.shape
-    cells = np.empty((n * m, 3 + p))
-    cells[:, 0] = np.repeat(np.arange(1, n + 1), m)
-    cells[:, 1] = np.tile(np.arange(1, m + 1), n)
-    cells[:, 2] = data.y.ravel()
-    cells[:, 3:] = data.X.reshape(n * m, p)
-    header = ",".join(["subject", "time", "y"] + [f"x{k + 1}" for k in range(p)])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        np.savetxt(fh, cells, fmt=["%d", "%d"] + ["%.17g"] * (1 + p), delimiter=",",
-                   newline="\r\n", header=header, comments="")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------

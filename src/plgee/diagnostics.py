@@ -185,13 +185,16 @@ def condition_trend_report(data, family, beta, n_grid=None):
     """Diagnostics along increasing subject prefixes (stored order).
 
     Each prefix's report is at its own R-tilde, so det_R doubles as the
-    determinant-floor sequence.
+    determinant-floor sequence.  Every prefix needs at least m subjects:
+    R-tilde of fewer is singular by construction.
     """
     if n_grid is None:
         n_grid = [data.n]
     n_grid = [int(v) for v in n_grid]
-    if any(v < 1 or v > data.n for v in n_grid):
-        raise ShapeError(f"grid values must lie in [1, {data.n}]")
+    for n_head in n_grid:
+        if not data.m <= n_head <= data.n:
+            raise ShapeError(f"grid values must lie in [m, n] = [{data.m}, {data.n}], "
+                             f"got n_head={n_head}")
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ShapeError("grid must be strictly increasing")
     return [design_diagnostics(data.subset(n_head), family, beta) for n_head in n_grid]

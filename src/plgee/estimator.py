@@ -33,18 +33,12 @@ METHOD_INDEPENDENCE = "independence"
 METHOD_PSEUDO_LIKELIHOOD = "pseudo_likelihood"
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    max_iter: int = 50
-    grad_tol: float = 1e-8
-    step_tol: float = 1e-10
-    step_halving_max: int = 20
-
-    def __post_init__(self):
-        if self.max_iter < 1 or self.step_halving_max < 0:
-            raise PreconditionError("iteration counts must be positive")
-        if self.grad_tol <= 0 or self.step_tol <= 0:
-            raise PreconditionError("tolerances must be strictly positive")
+# Newton iteration cap, relative gradient and step tolerances, and step
+# halvings per iteration; the solver reads them at call time.
+_MAX_ITER = 50
+_GRAD_TOL = 1e-8
+_STEP_TOL = 1e-10
+_STEP_HALVING_MAX = 20
 
 
 @dataclass(frozen=True)
@@ -164,8 +158,8 @@ def _norm(v):
     return math.sqrt(v @ v)
 
 
-def _convergence_scale(data, opts):
-    return opts.grad_tol * (1.0 + _norm(_score(data.X, data.y)))
+def _convergence_scale(data):
+    return _GRAD_TOL * (1.0 + _norm(_score(data.X, data.y)))
 
 
 def _scoring_inverse(H, where):
@@ -177,13 +171,12 @@ def _scoring_inverse(H, where):
 
 
 def _sandwich(X, t, H_inv):
-    """(M, H^{-1} M H^{-1}), M the sum of the subjects' score outer products."""
+    """H^{-1} M H^{-1}, M the sum of the subjects' score outer products."""
     V = _subject_scores(X, t)
-    M = V.T @ V
-    return M, H_inv @ M @ H_inv
+    return H_inv @ (V.T @ V) @ H_inv
 
 
-def _newton_solve(data, family, beta_init, opts, system, method):
+def _newton_solve(data, family, beta_init, system, method):
     """Damped Newton / Fisher scoring on the estimating function.
 
     Full step first; halved whenever the estimating-function norm fails to
@@ -195,7 +188,7 @@ def _newton_solve(data, family, beta_init, opts, system, method):
     overwrites its t and gram, and beta_hat is the point evaluated last.
     """
     beta = np.asarray(beta_init, dtype=float).copy()
-    tol = _convergence_scale(data, opts)
+    tol = _convergence_scale(data)
     cells = np.empty((2,) + data.y.shape)
     try:
         g, t, gram = system(beta, cells)
@@ -207,12 +200,12 @@ def _newton_solve(data, family, beta_init, opts, system, method):
     converged = gnorm <= tol
 
     it = 0
-    while not converged and it < opts.max_iter:
+    while not converged and it < _MAX_ITER:
         it += 1
         step = H_inv @ g
         accepted = False
         scale = 1.0
-        for _ in range(opts.step_halving_max + 1):
+        for _ in range(_STEP_HALVING_MAX + 1):
             cand = beta + scale * step
             try:
                 g_new, t, gram = system(cand, cells)
@@ -226,7 +219,7 @@ def _newton_solve(data, family, beta_init, opts, system, method):
             scale *= 0.5
         if not accepted:
             raise LineSearchFailure(
-                f"step halving exhausted after {opts.step_halving_max} halvings "
+                f"step halving exhausted after {_STEP_HALVING_MAX} halvings "
                 f"at iteration {it} (gnorm={gnorm:.6g})"
             )
 
@@ -235,16 +228,15 @@ def _newton_solve(data, family, beta_init, opts, system, method):
         trace.append((beta.copy(), gnorm))
         H_inv = _scoring_inverse(gram(), f"after iteration {it}")
         converged = gnorm <= tol
-        if step_size <= opts.step_tol * (1.0 + _norm(beta)):
+        if step_size <= _STEP_TOL * (1.0 + _norm(beta)):
             break
 
-    _, cov = _sandwich(data.X, t, H_inv)
     return FitResult(beta_hat=beta, converged=converged, iterations=len(trace) - 1,
                      final_gnorm=gnorm, trace=trace, method=method,
-                     cov_beta=SymMatrix(cov))
+                     cov_beta=SymMatrix(_sandwich(data.X, t, H_inv)))
 
 
-def gee_independence_fit(data, family, beta_init=None, opts=SolverOptions()):
+def gee_independence_fit(data, family, beta_init=None):
     """Newton solve of the working-independence estimating equation.
 
     For canonical links the scoring matrix sum X_i' A_i X_i is the exact
@@ -255,7 +247,7 @@ def gee_independence_fit(data, family, beta_init=None, opts=SolverOptions()):
     if beta_init is None:
         beta_init = np.zeros(data.p)
     return _newton_solve(
-        data, family, beta_init, opts,
+        data, family, beta_init,
         lambda b, cells: _independence_system(data, family, b, cells),
         METHOD_INDEPENDENCE,
     )
@@ -295,20 +287,19 @@ def estimate_correlation(data, family, beta):
     )
 
 
-def pseudo_likelihood_fit(data, family, corr, beta_init=None, opts=SolverOptions()):
+def pseudo_likelihood_fit(data, family, corr, beta_init=None):
     """Fisher-scoring solve of the pseudo-likelihood estimating equation.
 
     The step matrix is sum X_i' A_i^{1/2} R^{-1} A_i^{1/2} X_i; the extra
     derivative terms of the exact Jacobian are dropped (their effect is
     checked in diagnostics, not used for stepping).  The result carries the
-    sandwich covariance at beta_hat, equal to ``sandwich_covariance`` there
-    bit for bit.
+    sandwich covariance H^{-1} M H^{-1} at beta_hat.
     """
     Q = sym_eigen(corr.R_tilde, require_spd="correlation estimate").power(-1)
     if beta_init is None:
         beta_init = np.zeros(data.p)
     result = _newton_solve(
-        data, family, beta_init, opts,
+        data, family, beta_init,
         lambda b, cells: _general_system(data, family, b, Q, cells),
         METHOD_PSEUDO_LIKELIHOOD,
     )
@@ -316,23 +307,7 @@ def pseudo_likelihood_fit(data, family, corr, beta_init=None, opts=SolverOptions
     return result
 
 
-@dataclass(frozen=True)
-class SandwichParts:
-    M_hat: SymMatrix
-    H_tilde: SymMatrix
-    cov_beta: SymMatrix
-
-
-def sandwich_covariance(data, family, beta_hat, corr):
-    """Robust covariance H^{-1} M H^{-1} at any beta_hat under correlation corr."""
-    Q = sym_eigen(corr.R_tilde, require_spd="correlation estimate").power(-1)
-    _, t, gram = _general_system(data, family, np.asarray(beta_hat, dtype=float), Q)
-    H = gram()
-    M, cov = _sandwich(data.X, t, _scoring_inverse(H, "at beta_hat"))
-    return SandwichParts(M_hat=SymMatrix(M), H_tilde=SymMatrix(H), cov_beta=SymMatrix(cov))
-
-
-def two_step_fit(data, family, opts=SolverOptions()):
+def two_step_fit(data, family):
     """Independence fit from zero, correlation estimate, pseudo-likelihood
     refit.  Falls back to the independence fit, with its own sandwich, when
     that fit did not converge (with ``correlation_used`` None: R-tilde and
@@ -343,12 +318,11 @@ def two_step_fit(data, family, opts=SolverOptions()):
     trigger the fallback: a singular scoring matrix raises
     SingularDesignError.
     """
-    indep = gee_independence_fit(data, family, beta_init=None, opts=opts)
+    indep = gee_independence_fit(data, family)
     if indep.converged:
         corr = estimate_correlation(data, family, indep.beta_hat)
         try:
-            fit = pseudo_likelihood_fit(data, family, corr, beta_init=indep.beta_hat,
-                                        opts=opts)
+            fit = pseudo_likelihood_fit(data, family, corr, beta_init=indep.beta_hat)
         except NotPositiveDefiniteError:
             indep.correlation_used = corr
         else:

@@ -348,7 +348,7 @@ def _run_replicate(config, r):
         two = two_step_fit(data, config.family)
     except PlgeeError:
         return out
-    if not two.converged:    # an unconverged preliminary fit is returned itself
+    if not two.converged or two.fallback_to_independence:   # not a two-step estimate
         return out
     beta0 = np.asarray(config.beta0, dtype=float)
     delta = two.beta_hat - beta0
@@ -397,8 +397,9 @@ def _median(values):
 def summarize_replicates(config, results):
     """Aggregate bias/variance/coverage/normality over replicate results.
 
-    Replicates that fail to converge (or error out of the solver) are
-    counted and excluded from the moment statistics.
+    Replicates that fail to converge, fall back to the independence fit or
+    error out of the solver are counted and excluded from the moment
+    statistics.
     """
     ok = [d for d in results if d["ok"]]
     n_fail = config.replications - len(ok)

@@ -10,20 +10,31 @@ import numpy as np
 import pytest
 
 import plgee.cli as cli
+from plgee import estimator
 from plgee.cli import (
     dumps_stable,
     main,
     parse_dataset_csv,
-    write_dataset_csv,
 )
 from plgee.errors import InvalidInputError, PlgeeError, SchemaError
-from plgee.estimator import (
-    SolverOptions,
-    gee_independence_fit,
-    two_step_fit,
-)
+from plgee.estimator import two_step_fit
 from plgee.model import IDENTITY, LongitudinalDataset
 from plgee.simulator import SimConfig, exchangeable_matrix, gen_gaussian, mix_seed
+
+
+def write_dataset_csv(data, path):
+    """Write `data` in the layout parse_dataset_csv reads: subjects 1..n,
+    CRLF line ends, floats to 17 significant digits."""
+    n, m, p = data.X.shape
+    cells = np.empty((n * m, 3 + p))
+    cells[:, 0] = np.repeat(np.arange(1, n + 1), m)
+    cells[:, 1] = np.tile(np.arange(1, m + 1), n)
+    cells[:, 2] = data.y.ravel()
+    cells[:, 3:] = data.X.reshape(n * m, p)
+    header = ",".join(["subject", "time", "y"] + [f"x{k + 1}" for k in range(p)])
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        np.savetxt(fh, cells, fmt=["%d", "%d"] + ["%.17g"] * (1 + p), delimiter=",",
+                   newline="\r\n", header=header, comments="")
 
 
 def sample_dataset(n=60, m=3, p=2, seed=0):
@@ -715,8 +726,7 @@ class TestFit:
         assert json.loads(err)["error"] == "io"
 
     def test_unconverged_preliminary_fit_exits_2(self, counts_csv, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "two_step_fit", lambda data, family: two_step_fit(
-            data, family, opts=SolverOptions(max_iter=1)))
+        monkeypatch.setattr(estimator, "_MAX_ITER", 1)
         code, out, err = run_cli(["fit", "--data", counts_csv, "--link", "log"], capsys)
         assert code == 2
         doc = json.loads(out)
@@ -827,8 +837,7 @@ class TestDiagnose:
         assert np.allclose(json.loads(out)["beta"], [1.0, -0.5], atol=0.2)
 
     def test_unconverged_preliminary_fit_exits_2(self, counts_csv, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "gee_independence_fit", lambda data, family:
-                            gee_independence_fit(data, family, opts=SolverOptions(max_iter=1)))
+        monkeypatch.setattr(estimator, "_MAX_ITER", 1)
         code, out, err = run_cli(["diagnose", "--data", counts_csv, "--link", "log"], capsys)
         assert code == 2
         assert err.count("\n") == 1
@@ -874,6 +883,27 @@ class TestDiagnose:
         assert [row["c_n"] is None for row in doc["trend"]] == [True, False]
         assert doc["report"]["c_n"] == doc["trend"][1]["c_n"] > 0
         assert "tau_oracle" not in doc["report"]
+
+    @pytest.mark.parametrize("grid, code", [("5,400", 1), ("10,400", 0)])
+    def test_grid_below_m_is_rejected_up_front(self, tmp_path, capsys, grid, code):
+        # R-tilde of fewer subjects than its m=10 times is singular: such a
+        # grid is a shape error before any row is computed
+        rng = np.random.default_rng(31)
+        path = tmp_path / "m10.csv"
+        write_dataset_csv(gen_gaussian(rng.uniform(-1, 1, size=(400, 10, 3)),
+                                       np.array([1.0, -0.5, 0.3]),
+                                       exchangeable_matrix(10, 0.5), seed=31), path)
+        got, out, err = run_cli(
+            ["diagnose", "--data", str(path), "--link", "identity", "--grid", grid], capsys)
+        assert got == code
+        if code:
+            assert out == ""
+            assert json.loads(err) == {
+                "error": "shape",
+                "detail": "grid values must lie in [m, n] = [10, 400], got n_head=5"}
+        else:
+            assert err == ""
+            assert [row["n_used"] for row in json.loads(out)["trend"]] == [10, 400]
 
     @pytest.mark.parametrize("grid, trend_n", [("20,40,60", [20, 40, 60]),
                                                ("20,40", [20, 40])])
@@ -1010,6 +1040,20 @@ class TestSimulate:
         assert json.loads(err) == {
             "warning": "replicates-failed",
             "detail": "1 of 6 replicates failed, more than the 0.02 fraction allowed"}
+
+    def test_every_replicate_falling_back_is_an_empty_report(self, tmp_path, capsys):
+        # n=4 < m=6: every R-tilde is singular, so every fit falls back to
+        # independence, and no replicate has a two-step estimate
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps({
+            "n": 4, "m": 6, "p": 2, "family": "identity", "beta0": [1.0, 0.5],
+            "design": {"kind": "iid_uniform"},
+            "correlation": {"kind": "exchangeable", "rho": 0.3},
+            "replications": 20, "base_seed": 1}))
+        code, out, err = run_cli(["simulate", "--config", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "empty-report",
+                                   "detail": "no replicate converged; nothing to aggregate"}
 
     def test_misspelled_config_key_is_config_error(self, config_json, capsys):
         with open(config_json) as fh:
@@ -1190,3 +1234,14 @@ print(json.dumps(sorted(set(sys.modules) - loaded)))
         assert doc == {"scipy": [], "pool": [], "rng": [],
                        "added": {"fit": [], "diagnose": [], "simulate": random}}
         assert shuffled["added"] == {"fit": random}
+
+
+def test_cli_checks_script_passes():
+    # the end-to-end checks CI runs against the installed console script,
+    # here through this interpreter's `-m plgee.cli`
+    script = os.path.join(os.path.dirname(__file__), "cli_checks.sh")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p),
+               PATH=os.path.dirname(sys.executable) + os.pathsep + os.environ["PATH"])
+    proc = subprocess.run(["bash", script, sys.executable, "-m", "plgee.cli"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

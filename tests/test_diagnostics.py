@@ -13,12 +13,13 @@ from plgee.diagnostics import (
 )
 from plgee.errors import (DegenerateVarianceError, LinkOverflowError, NotPositiveDefiniteError,
                           ShapeError)
-from plgee.estimator import estimate_correlation, gee_independence_fit, sandwich_covariance
+from plgee.estimator import estimate_correlation, gee_independence_fit
 from plgee.matkernel import SymMatrix, matrix_stats, max_relative_eigenvalue, sym_eigen
 from plgee import model
 from plgee.model import (IDENTITY, LOG, LOGIT, LongitudinalDataset, _link_arrays, eval_model,
                          link_eval)
 from plgee.simulator import exchangeable_matrix, gen_gaussian
+from sandwich_oracle import sandwich
 
 
 def gaussian_dataset(n=60, m=3, p=2, rho=0.4, beta0=(1.0, -0.5), seed=0):
@@ -201,9 +202,8 @@ class TestDesignDiagnostics:
         # M-hat summed over the gamma_D blocks is the sandwich's, at any block size
         data = gaussian_dataset(n=80, seed=7)
         beta = gee_independence_fit(data, IDENTITY).beta_hat
-        corr = estimate_correlation(data, family, beta)
-        parts = sandwich_covariance(data, family, beta, corr)
-        want = max_relative_eigenvalue(parts.H_tilde, sym_eigen(parts.M_hat))
+        H, M, _ = sandwich(data, family, beta, estimate_correlation(data, family, beta).R_tilde.a)
+        want = max_relative_eigenvalue(H, sym_eigen(M))
         if subjects is not None:
             monkeypatch.setattr(estimator, "_BLOCK_CELLS", subjects * 3 * 2)
         rep = design_diagnostics(data, family, beta)

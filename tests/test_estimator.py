@@ -18,23 +18,38 @@ from plgee.estimator import (
     _score,
     _subject_scores,
     _weighted_gram,
-    SolverOptions,
     estimate_correlation,
     gee_independence_fit,
     pseudo_likelihood_fit,
-    sandwich_covariance,
     two_step_fit,
     wald_intervals,
 )
 from plgee.matkernel import SymMatrix, sym_eigen
-from plgee.model import IDENTITY, LOG, LOGIT, LongitudinalDataset, eval_model
+from plgee.model import IDENTITY, LOG, LOGIT, PROBIT, LongitudinalDataset, eval_model
 from plgee.simulator import exchangeable_matrix, gen_gaussian
+from sandwich_oracle import mean_variance, sandwich
 
 
 def gaussian_dataset(n=60, m=3, p=2, rho=0.5, beta0=(1.0, -0.5), seed=0):
     rng = np.random.default_rng(seed)
     X = rng.uniform(-1, 1, size=(n, m, p))
     return gen_gaussian(X, np.array(beta0), exchangeable_matrix(m, rho), seed=seed)
+
+
+def glm_dataset(family, n, m, seed):
+    """An intercept and one U(-1, 1) covariate; y drawn cell by cell from
+    the link's mean (Poisson counts for log, Bernoulli for logit and probit)."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1, 1, size=(n, m, 2))
+    X[:, :, 0] = 1.0
+    mu, _ = mean_variance(family.kind, X @ np.array([0.4, -0.6]))
+    if family is IDENTITY:
+        y = mu + rng.normal(size=mu.shape)
+    elif family is LOG:
+        y = rng.poisson(mu).astype(float)
+    else:
+        y = (rng.random(size=mu.shape) < mu).astype(float)
+    return LongitudinalDataset(X, y)
 
 
 def logit_dataset(n=80, m=3, p=2, beta0=(0.8, -0.4), seed=1):
@@ -86,22 +101,22 @@ class TestIndependenceFit:
         with pytest.raises(SingularDesignError):
             gee_independence_fit(data, IDENTITY)
 
-    def test_nonconvergence_is_data_not_exception(self):
+    def test_nonconvergence_is_data_not_exception(self, monkeypatch):
         data = gaussian_dataset(n=30, seed=7)
-        fit = gee_independence_fit(data, IDENTITY,
-                                   opts=SolverOptions(max_iter=1, grad_tol=1e-300))
+        monkeypatch.setattr(estimator, "_MAX_ITER", 1)
+        monkeypatch.setattr(estimator, "_GRAD_TOL", 1e-300)
+        fit = gee_independence_fit(data, IDENTITY)
         assert not fit.converged
         assert fit.iterations >= 1
 
     def test_root_certificate(self):
         data = logit_dataset(n=60, seed=8)
-        opts = SolverOptions()
-        fit = gee_independence_fit(data, LOGIT, opts=opts)
+        fit = gee_independence_fit(data, LOGIT)
         assert fit.converged
         ev = eval_model(data, LOGIT, fit.beta_hat)
         g = np.einsum("nmp,nm->p", data.X, ev.eps)
         xty = np.einsum("nmp,nm->p", data.X, data.y)
-        scale = opts.grad_tol * (1 + np.linalg.norm(xty))
+        scale = estimator._GRAD_TOL * (1 + np.linalg.norm(xty))
         assert np.linalg.norm(g) <= scale
 
 
@@ -396,35 +411,37 @@ class TestTwoStep:
         assert fit.fallback_to_independence
         assert fit.preliminary is fit
 
-    def test_unconverged_preliminary_fit_is_returned_flagged(self):
+    def test_unconverged_preliminary_fit_is_returned_flagged(self, monkeypatch):
         # a preliminary estimate that did not converge never feeds R-tilde
         # or the refit: the fit falls back to it, still flagged unconverged
         rng = np.random.default_rng(47)
         X = rng.uniform(-1, 1, size=(80, 3, 2))
         data = LongitudinalDataset(X, rng.poisson(np.exp(X @ [1.5, -1.0])).astype(float))
         assert gee_independence_fit(data, LOG).iterations > 1
-        fit = two_step_fit(data, LOG, opts=SolverOptions(max_iter=1))
-        alone = gee_independence_fit(data, LOG, opts=SolverOptions(max_iter=1))
+        assert two_step_fit(data, LOG).method == "pseudo_likelihood"
+        monkeypatch.setattr(estimator, "_MAX_ITER", 1)
+        fit = two_step_fit(data, LOG)
+        alone = gee_independence_fit(data, LOG)
         assert not fit.converged
         assert fit.fallback_to_independence
         assert fit.correlation_used is None
         assert fit.method == "independence"
         assert fit.preliminary is fit
         assert np.array_equal(fit.beta_hat, alone.beta_hat)
-        assert two_step_fit(data, LOG).method == "pseudo_likelihood"
 
-    @pytest.mark.parametrize("family, data", [
-        (IDENTITY, gaussian_dataset(n=70, m=4, p=2, seed=42)),
-        (LOGIT, logit_dataset(n=90, seed=43)),
-        (LOG, LongitudinalDataset(
-            np.random.default_rng(44).uniform(-1, 1, size=(80, 3, 2)),
-            np.random.default_rng(45).poisson(1.5, size=(80, 3)).astype(float))),
-    ])
-    def test_sandwich_equals_public_sandwich_bit_for_bit(self, family, data):
+    @pytest.mark.parametrize("family", [IDENTITY, LOG, LOGIT, PROBIT],
+                             ids=["identity", "log", "logit", "probit"])
+    @pytest.mark.parametrize("n, m", [(90, 4), (3, 12)], ids=["two-step", "fallback"])
+    def test_cov_beta_is_the_numpy_sandwich(self, family, n, m):
+        # at (beta_hat, R-tilde) for the refit; at (beta_hat, I) when fewer
+        # subjects than times make R-tilde singular and the fit falls back
+        data = glm_dataset(family, n, m, seed=44)
         fit = two_step_fit(data, family)
-        assert fit.method == "pseudo_likelihood"
-        parts = sandwich_covariance(data, family, fit.beta_hat, fit.correlation_used)
-        assert np.array_equal(fit.cov_beta.a, parts.cov_beta.a)
+        assert fit.converged
+        assert fit.fallback_to_independence == (n < m)
+        R = np.eye(m) if n < m else fit.correlation_used.R_tilde.a
+        assert_rel_close(fit.cov_beta.a, sandwich(data, family, fit.beta_hat, R)[2],
+                         rel=1e-10)
 
     def test_singular_scoring_matrix_at_beta_hat_raises(self, monkeypatch):
         # only the correlation estimate's SPD check may trigger the fallback
@@ -531,11 +548,9 @@ class TestSandwich:
         X = rng.uniform(-1, 1, size=(20, 3, 2))
         beta0 = np.array([0.7, -0.3])
         data = LongitudinalDataset(X, X @ beta0)
-        corr = CorrelationEstimate(R_tilde=SymMatrix(np.eye(3)),
-                                   computed_at_beta=beta0, n_used=20)
-        parts = sandwich_covariance(data, IDENTITY, beta0, corr)
-        assert np.max(np.abs(parts.M_hat.a)) == 0.0
-        assert np.max(np.abs(parts.cov_beta.a)) == 0.0
+        fit = gee_independence_fit(data, IDENTITY, beta_init=beta0)
+        assert fit.iterations == 0
+        assert np.max(np.abs(fit.cov_beta.a)) == 0.0
 
     @pytest.mark.parametrize("family, data", [
         (IDENTITY, gaussian_dataset(n=50, m=3, p=2, seed=28)),
@@ -544,25 +559,19 @@ class TestSandwich:
     ])
     def test_independence_fit_carries_identity_sandwich(self, family, data):
         fit = gee_independence_fit(data, family)
-        identity = CorrelationEstimate(R_tilde=SymMatrix(np.eye(data.m)),
-                                       computed_at_beta=fit.beta_hat, n_used=data.n)
-        parts = sandwich_covariance(data, family, fit.beta_hat, identity)
-        assert_rel_close(fit.cov_beta.a, parts.cov_beta.a)
+        assert_rel_close(fit.cov_beta.a, sandwich(data, family, fit.beta_hat, np.eye(data.m))[2])
         assert len(wald_intervals(fit)) == data.p
 
     def test_identity_correlation_matches_stacked_formula(self):
         data = gaussian_dataset(n=50, seed=26)
         fit = gee_independence_fit(data, IDENTITY)
-        corr = CorrelationEstimate(R_tilde=SymMatrix(np.eye(data.m)),
-                                   computed_at_beta=fit.beta_hat, n_used=data.n)
-        parts = sandwich_covariance(data, IDENTITY, fit.beta_hat, corr)
         # direct stacked computation
         H = sum(data.X[i].T @ data.X[i] for i in range(data.n))
         eps = data.y - np.einsum("nmp,p->nm", data.X, fit.beta_hat)
         M = sum(np.outer(data.X[i].T @ eps[i], data.X[i].T @ eps[i])
                 for i in range(data.n))
         Hinv = np.linalg.inv(H)
-        assert np.max(np.abs(parts.cov_beta.a - Hinv @ M @ Hinv)) < 1e-9
+        assert np.max(np.abs(fit.cov_beta.a - Hinv @ M @ Hinv)) < 1e-9
 
     def test_symmetry_and_psd(self):
         data = gaussian_dataset(n=60, seed=27)

@@ -378,6 +378,37 @@ class TestHarness:
             alone = real(generate_dataset(c, mix_seed(c.base_seed, r)), c.family)
             assert res["beta_indep"] == alone.beta_hat.tolist()
 
+    def test_fallback_replicate_is_a_failure(self, monkeypatch):
+        # a fit that fell back carries the independence estimate: replicate 2
+        # is counted as failed and left out of every moment
+        import plgee.simulator as simulator
+        c = config(n=60, replications=5)
+        want = run_replicates(c)
+        assert all(d["ok"] for d in want)
+        real = simulator.two_step_fit
+        fits = []
+
+        def falls_back_once(data, family):
+            fit = real(data, family)
+            fits.append(fit)
+            if len(fits) == 3:
+                fit = fit.preliminary
+                fit.fallback_to_independence = True
+                fit.preliminary = fit
+            return fit
+
+        monkeypatch.setattr(simulator, "two_step_fit", falls_back_once)
+        got = run_replicates(c)
+        assert got[2] == {"rep": 2, "ok": False}
+        assert got[:2] + got[3:] == want[:2] + want[3:]
+        report = simulator.summarize_replicates(c, got)
+        assert report.n_failures == 1
+        kept = np.array([d["beta_two"] for d in want if d["rep"] != 2])
+        assert report.emp_var == np.var(kept, axis=0, ddof=1).tolist()
+        assert report.bias == np.mean(kept - np.array(c.beta0), axis=0).tolist()
+        assert report.to_json() == simulator.summarize_replicates(
+            c, want[:2] + [{"rep": 2, "ok": False}] + want[3:]).to_json()
+
     def test_per_replicate_rows(self):
         c = config(n=60, replications=6)
         rows = run_replicates(c)
