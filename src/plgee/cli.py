@@ -2,10 +2,10 @@
 
 All outputs are strict JSON with sorted keys and 17-significant-digit floats
 (null for NaN or infinity), so reruns are byte-identical and round-trip exactly.
-Exit codes: 0 success, 1 error, 2 completed-with-warnings (non-convergence,
-fewer subjects than covariates, a binary simulation whose latent correlation
-its marginals cannot attain, or too many failed replicates), each cause named
-by a JSON warning line on stderr.
+Exit codes: 0 success, 1 error, 2 completed-with-warnings.  The warnings are
+the causes the results carry (FitResult.causes, SimConfig.causes and
+MCReport.causes, or a preliminary fit of `diagnose` that did not converge),
+each written as one JSON warning line on stderr.
 """
 
 import argparse
@@ -41,8 +41,6 @@ from .simulator import (
     run_replicates,
     summarize_replicates,
 )
-
-MAX_FAILURE_FRACTION = 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +86,13 @@ def _write_json(payload, out_path):
 def _write_notice(level, kind, detail):
     """One JSON line on stderr: {"error"|"warning": kind, "detail": detail}."""
     sys.stderr.write(dumps_stable({level: kind, "detail": detail}) + "\n")
+
+
+def _warn(causes):
+    """One warning line per (kind, detail) cause; the exit code, 2 if any."""
+    for kind, detail in causes:
+        _write_notice("warning", kind, detail)
+    return 2 if causes else 0
 
 
 # ---------------------------------------------------------------------------
@@ -358,19 +363,7 @@ def cmd_fit(args):
         "fallback_flag": bool(fit.fallback_to_independence),
     }
     _write_json(payload, args.out)
-    code = 0
-    if data.n < data.p:
-        # the sandwich's middle matrix is a sum of n rank-one terms
-        _write_notice("warning", "fewer-subjects-than-covariates",
-                      f"n={data.n} subjects < p={data.p} covariates: the sandwich "
-                      "covariance is singular, so stderr and wald_ci are not valid")
-        code = 2
-    if not fit.converged:
-        _write_notice("warning", "not-converged",
-                      f"the {fit.method} fit did not converge (iterations={fit.iterations}, "
-                      f"gnorm={fit.final_gnorm:.6g}); beta_hat is its last iterate")
-        code = 2
-    return code
+    return _warn(fit.causes)
 
 
 def _parse_list(text, convert, flag):
@@ -404,13 +397,13 @@ def cmd_diagnose(args):
         "trend_flags": trend_flags(trend, det_floor=args.det_floor),
     }
     _write_json(payload, args.out)
+    causes = ()
     if prelim is not None and not prelim.converged:
-        _write_notice("warning", "preliminary-not-converged",
-                      f"the preliminary independence fit did not converge (iterations="
-                      f"{prelim.iterations}, gnorm={prelim.final_gnorm:.6g}); beta is its "
-                      "last iterate")
-        return 2
-    return 0
+        causes = (("preliminary-not-converged",
+                   f"the preliminary independence fit did not converge (iterations="
+                   f"{prelim.iterations}, gnorm={prelim.final_gnorm:.6g}); beta is its "
+                   "last iterate"),)
+    return _warn(causes)
 
 
 def cmd_simulate(args):
@@ -419,9 +412,7 @@ def cmd_simulate(args):
             doc = json.load(fh)
         except ValueError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", UserWarning)    # recorded, even under -W error
-        config = SimConfig.from_json(doc)
+    config = SimConfig.from_json(doc)
     results = run_replicates(config, workers=args.workers)
     report = summarize_replicates(config, results)
     _write_json(report.to_json(), args.out)
@@ -440,15 +431,7 @@ def cmd_simulate(args):
                                     + [int(c) for c in d["covered"]])
                 else:
                     writer.writerow([d["rep"], 0] + [""] * (3 * config.p))
-    for w in caught:    # SimConfig warns only of a latent rho past the Frechet bound
-        _write_notice("warning", "latent-correlation-above-frechet-bound", str(w.message))
-    code = 2 if caught else 0
-    if report.n_failures / report.replications > MAX_FAILURE_FRACTION:
-        _write_notice("warning", "replicates-failed",
-                      f"{report.n_failures} of {report.replications} replicates failed, "
-                      f"more than the {MAX_FAILURE_FRACTION:g} fraction allowed")
-        code = 2
-    return code
+    return _warn(config.causes + report.causes)
 
 
 def build_parser():

@@ -188,6 +188,9 @@ def condition_trend_report(data, family, beta, n_grid=None):
     determinant-floor sequence.  Every prefix needs at least m subjects:
     R-tilde of fewer is singular by construction.
     """
+    if data.n < data.m:
+        raise ShapeError(f"n={data.n} subjects < m={data.m} times: R-tilde is singular, "
+                         "so no prefix can be diagnosed")
     if n_grid is None:
         n_grid = [data.n]
     n_grid = [int(v) for v in n_grid]

@@ -59,6 +59,7 @@ class FitResult:
     cov_beta: SymMatrix | None = None
     correlation_used: CorrelationEstimate | None = None
     fallback_to_independence: bool = False
+    causes: tuple = ()      # (kind, detail) warnings about this estimate
     # step-1 independence fit of two_step_fit (the fit itself on fallback)
     preliminary: "FitResult | None" = field(default=None, repr=False)
 
@@ -231,9 +232,18 @@ def _newton_solve(data, family, beta_init, system, method):
         if step_size <= _STEP_TOL * (1.0 + _norm(beta)):
             break
 
+    causes = ()
+    if data.n < data.p:     # the sandwich's middle matrix is a sum of n rank-one terms
+        causes += (("fewer-subjects-than-covariates",
+                    f"n={data.n} subjects < p={data.p} covariates: the sandwich covariance "
+                    "is singular, so stderr and wald_ci are not valid"),)
+    if not converged:
+        causes += (("not-converged",
+                    f"the {method} fit did not converge (iterations={len(trace) - 1}, "
+                    f"gnorm={gnorm:.6g}); beta_hat is its last iterate"),)
     return FitResult(beta_hat=beta, converged=converged, iterations=len(trace) - 1,
                      final_gnorm=gnorm, trace=trace, method=method,
-                     cov_beta=SymMatrix(_sandwich(data.X, t, H_inv)))
+                     cov_beta=SymMatrix(_sandwich(data.X, t, H_inv)), causes=causes)
 
 
 def gee_independence_fit(data, family, beta_init=None):
@@ -316,7 +326,9 @@ def two_step_fit(data, family):
 
     The step-1 fit is kept as ``preliminary``.  Only those two conditions
     trigger the fallback: a singular scoring matrix raises
-    SingularDesignError.
+    SingularDesignError.  The returned fit's ``causes`` name its warnings as
+    (kind, detail) pairs: ``fewer-subjects-than-covariates`` (its sandwich is
+    singular) and ``not-converged`` (beta_hat is the last iterate).
     """
     indep = gee_independence_fit(data, family)
     if indep.converged:

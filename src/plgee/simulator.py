@@ -8,7 +8,6 @@ deterministic per-replicate seeds, so parallel and sequential runs agree
 bit for bit.
 """
 
-import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -29,6 +28,7 @@ from .model import (
 )
 
 Z_TWO_SIDED_95 = 1.959964
+MAX_FAILURE_FRACTION = 0.02     # of replicates, before a report warns
 
 # Stream tags keep the design, response, and shuffle draws on distinct
 # deterministic substreams of each replicate seed.
@@ -165,13 +165,15 @@ class SimConfig:
             raise ConfigError("sign_modulated dependence requires the identity link")
         self.design.validate(self.p)
         self.correlation.validate(self.m)
-        rho = getattr(self.correlation, "rho", 0.0)
-        if self.family.kind == "logit" and rho > 0.95:
-            warnings.warn(
-                "latent rho > 0.95 with binary marginals: attainable response "
-                "correlation is Frechet-bounded well below the latent value",
-                stacklevel=2,
-            )
+
+    @property
+    def causes(self):
+        """(kind, detail) warnings: a latent rho binary marginals cannot attain."""
+        if self.family.kind == "logit" and self.correlation.rho > 0.95:
+            return (("latent-correlation-above-frechet-bound",
+                     "latent rho > 0.95 with binary marginals: attainable response "
+                     "correlation is Frechet-bounded well below the latent value"),)
+        return ()
 
     @staticmethod
     def from_json(doc):
@@ -327,6 +329,15 @@ class MCReport:
     def to_json(self):
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
+    @property
+    def causes(self):
+        """(kind, detail) warnings about this report: too many failed replicates."""
+        if self.n_failures / self.replications > MAX_FAILURE_FRACTION:
+            return (("replicates-failed",
+                     f"{self.n_failures} of {self.replications} replicates failed, "
+                     f"more than the {MAX_FAILURE_FRACTION:g} fraction allowed"),)
+        return ()
+
 
 def ks_distance_to_normal(z):
     """Kolmogorov-Smirnov distance of a sample to the standard normal."""
@@ -404,7 +415,7 @@ def summarize_replicates(config, results):
     ok = [d for d in results if d["ok"]]
     n_fail = config.replications - len(ok)
     if not ok:
-        raise EmptyReportError("no replicate converged; nothing to aggregate")
+        raise EmptyReportError("no replicate gave a two-step estimate; nothing to aggregate")
 
     beta0 = np.asarray(config.beta0, dtype=float)
     B_two = np.array([d["beta_two"] for d in ok])

@@ -168,3 +168,17 @@ rc=0
 plgee fit --data one_subject.csv --link identity --out one.json 2> one.err || rc=$?
 test "$rc" -eq 2
 grep -q '"warning":"fewer-subjects-than-covariates"' one.err
+# a binary config whose latent rho its marginals cannot attain completes
+# with exactly one JSON warning line (exit 2), also when Python warnings
+# are errors: the config carries the cause, it does not raise a warning
+cat > frechet.json <<'JSON'
+{"n": 60, "m": 3, "p": 2, "family": "logit", "beta0": [0.2, -0.3],
+ "design": {"kind": "iid_uniform"},
+ "correlation": {"kind": "exchangeable", "rho": 0.97},
+ "replications": 3, "base_seed": 4}
+JSON
+rc=0
+PYTHONWARNINGS=error plgee simulate --config frechet.json --out frechet_out.json 2> frechet.err || rc=$?
+test "$rc" -eq 2
+test "$(wc -l < frechet.err)" -eq 1
+grep -q '"warning":"latent-correlation-above-frechet-bound"' frechet.err

@@ -760,6 +760,27 @@ class TestFit:
         else:
             assert err == ""
 
+    def test_both_causes_are_two_warning_lines_in_order(self, tmp_path, capsys, monkeypatch):
+        # one subject and an iterate cut off before the root: the lines are
+        # the fit's causes, the singular sandwich first
+        monkeypatch.setattr(estimator, "_MAX_ITER", 1)
+        monkeypatch.setattr(estimator, "_GRAD_TOL", 1e-300)
+        data = sample_dataset(n=1, m=3, p=2, seed=3)
+        path = tmp_path / "one.csv"
+        write_dataset_csv(data, path)
+        code, out, err = run_cli(["fit", "--data", str(path), "--link", "identity"], capsys)
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["converged"] is False
+        lines = [json.loads(line) for line in err.splitlines()]
+        assert [line["warning"] for line in lines] == ["fewer-subjects-than-covariates",
+                                                      "not-converged"]
+        assert lines == [{"warning": kind, "detail": detail}
+                         for kind, detail in two_step_fit(data, IDENTITY).causes]
+        assert lines[1]["detail"] == (
+            f"the independence fit did not converge (iterations=1, "
+            f"gnorm={doc['final_gnorm']:.6g}); beta_hat is its last iterate")
+
     def test_shuffle_subjects_keeps_estimate(self, data_csv, capsys):
         _, out0, _ = run_cli(
             ["fit", "--data", data_csv, "--link", "identity"], capsys)
@@ -904,6 +925,23 @@ class TestDiagnose:
         else:
             assert err == ""
             assert [row["n_used"] for row in json.loads(out)["trend"]] == [10, 400]
+
+    @pytest.mark.parametrize("grid", [[], ["--grid", "5"], ["--grid", "10"]],
+                             ids=["no-grid", "grid-5", "grid-10"])
+    def test_fewer_subjects_than_times_is_rejected(self, tmp_path, capsys, grid):
+        # n=5 < m=10: no prefix has a nonsingular R-tilde, whatever the grid
+        rng = np.random.default_rng(37)
+        path = tmp_path / "short.csv"
+        write_dataset_csv(gen_gaussian(rng.uniform(-1, 1, size=(5, 10, 3)),
+                                       np.array([1.0, -0.5, 0.3]),
+                                       exchangeable_matrix(10, 0.5), seed=37), path)
+        code, out, err = run_cli(
+            ["diagnose", "--data", str(path), "--link", "identity"] + grid, capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "shape",
+            "detail": "n=5 subjects < m=10 times: R-tilde is singular, "
+                      "so no prefix can be diagnosed"}
 
     @pytest.mark.parametrize("grid, trend_n", [("20,40,60", [20, 40, 60]),
                                                ("20,40", [20, 40])])
@@ -1053,7 +1091,7 @@ class TestSimulate:
         code, out, err = run_cli(["simulate", "--config", str(path)], capsys)
         assert (code, out) == (1, "")
         assert json.loads(err) == {"error": "empty-report",
-                                   "detail": "no replicate converged; nothing to aggregate"}
+                                   "detail": "no replicate gave a two-step estimate; nothing to aggregate"}
 
     def test_misspelled_config_key_is_config_error(self, config_json, capsys):
         with open(config_json) as fh:

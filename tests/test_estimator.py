@@ -120,6 +120,50 @@ class TestIndependenceFit:
         assert np.linalg.norm(g) <= scale
 
 
+class TestCauses:
+    FEW = ("fewer-subjects-than-covariates",
+           "n=1 subjects < p=2 covariates: the sandwich covariance is singular, "
+           "so stderr and wald_ci are not valid")
+
+    @staticmethod
+    def not_converged(fit):
+        return ("not-converged",
+                f"the {fit.method} fit did not converge (iterations={fit.iterations}, "
+                f"gnorm={fit.final_gnorm:.6g}); beta_hat is its last iterate")
+
+    @pytest.mark.parametrize("fit", [gee_independence_fit, two_step_fit])
+    def test_fewer_subjects_than_covariates(self, fit):
+        result = fit(gaussian_dataset(n=1, seed=3), IDENTITY)
+        assert result.converged
+        assert result.causes == (self.FEW,)
+        assert fit(gaussian_dataset(n=2, seed=3), IDENTITY).causes == ()
+
+    @pytest.mark.parametrize("fit", [gee_independence_fit, two_step_fit])
+    def test_not_converged(self, fit, monkeypatch):
+        monkeypatch.setattr(estimator, "_MAX_ITER", 1)
+        monkeypatch.setattr(estimator, "_GRAD_TOL", 1e-300)
+        result = fit(gaussian_dataset(n=30, seed=7), IDENTITY)
+        assert not result.converged
+        assert result.causes == (self.not_converged(result),)
+        assert "the independence fit did not converge (iterations=1, " in result.causes[0][1]
+
+    def test_pseudo_likelihood_fit_not_converged(self, monkeypatch):
+        data = gaussian_dataset(n=30, seed=7)
+        corr = estimate_correlation(data, IDENTITY, gee_independence_fit(data, IDENTITY).beta_hat)
+        monkeypatch.setattr(estimator, "_MAX_ITER", 1)
+        monkeypatch.setattr(estimator, "_GRAD_TOL", 1e-300)
+        result = pseudo_likelihood_fit(data, IDENTITY, corr)
+        assert result.causes == (self.not_converged(result),)
+        assert result.causes[0][1].startswith("the pseudo_likelihood fit did not converge")
+
+    @pytest.mark.parametrize("fit", [gee_independence_fit, two_step_fit])
+    def test_both_causes_in_order(self, fit, monkeypatch):
+        monkeypatch.setattr(estimator, "_MAX_ITER", 1)
+        monkeypatch.setattr(estimator, "_GRAD_TOL", 1e-300)
+        result = fit(gaussian_dataset(n=1, seed=3), IDENTITY)
+        assert result.causes == (self.FEW, self.not_converged(result))
+
+
 class TestEstimateCorrelation:
     def test_perfect_fit_gives_zero_matrix(self):
         rng = np.random.default_rng(9)

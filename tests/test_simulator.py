@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -257,10 +260,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             config(beta0=(1.0,))
 
-    def test_high_latent_rho_binary_warns(self):
-        with pytest.warns(UserWarning, match="Frechet"):
-            config(family=LOGIT,
-                   correlation=CorrelationSpec("exchangeable", rho=0.97))
+    def test_high_latent_rho_binary_is_a_cause_not_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c = config(family=LOGIT,
+                       correlation=CorrelationSpec("exchangeable", rho=0.97))
+        assert c.causes == ((
+            "latent-correlation-above-frechet-bound",
+            "latent rho > 0.95 with binary marginals: attainable response "
+            "correlation is Frechet-bounded well below the latent value"),)
+
+    @pytest.mark.parametrize("family, rho", [(LOGIT, 0.95), (IDENTITY, 0.97), (LOG, 0.97)],
+                             ids=["logit-0.95", "identity-0.97", "log-0.97"])
+    def test_attainable_latent_rho_has_no_cause(self, family, rho):
+        assert config(family=family,
+                      correlation=CorrelationSpec("exchangeable", rho=rho)).causes == ()
 
     def test_from_json_round_trip(self):
         doc = {
@@ -408,6 +422,21 @@ class TestHarness:
         assert report.bias == np.mean(kept - np.array(c.beta0), axis=0).tolist()
         assert report.to_json() == simulator.summarize_replicates(
             c, want[:2] + [{"rep": 2, "ok": False}] + want[3:]).to_json()
+
+    @pytest.mark.parametrize("replications, n_failures, warns", [
+        (100, 2, False), (50, 1, False), (100, 0, False), (100, 3, True), (49, 1, True)])
+    def test_report_causes_past_the_failure_fraction(self, replications, n_failures, warns):
+        # at most 2 % of the replicates may fail; the payload is the
+        # dataclass fields, and causes is not one of them
+        import plgee.simulator as simulator
+        assert simulator.MAX_FAILURE_FRACTION == 0.02
+        report = MCReport(**dict({f.name: 0.0 for f in fields(MCReport)},
+                                 replications=replications, n_failures=n_failures))
+        assert report.causes == ((
+            "replicates-failed",
+            f"{n_failures} of {replications} replicates failed, "
+            "more than the 0.02 fraction allowed"),) * warns
+        assert "causes" not in report.to_json()
 
     def test_per_replicate_rows(self):
         c = config(n=60, replications=6)
