@@ -22,6 +22,7 @@ import numpy as np
 
 from .diagnostics import (
     DEFAULT_DET_FLOOR,
+    _check_grid,
     condition_trend_report,
     example1_closed_form,
     trend_flags,
@@ -376,17 +377,18 @@ def _parse_list(text, convert, flag):
 def cmd_diagnose(args):
     data = _load_dataset(args)
     family = LinkFamily(args.link)
-    prelim = None
+    prelim = beta = None
     if args.beta is not None:
         beta = np.asarray(_parse_list(args.beta, float, "--beta"), dtype=float)
         if beta.shape != (data.p,):
             raise SchemaError(f"--beta must have {data.p} comma-separated values")
-    else:
+    grid = _parse_list(args.grid, int, "--grid") if args.grid else [data.n]
+    # the full-n report is the trend's last row, computed once; the grid's
+    # shape errors come before any fit
+    full_grid = _check_grid(data, grid if grid[-1] == data.n else grid + [data.n])
+    if beta is None:
         prelim = gee_independence_fit(data, family)
         beta = prelim.beta_hat
-    grid = _parse_list(args.grid, int, "--grid") if args.grid else [data.n]
-    # the full-n report is the trend's last row, computed once
-    full_grid = grid if grid[-1] == data.n else grid + [data.n]
     reports = condition_trend_report(data, family, beta, n_grid=full_grid)
     report, trend = reports[-1], reports[:len(grid)]
     payload = {

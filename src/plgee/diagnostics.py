@@ -181,18 +181,13 @@ def example2_closed_form(data, family, beta):
     return {"nu": nu, "nu_min": float(np.min(nu))}
 
 
-def condition_trend_report(data, family, beta, n_grid=None):
-    """Diagnostics along increasing subject prefixes (stored order).
-
-    Each prefix's report is at its own R-tilde, so det_R doubles as the
-    determinant-floor sequence.  Every prefix needs at least m subjects:
-    R-tilde of fewer is singular by construction.
-    """
+def _check_grid(data, n_grid):
+    """n_grid as ints, after the checks that need only n, m and the grid:
+    every prefix needs at least m subjects, since R-tilde of fewer is
+    singular by construction, and the grid must be strictly increasing."""
     if data.n < data.m:
         raise ShapeError(f"n={data.n} subjects < m={data.m} times: R-tilde is singular, "
                          "so no prefix can be diagnosed")
-    if n_grid is None:
-        n_grid = [data.n]
     n_grid = [int(v) for v in n_grid]
     for n_head in n_grid:
         if not data.m <= n_head <= data.n:
@@ -200,6 +195,14 @@ def condition_trend_report(data, family, beta, n_grid=None):
                              f"got n_head={n_head}")
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ShapeError("grid must be strictly increasing")
+    return n_grid
+
+
+def condition_trend_report(data, family, beta, n_grid=None):
+    """Diagnostics along increasing subject prefixes (stored order), the full
+    n by default.  Each prefix's report is at its own R-tilde, so det_R
+    doubles as the determinant-floor sequence."""
+    n_grid = _check_grid(data, [data.n] if n_grid is None else n_grid)
     return [design_diagnostics(data.subset(n_head), family, beta) for n_head in n_grid]
 
 

@@ -52,9 +52,7 @@ class CorrelationEstimate:
 class FitResult:
     beta_hat: np.ndarray
     converged: bool
-    iterations: int
-    final_gnorm: float
-    trace: list = field(default_factory=list)  # per-iteration (beta, gnorm)
+    trace: list     # per-iteration (beta, gnorm), from the initial point to beta_hat
     method: str = METHOD_INDEPENDENCE
     cov_beta: SymMatrix | None = None
     correlation_used: CorrelationEstimate | None = None
@@ -62,6 +60,16 @@ class FitResult:
     causes: tuple = ()      # (kind, detail) warnings about this estimate
     # step-1 independence fit of two_step_fit (the fit itself on fallback)
     preliminary: "FitResult | None" = field(default=None, repr=False)
+
+    @property
+    def iterations(self):
+        """Newton iterations taken: the trace's points after the initial one."""
+        return len(self.trace) - 1
+
+    @property
+    def final_gnorm(self):
+        """Estimating-function norm at beta_hat, the trace's last."""
+        return self.trace[-1][1]
 
 
 # Sums over the (n, m, p) subject stack, as BLAS calls on the (n*m, p)
@@ -125,11 +133,11 @@ def _subject_scores(X, t):
 # t and those arrays are the planes of cells, which each evaluation overwrites.
 # The line search calls gram only at the points it accepts.
 
-def _blockwise_system(data, family, beta, cell_values, cells=None):
+def _blockwise_system(data, family, beta, cell_values, cells):
     """(g, t, w): the model is evaluated a block of subjects at a time, and
     cell_values(ModelEval) gives the block's rows of t and w, the planes of
-    cells (a new (2, n, m) array by default)."""
-    t, w = np.empty((2,) + data.y.shape) if cells is None else cells
+    cells."""
+    t, w = cells
 
     def block_score(rows):
         t[rows], w[rows] = cell_values(eval_model(data, family, beta, rows))
@@ -143,7 +151,7 @@ def _independence_system(data, family, beta, cells):
     return g, eps, partial(_weighted_gram, data.X, var)
 
 
-def _general_system(data, family, beta, Q, cells=None):
+def _general_system(data, family, Q, beta, cells):
     """Estimating function and scoring matrix for a fixed correlation inverse Q;
     the working residuals are A^{1/2} Q A^{-1/2} eps, per subject."""
     def cell_values(ev):
@@ -177,7 +185,7 @@ def _sandwich(X, t, H_inv):
     return H_inv @ (V.T @ V) @ H_inv
 
 
-def _newton_solve(data, family, beta_init, system, method):
+def _newton_solve(data, beta_init, system, method):
     """Damped Newton / Fisher scoring on the estimating function.
 
     Full step first; halved whenever the estimating-function norm fails to
@@ -241,26 +249,20 @@ def _newton_solve(data, family, beta_init, system, method):
         causes += (("not-converged",
                     f"the {method} fit did not converge (iterations={len(trace) - 1}, "
                     f"gnorm={gnorm:.6g}); beta_hat is its last iterate"),)
-    return FitResult(beta_hat=beta, converged=converged, iterations=len(trace) - 1,
-                     final_gnorm=gnorm, trace=trace, method=method,
+    return FitResult(beta_hat=beta, converged=converged, trace=trace, method=method,
                      cov_beta=SymMatrix(_sandwich(data.X, t, H_inv)), causes=causes)
 
 
-def gee_independence_fit(data, family, beta_init=None):
-    """Newton solve of the working-independence estimating equation.
+def gee_independence_fit(data, family):
+    """Newton solve of the working-independence estimating equation, from zero.
 
     For canonical links the scoring matrix sum X_i' A_i X_i is the exact
     Jacobian of the estimating function.  The result carries the sandwich
     covariance H^{-1} M H^{-1} at beta_hat.  A rank-deficient design raises
     SingularDesignError at the initial point.
     """
-    if beta_init is None:
-        beta_init = np.zeros(data.p)
-    return _newton_solve(
-        data, family, beta_init,
-        lambda b, cells: _independence_system(data, family, b, cells),
-        METHOD_INDEPENDENCE,
-    )
+    return _newton_solve(data, np.zeros(data.p), partial(_independence_system, data, family),
+                         METHOD_INDEPENDENCE)
 
 
 def _average_correlation(X, cells):
@@ -308,11 +310,8 @@ def pseudo_likelihood_fit(data, family, corr, beta_init=None):
     Q = sym_eigen(corr.R_tilde, require_spd="correlation estimate").power(-1)
     if beta_init is None:
         beta_init = np.zeros(data.p)
-    result = _newton_solve(
-        data, family, beta_init,
-        lambda b, cells: _general_system(data, family, b, Q, cells),
-        METHOD_PSEUDO_LIKELIHOOD,
-    )
+    result = _newton_solve(data, beta_init, partial(_general_system, data, family, Q),
+                           METHOD_PSEUDO_LIKELIHOOD)
     result.correlation_used = corr
     return result
 

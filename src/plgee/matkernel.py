@@ -3,10 +3,11 @@
 Everything downstream (estimating-equation solves, correlation handling,
 diagnostics) funnels through this module.  Matrices here are tiny (cluster
 size and covariate dimension, both well under ~50).  The eigensolver is
-LAPACK's symmetric ``eigh`` with a sign convention that makes golden tests
-stable.  ``sym_eigen(S, require_spd=what)`` is the one door for an SPD
-matrix: it symmetrizes, decomposes and floor-checks S in one call, and
-callers hand it a ``SymMatrix`` or a plain array as they have it.  Every
+LAPACK's symmetric ``eigh``; its eigenvectors, with the signs LAPACK gives
+them, enter only matrix functions, where a column's sign cancels.
+``sym_eigen(S, require_spd=what)`` is the one door for an SPD matrix: it
+symmetrizes, decomposes and floor-checks S in one call, and callers hand it
+a ``SymMatrix`` or a plain array as they have it.  Every
 matrix function of an SPD matrix (inverse, square root, inverse square root)
 is ``EigenDecomposition.power`` of that one decomposition.
 ``max_relative_eigenvalue`` gives the largest eigenvalue of a matrix, or of a
@@ -14,7 +15,6 @@ stack of them, relative to it; a norm bound leaves most of a stack unsolved.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -55,12 +55,6 @@ class EigenDecomposition:
     values: np.ndarray   # nondecreasing
     basis: np.ndarray    # eigh's orthonormal columns, basis[:, k] <-> values[k]
 
-    @cached_property
-    def vectors(self):
-        """``basis`` with each column's largest-magnitude entry made positive."""
-        lead = self.basis[np.argmax(np.abs(self.basis), axis=0), np.arange(len(self.values))]
-        return np.where(lead < 0, -self.basis, self.basis)
-
     def power(self, k):
         """S^k = V diag(values**k) V' of the decomposed S, from ``basis``: a
         column's sign cancels bit for bit.  Negative or fractional k need S
@@ -71,9 +65,8 @@ class EigenDecomposition:
 def sym_eigen(S, require_spd=None):
     """Eigendecomposition of a symmetric matrix (LAPACK ``eigh``).
 
-    Eigenvalues are returned in nondecreasing order.  Each eigenvector in
-    ``vectors`` has its largest-magnitude component made positive, so the
-    output is deterministic up to exact ties.
+    Eigenvalues are returned in nondecreasing order; ``basis`` holds eigh's
+    eigenvectors with the signs LAPACK gives them.
 
     With ``require_spd`` set to the matrix's name, S must be numerically SPD.
     The eigenvalue floor is 1e-12 * max(1, trace/dim), scaled so that

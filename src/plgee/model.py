@@ -92,10 +92,11 @@ def _libm(fn, x):
     return np.fromiter(map(fn, x.tolist()), float, len(x))
 
 
-def _ndtr(a):
-    """Cephes ndtr, with x = a sqrt(1/2): 1/2 + erf(x)/2 for |x| < sqrt(1/2),
-    else erfc(|x|)/2, or one minus it for x > 0.  erf and erfc share
-    Cephes' three branches over |x|: [0, 1), [1, 8) and [8, inf)."""
+def gauss_cdf(a):
+    """Standard normal CDF, Cephes ndtr: with x = a sqrt(1/2), 1/2 + erf(x)/2
+    for |x| < sqrt(1/2), else erfc(|x|)/2, or one minus it for x > 0.  erf
+    and erfc share Cephes' three branches over |x|: [0, 1), [1, 8) and
+    [8, inf)."""
     x = np.asarray(a, dtype=float) * _SQRT1_2
     z = np.abs(x)
     y = np.zeros_like(z)              # 0 where -x^2 < -MAXLOG: erfc underflows
@@ -135,10 +136,6 @@ def _ndtri(y0):
     xt = z - _libm(math.log, z) / z - x1
     x[tail] = np.where(upper[tail], xt, -xt)
     return x[()]
-
-
-def gauss_cdf(x):
-    return _ndtr(x)
 
 
 def gauss_quantile_array(q):

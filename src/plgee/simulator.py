@@ -29,6 +29,7 @@ from .model import (
 
 Z_TWO_SIDED_95 = 1.959964
 MAX_FAILURE_FRACTION = 0.02     # of replicates, before a report warns
+_POISSON_QUANTILE_CAP = 100000  # largest count the Poisson quantile search tries
 
 # Stream tags keep the design, response, and shuffle draws on distinct
 # deterministic substreams of each replicate seed.
@@ -207,10 +208,8 @@ def _from_json(cls, doc, where, convert):
     return obj
 
 
-def make_design(config, seed=None):
+def make_design(config, seed):
     """Design array (n, m, p); deterministic given the seed."""
-    if seed is None:
-        seed = mix_seed(config.base_seed, _TAG_DESIGN)
     n, m, p = config.n, config.m, config.p
     spec = config.design
     if spec.kind == "iid_uniform":
@@ -254,7 +253,7 @@ def gen_gaussian(X, beta0, R_bar, subject_dependence="independent", seed=0):
     return LongitudinalDataset(X, theta + eps)
 
 
-def _poisson_quantile_grid(v, lam, cap=100000):
+def _poisson_quantile_grid(v, lam):
     """Smallest k with Poisson(lam) CDF >= v, vectorized in lockstep."""
     y = np.zeros_like(lam)
     pmf = np.exp(-lam)
@@ -263,7 +262,7 @@ def _poisson_quantile_grid(v, lam, cap=100000):
     k = 0
     while active.any():
         k += 1
-        if k > cap:
+        if k > _POISSON_QUANTILE_CAP:
             raise PlgeeError("poisson quantile search exceeded its cap")
         pmf = pmf * lam / k
         cdf = cdf + pmf

@@ -928,16 +928,20 @@ class TestDiagnose:
 
     @pytest.mark.parametrize("grid", [[], ["--grid", "5"], ["--grid", "10"]],
                              ids=["no-grid", "grid-5", "grid-10"])
-    def test_fewer_subjects_than_times_is_rejected(self, tmp_path, capsys, grid):
-        # n=5 < m=10: no prefix has a nonsingular R-tilde, whatever the grid
+    def test_fewer_subjects_than_times_is_rejected(self, tmp_path, capsys, monkeypatch, grid):
+        # n=5 < m=10: no prefix has a nonsingular R-tilde, whatever the grid;
+        # that depends on n, m and the grid alone, so no preliminary fit runs
         rng = np.random.default_rng(37)
         path = tmp_path / "short.csv"
         write_dataset_csv(gen_gaussian(rng.uniform(-1, 1, size=(5, 10, 3)),
                                        np.array([1.0, -0.5, 0.3]),
                                        exchangeable_matrix(10, 0.5), seed=37), path)
+        fits, real = [], cli.gee_independence_fit
+        monkeypatch.setattr(cli, "gee_independence_fit",
+                            lambda *args: fits.append(1) or real(*args))
         code, out, err = run_cli(
             ["diagnose", "--data", str(path), "--link", "identity"] + grid, capsys)
-        assert (code, out) == (1, "")
+        assert (code, out, len(fits)) == (1, "", 0)
         assert json.loads(err) == {
             "error": "shape",
             "detail": "n=5 subjects < m=10 times: R-tilde is singular, "

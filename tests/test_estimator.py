@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -52,6 +53,13 @@ def glm_dataset(family, n, m, seed):
     return LongitudinalDataset(X, y)
 
 
+def independence_fit_from(data, family, beta_init):
+    """gee_independence_fit started at beta_init instead of zero."""
+    return estimator._newton_solve(
+        data, beta_init, partial(estimator._independence_system, data, family),
+        estimator.METHOD_INDEPENDENCE)
+
+
 def logit_dataset(n=80, m=3, p=2, beta0=(0.8, -0.4), seed=1):
     rng = np.random.default_rng(seed)
     X = rng.uniform(-1, 1, size=(n, m, p))
@@ -67,7 +75,7 @@ class TestIndependenceFit:
         X = rng.uniform(-1, 1, size=(20, 3, 2))
         beta0 = np.array([0.7, -0.3])
         data = LongitudinalDataset(X, X @ beta0)
-        fit = gee_independence_fit(data, IDENTITY, beta_init=beta0)
+        fit = independence_fit_from(data, IDENTITY, beta0)
         assert fit.converged
         assert fit.iterations == 0
         assert fit.final_gnorm == 0.0
@@ -375,7 +383,7 @@ class TestAssemblyHelpers:
         assert len(systems) == halved.iterations + 2       # one halving
         systems.clear()
         near, near_peak = self.traced_peak(
-            lambda: gee_independence_fit(data, LOG, beta_init=halved.beta_hat + 1e-3))
+            lambda: independence_fit_from(data, LOG, halved.beta_hat + 1e-3))
         assert len(systems) == near.iterations + 1         # none
         # the halved fit holds about a kilobyte more: its longer trace
         assert halved_peak <= near_peak + 0.01 * data.X.nbytes
@@ -494,8 +502,8 @@ class TestTwoStep:
         beta_hat = two_step_fit(data, LOGIT).beta_hat
         real = estimator._general_system
 
-        def singular_at_beta_hat(data, family, beta, Q, cells=None):
-            g, t, gram = real(data, family, beta, Q, cells)
+        def singular_at_beta_hat(data, family, Q, beta, cells):
+            g, t, gram = real(data, family, Q, beta, cells)
             if np.array_equal(beta, beta_hat):
                 return g, t, lambda: 0.0 * gram()
             return g, t, gram
@@ -557,7 +565,7 @@ class TestTwoStep:
 
         def recording(S, **kwargs):
             eig = real(S, **kwargs)
-            shapes.append(eig.vectors.shape)
+            shapes.append(eig.basis.shape)
             return eig
 
         monkeypatch.setattr(estimator, "sym_eigen", recording)
@@ -592,7 +600,7 @@ class TestSandwich:
         X = rng.uniform(-1, 1, size=(20, 3, 2))
         beta0 = np.array([0.7, -0.3])
         data = LongitudinalDataset(X, X @ beta0)
-        fit = gee_independence_fit(data, IDENTITY, beta_init=beta0)
+        fit = independence_fit_from(data, IDENTITY, beta0)
         assert fit.iterations == 0
         assert np.max(np.abs(fit.cov_beta.a)) == 0.0
 
@@ -628,9 +636,8 @@ class TestSandwich:
 class TestWaldIntervals:
     def _fit_with_cov(self, beta, var):
         from plgee.estimator import FitResult
-        p = len(beta)
-        return FitResult(beta_hat=np.asarray(beta, dtype=float), converged=True,
-                         iterations=1, final_gnorm=0.0,
+        beta = np.asarray(beta, dtype=float)
+        return FitResult(beta_hat=beta, converged=True, trace=[(beta, 0.0)],
                          cov_beta=SymMatrix(np.diag(var)))
 
     def test_standard_95(self):
@@ -651,7 +658,6 @@ class TestWaldIntervals:
 
     def test_missing_covariance_rejected(self):
         from plgee.estimator import FitResult
-        fit = FitResult(beta_hat=np.zeros(1), converged=True, iterations=0,
-                        final_gnorm=0.0)
+        fit = FitResult(beta_hat=np.zeros(1), converged=True, trace=[(np.zeros(1), 0.0)])
         with pytest.raises(PreconditionError):
             wald_intervals(fit)

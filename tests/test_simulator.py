@@ -4,7 +4,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from plgee.errors import ConfigError, InvalidInputError, NotPositiveDefiniteError
+from plgee import simulator
+from plgee.errors import ConfigError, InvalidInputError, NotPositiveDefiniteError, PlgeeError
 from plgee.model import IDENTITY, LOG, LOGIT, PROBIT
 from plgee.simulator import (
     CorrelationSpec,
@@ -177,6 +178,15 @@ class TestDiscreteGenerators:
         v = np.array([0.3, 0.5, 0.99])
         y = _poisson_quantile_grid(v, lam)
         assert list(y) == [0.0, 1.0, 4.0]   # CDF(3)=0.981, CDF(4)=0.996
+
+    def test_poisson_quantile_search_stops_at_its_cap(self, monkeypatch):
+        # v=0.99 under Poisson(1) needs k=4: a cap of 4 reaches it, 3 does not
+        v, lam = np.array([0.3, 0.99]), np.array([1.0, 1.0])
+        monkeypatch.setattr(simulator, "_POISSON_QUANTILE_CAP", 4)
+        assert list(_poisson_quantile_grid(v, lam)) == [0.0, 4.0]
+        monkeypatch.setattr(simulator, "_POISSON_QUANTILE_CAP", 3)
+        with pytest.raises(PlgeeError, match="^poisson quantile search exceeded its cap$"):
+            _poisson_quantile_grid(v, lam)
 
     def test_poisson_marginal_moments(self):
         n = 100_000
