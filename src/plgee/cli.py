@@ -3,9 +3,9 @@
 All outputs are strict JSON with sorted keys and 17-significant-digit floats
 (null for NaN or infinity), so reruns are byte-identical and round-trip exactly.
 Exit codes: 0 success, 1 error, 2 completed-with-warnings.  The warnings are
-the causes the results carry (FitResult.causes, SimConfig.causes and
-MCReport.causes, or a preliminary fit of `diagnose` that did not converge),
-each written as one JSON warning line on stderr.
+the causes the results carry (FitResult.causes, a fallback to independence
+included, SimConfig.causes, MCReport.causes, a `diagnose` preliminary fit
+that did not converge), each written as one JSON warning line on stderr.
 """
 
 import argparse
@@ -361,7 +361,7 @@ def cmd_fit(args):
         "method": fit.method,
         "R_tilde": (fit.correlation_used.R_tilde.a.tolist()
                     if fit.correlation_used is not None else None),
-        "fallback_flag": bool(fit.fallback_to_independence),
+        "fallback_flag": any(kind == "fallback-to-independence" for kind, _ in fit.causes),
     }
     _write_json(payload, args.out)
     return _warn(fit.causes)

@@ -16,7 +16,7 @@ from .errors import NotPositiveDefiniteError, ShapeError
 from .estimator import (_average_correlation, _blocks, _flat, _sandwiched_block,
                         _sandwiched_gram, _subject_scores, _weighted_gram)
 from .matkernel import max_relative_eigenvalue, sym_eigen
-from .model import _link_arrays, eval_model
+from .model import _higher_derivatives, eval_model
 
 DEFAULT_DET_FLOOR = 1e-6
 
@@ -65,17 +65,16 @@ def design_diagnostics(data, family, beta):
     """
     beta = np.asarray(beta, dtype=float)
     ev = eval_model(data, family, beta)
-    theta, var, eps = ev.theta, ev.var, ev.eps      # the report needs no mu
-    del ev
+    var, eps = ev.var, ev.eps       # var is mu', the canonical link's variance
 
     R = _average_correlation(data.X, lambda rows: (eps[rows], var[rows]))
 
-    def ratio_maxima(rows):     # a block's link arrays are released on return
-        _, d1, d2, d3 = _link_arrays(family, theta[rows])
-        return np.max(np.abs(d2 / d1)), np.max(np.abs(d3 / d1))
+    def ratio_maxima(rows):     # a block's derivative arrays are released on return
+        d2, d3 = _higher_derivatives(family, ev.theta[rows], ev.mu[rows], var[rows])
+        return np.max(np.abs(d2 / var[rows])), np.max(np.abs(d3 / var[rows]))
 
     k2, k3 = map(float, np.max([ratio_maxima(rows) for rows in _blocks(data.X)], axis=0))
-    del theta
+    del ev      # theta and mu are not needed again
 
     eig_Hi = sym_eigen(_weighted_gram(data.X, var), require_spd="independence scoring matrix")
     sd = np.sqrt(var, out=var)      # ModelEval.sd, in place: var is not needed again

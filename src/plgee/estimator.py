@@ -13,7 +13,7 @@ plus about a megabyte per block, never a second copy of the (n, m, p) design.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial, reduce
 
 import numpy as np
@@ -48,7 +48,7 @@ class CorrelationEstimate:
     n_used: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class FitResult:
     beta_hat: np.ndarray
     converged: bool
@@ -56,9 +56,8 @@ class FitResult:
     method: str = METHOD_INDEPENDENCE
     cov_beta: SymMatrix | None = None
     correlation_used: CorrelationEstimate | None = None
-    fallback_to_independence: bool = False
     causes: tuple = ()      # (kind, detail) warnings about this estimate
-    # step-1 independence fit of two_step_fit (the fit itself on fallback)
+    # step-1 independence fit of two_step_fit, as gee_independence_fit returned it
     preliminary: "FitResult | None" = field(default=None, repr=False)
 
     @property
@@ -310,10 +309,8 @@ def pseudo_likelihood_fit(data, family, corr, beta_init=None):
     Q = sym_eigen(corr.R_tilde, require_spd="correlation estimate").power(-1)
     if beta_init is None:
         beta_init = np.zeros(data.p)
-    result = _newton_solve(data, beta_init, partial(_general_system, data, family, Q),
-                           METHOD_PSEUDO_LIKELIHOOD)
-    result.correlation_used = corr
-    return result
+    return replace(_newton_solve(data, beta_init, partial(_general_system, data, family, Q),
+                                 METHOD_PSEUDO_LIKELIHOOD), correlation_used=corr)
 
 
 def two_step_fit(data, family):
@@ -327,21 +324,21 @@ def two_step_fit(data, family):
     trigger the fallback: a singular scoring matrix raises
     SingularDesignError.  The returned fit's ``causes`` name its warnings as
     (kind, detail) pairs: ``fewer-subjects-than-covariates`` (its sandwich is
-    singular) and ``not-converged`` (beta_hat is the last iterate).
+    singular), ``not-converged`` (beta_hat is the last iterate) and
+    ``fallback-to-independence`` (which says which condition it was).
     """
     indep = gee_independence_fit(data, family)
+    corr, why = None, "the preliminary fit did not converge"
     if indep.converged:
         corr = estimate_correlation(data, family, indep.beta_hat)
         try:
             fit = pseudo_likelihood_fit(data, family, corr, beta_init=indep.beta_hat)
-        except NotPositiveDefiniteError:
-            indep.correlation_used = corr
-        else:
-            fit.preliminary = indep
-            return fit
-    indep.fallback_to_independence = True
-    indep.preliminary = indep
-    return indep
+            return replace(fit, preliminary=indep)
+        except NotPositiveDefiniteError as exc:     # R-tilde is singular
+            why = str(exc)
+    fallback = f"the two-step fit fell back to the independence fit: {why}"
+    return replace(indep, correlation_used=corr, preliminary=indep,
+                   causes=indep.causes + (("fallback-to-independence", fallback),))
 
 
 def wald_intervals(fit, level=0.95):

@@ -202,20 +202,19 @@ def _mean_and_variance(family, theta):
     return gauss_cdf(theta), np.maximum(gauss_pdf(theta), _TINY)
 
 
-def _link_arrays(family, theta):
-    """Vectorized mean function with three derivatives: (mu, d1, d2, d3)."""
-    theta = np.asarray(theta, dtype=float)
-    mu, d1 = _mean_and_variance(family, theta)
+def _higher_derivatives(family, theta, mu, d1):
+    """Second and third derivatives (d2, d3) of the mean function at theta,
+    from its values mu and first derivatives d1 there."""
     kind = family.kind
     if kind == "identity":
         zero = np.zeros_like(theta)
-        return mu, d1, zero, zero
+        return zero, zero
     if kind == "log":
-        return mu, d1, mu.copy(), mu.copy()
+        return mu, mu
     if kind == "logit":
-        return mu, d1, d1 * (1.0 - 2.0 * mu), d1 * (1.0 - 6.0 * mu + 6.0 * mu * mu)
+        return d1 * (1.0 - 2.0 * mu), d1 * (1.0 - 6.0 * mu + 6.0 * mu * mu)
     # probit
-    return mu, d1, -theta * d1, (theta * theta - 1.0) * d1
+    return -theta * d1, (theta * theta - 1.0) * d1
 
 
 def link_eval(family, theta):
@@ -223,8 +222,8 @@ def link_eval(family, theta):
     theta = float(theta)
     if not np.isfinite(theta):
         raise InvalidInputError(f"theta must be finite, got {theta}")
-    mu, d1, d2, d3 = _link_arrays(family, np.float64(theta))
-    return LinkValues(mu=float(mu), d1=float(d1), d2=float(d2), d3=float(d3))
+    mu, d1 = _mean_and_variance(family, theta)
+    return LinkValues(*map(float, (mu, d1, *_higher_derivatives(family, theta, mu, d1))))
 
 
 class LongitudinalDataset:

@@ -21,6 +21,7 @@ from .estimator import (
 )
 from .matkernel import SymMatrix, max_relative_eigenvalue, sym_eigen
 from .model import (
+    _TINY,
     LinkFamily,
     LongitudinalDataset,
     gauss_cdf,
@@ -86,7 +87,7 @@ class DesignSpec:
     lo: float = -1.0
     hi: float = 1.0
 
-    def validate(self, p):
+    def validate(self):
         if self.kind not in ("iid_uniform", "grid", "categorical"):
             raise ConfigError(f"unknown design kind {self.kind!r}")
         if self.kind == "iid_uniform" and not self.lo < self.hi:
@@ -164,7 +165,7 @@ class SimConfig:
             )
         if self.family.kind != "identity" and self.subject_dependence != "independent":
             raise ConfigError("sign_modulated dependence requires the identity link")
-        self.design.validate(self.p)
+        self.design.validate()
         self.correlation.validate(self.m)
 
     @property
@@ -254,9 +255,13 @@ def gen_gaussian(X, beta0, R_bar, subject_dependence="independent", seed=0):
 
 
 def _poisson_quantile_grid(v, lam):
-    """Smallest k with Poisson(lam) CDF >= v, vectorized in lockstep."""
-    y = np.zeros_like(lam)
+    """Smallest k with Poisson(lam) CDF >= v, vectorized in lockstep.  A mean whose
+    exp(-lam) is subnormal or 0 (lam > ~708.4) gives wrong counts, so it is a ConfigError."""
     pmf = np.exp(-lam)
+    if (pmf < _TINY).any():
+        raise ConfigError(f"poisson mean {float(np.max(lam)):.6g} is too large to generate: "
+                          f"exp(-mean) underflows for means above {-np.log(_TINY):.6g}")
+    y = np.zeros_like(lam)
     cdf = pmf.copy()
     active = cdf < v
     k = 0
@@ -358,7 +363,7 @@ def _run_replicate(config, r):
         two = two_step_fit(data, config.family)
     except PlgeeError:
         return out
-    if not two.converged or two.fallback_to_independence:   # not a two-step estimate
+    if two.causes:      # unconverged, fallen back, or a singular sandwich
         return out
     beta0 = np.asarray(config.beta0, dtype=float)
     delta = two.beta_hat - beta0
@@ -407,9 +412,9 @@ def _median(values):
 def summarize_replicates(config, results):
     """Aggregate bias/variance/coverage/normality over replicate results.
 
-    Replicates that fail to converge, fall back to the independence fit or
-    error out of the solver are counted and excluded from the moment
-    statistics.
+    Replicates whose two-step fit raises or carries any cause (it did not
+    converge, fell back to the independence fit, or has a singular sandwich)
+    are counted and excluded from the moment statistics.
     """
     ok = [d for d in results if d["ok"]]
     n_fail = config.replications - len(ok)

@@ -168,6 +168,15 @@ rc=0
 plgee fit --data one_subject.csv --link identity --out one.json 2> one.err || rc=$?
 test "$rc" -eq 2
 grep -q '"warning":"fewer-subjects-than-covariates"' one.err
+# two subjects, three times: R-tilde is singular, so the two-step fit falls
+# back to independence, which exactly one warning line says (exit 2)
+head -n 7 plain.csv > two_subjects.csv
+rc=0
+plgee fit --data two_subjects.csv --link identity --out two.json 2> two.err || rc=$?
+test "$rc" -eq 2
+test "$(wc -l < two.err)" -eq 1
+test "$(grep -c '"warning":"fallback-to-independence"' two.err)" -eq 1
+python -c "import json; assert json.load(open('two.json'))['fallback_flag'] is True"
 # a binary config whose latent rho its marginals cannot attain completes
 # with exactly one JSON warning line (exit 2), also when Python warnings
 # are errors: the config carries the cause, it does not raise a warning

@@ -57,6 +57,8 @@ X = design(rng, 60, 4, 3)
 write_csv("gauss.csv", X, X @ [1.0, -0.5, 0.3] + exchangeable_normals(rng, 60, 4, 0.5))
 X = design(rng, 2, 5, 3)        # fewer subjects than times and than covariates
 write_csv("short.csv", X, X @ [1.0, -0.5, 0.3] + exchangeable_normals(rng, 2, 5, 0.5))
+x = np.random.default_rng(0).uniform(-1, 1, (60, 3))     # y = 1[x > 0]: separated
+write_csv("separated.csv", np.stack([np.ones_like(x), x], axis=2), (x > 0) * 1.0)
 configs = {
     "sim_log.json": {"n": 100, "m": 3, "p": 2, "family": "log", "beta0": [0.5, -0.3],
                      "design": {"kind": "iid_uniform"},
@@ -71,6 +73,9 @@ configs = {
                        "design": {"kind": "categorical"},
                        "correlation": {"kind": "exchangeable", "rho": 0.97},
                        "replications": 5, "base_seed": 5},
+    "sim_few.json": {"n": 4, "m": 3, "p": 5, "family": "identity",    # n < p
+                     "beta0": [1.0, 0.5, -0.5, 0.2, 0.1], "design": {"kind": "iid_uniform"},
+                     "correlation": {"kind": "exchangeable", "rho": 0.3}, "replications": 5},
 }
 for path, doc in configs.items():
     with open(path, "w") as fh:
@@ -86,6 +91,7 @@ cases=(
   "fit-probit-shuffled fit --data binary.csv --link probit --shuffle-subjects 3"
   "fit-fallback fit --data short.csv --link identity"
   "fit-missing fit --data missing.csv --link identity"
+  "fit-probit-separated fit --data separated.csv --link probit"
   "diagnose-grid diagnose --data gauss.csv --link identity --grid 20,40,60 --out @OUT@"
   "diagnose-beta diagnose --data gauss.csv --link identity --beta 1,-0.5,0.3 --grid 10,30"
   "diagnose-log diagnose --data counts.csv --link log --grid 30,60"
@@ -93,6 +99,7 @@ cases=(
   "simulate-log simulate --config sim_log.json --replicates-csv @CSV@ --out @OUT@"
   "simulate-identity simulate --config sim_identity.json --replicates-csv @CSV@"
   "simulate-logit simulate --config sim_logit.json --replicates-csv @CSV@"
+  "simulate-few simulate --config sim_few.json --replicates-csv @CSV@"
 )
 
 run_all() {     # $1: the tree whose src/ runs, $2: the directory for its outputs

@@ -18,7 +18,7 @@ from plgee.cli import (
 )
 from plgee.errors import InvalidInputError, PlgeeError, SchemaError
 from plgee.estimator import two_step_fit
-from plgee.model import IDENTITY, LongitudinalDataset
+from plgee.model import IDENTITY, PROBIT, LongitudinalDataset
 from plgee.simulator import SimConfig, exchangeable_matrix, gen_gaussian, mix_seed
 
 
@@ -734,15 +734,18 @@ class TestFit:
         assert doc["fallback_flag"] is True
         assert doc["R_tilde"] is None
         assert doc["method"] == "independence"
-        assert err.count("\n") == 1
-        assert json.loads(err) == {
-            "warning": "not-converged",
-            "detail": f"the independence fit did not converge (iterations=1, "
-                      f"gnorm={doc['final_gnorm']:.6g}); beta_hat is its last iterate"}
+        assert [json.loads(line) for line in err.splitlines()] == [
+            {"warning": "not-converged",
+             "detail": f"the independence fit did not converge (iterations=1, "
+                       f"gnorm={doc['final_gnorm']:.6g}); beta_hat is its last iterate"},
+            {"warning": "fallback-to-independence",
+             "detail": "the two-step fit fell back to the independence fit: "
+                       "the preliminary fit did not converge"}]
 
-    @pytest.mark.parametrize("n, want", [(1, 2), (2, 0), (3, 0)])
+    @pytest.mark.parametrize("n, want", [(1, 2), (2, 2), (3, 0)])
     def test_fewer_subjects_than_covariates_exits_2(self, tmp_path, capsys, n, want):
-        # with n < p the sandwich M_hat has rank <= n < p: zero-width intervals
+        # with n < p the sandwich M_hat has rank <= n < p: zero-width intervals;
+        # with n < m R-tilde is singular, and the fit falls back to independence
         data = sample_dataset(n=n, m=3, p=2, seed=3)
         path = tmp_path / "few.csv"
         write_dataset_csv(data, path)
@@ -751,18 +754,23 @@ class TestFit:
         doc = json.loads(out)
         assert doc["converged"] is True
         assert doc["beta_hat"] == two_step_fit(data, IDENTITY).beta_hat.tolist()
-        if want:
-            assert json.loads(err) == {
-                "warning": "fewer-subjects-than-covariates",
-                "detail": "n=1 subjects < p=2 covariates: the sandwich covariance "
-                          "is singular, so stderr and wald_ci are not valid"}
+        lines = [json.loads(line) for line in err.splitlines()]
+        assert [line["warning"] for line in lines] == (
+            ["fewer-subjects-than-covariates"] * (n < 2) + ["fallback-to-independence"] * (n < 3))
+        assert doc["fallback_flag"] is (n < 3)
+        if n < 2:
+            assert lines[0]["detail"] == (
+                "n=1 subjects < p=2 covariates: the sandwich covariance "
+                "is singular, so stderr and wald_ci are not valid")
             assert max(hi - lo for lo, hi in doc["wald_ci"]) < 1e-12
-        else:
-            assert err == ""
+        if n < 3:
+            assert lines[-1]["detail"].startswith(
+                "the two-step fit fell back to the independence fit: "
+                "correlation estimate is not positive definite (lambda_min=")
 
-    def test_both_causes_are_two_warning_lines_in_order(self, tmp_path, capsys, monkeypatch):
+    def test_causes_are_warning_lines_in_order(self, tmp_path, capsys, monkeypatch):
         # one subject and an iterate cut off before the root: the lines are
-        # the fit's causes, the singular sandwich first
+        # the fit's causes, the singular sandwich first and the fallback last
         monkeypatch.setattr(estimator, "_MAX_ITER", 1)
         monkeypatch.setattr(estimator, "_GRAD_TOL", 1e-300)
         data = sample_dataset(n=1, m=3, p=2, seed=3)
@@ -774,12 +782,38 @@ class TestFit:
         assert doc["converged"] is False
         lines = [json.loads(line) for line in err.splitlines()]
         assert [line["warning"] for line in lines] == ["fewer-subjects-than-covariates",
-                                                      "not-converged"]
+                                                      "not-converged",
+                                                      "fallback-to-independence"]
         assert lines == [{"warning": kind, "detail": detail}
                          for kind, detail in two_step_fit(data, IDENTITY).causes]
         assert lines[1]["detail"] == (
             f"the independence fit did not converge (iterations=1, "
             f"gnorm={doc['final_gnorm']:.6g}); beta_hat is its last iterate")
+
+    def test_probit_fallback_on_separated_data_exits_2(self, tmp_path, capsys):
+        # y = 1[x > 0]: the preliminary probit fit runs off to a huge slope,
+        # its standardized residuals vanish and R-tilde is singular.  The
+        # payload is the independence fit's with that R-tilde, as before;
+        # the fallback is now a warning line that says why
+        x = np.random.default_rng(0).uniform(-1, 1, (60, 3))
+        X = np.stack([np.ones_like(x), x], axis=2)
+        data = LongitudinalDataset(X, (x > 0).astype(float))
+        path = tmp_path / "separated.csv"
+        write_dataset_csv(data, path)
+        code, out, err = run_cli(["fit", "--data", str(path), "--link", "probit"], capsys)
+        assert code == 2
+        (line,) = [json.loads(line) for line in err.splitlines()]
+        assert line["warning"] == "fallback-to-independence"
+        assert line["detail"].startswith("the two-step fit fell back to the independence fit: "
+                                         "correlation estimate is not positive definite")
+        indep = estimator.gee_independence_fit(data, PROBIT)
+        assert indep.converged
+        _, want, _ = run_cli(["fit", "--data", str(path), "--link", "probit",
+                              "--method", "independence"], capsys)
+        want = json.loads(want)
+        want.update(fallback_flag=True, R_tilde=estimator.estimate_correlation(
+            data, PROBIT, indep.beta_hat).R_tilde.a.tolist())
+        assert out == dumps_stable(want) + "\n"
 
     def test_shuffle_subjects_keeps_estimate(self, data_csv, capsys):
         _, out0, _ = run_cli(
@@ -1096,6 +1130,36 @@ class TestSimulate:
         assert (code, out) == (1, "")
         assert json.loads(err) == {"error": "empty-report",
                                    "detail": "no replicate gave a two-step estimate; nothing to aggregate"}
+
+    def test_fewer_subjects_than_covariates_is_an_empty_report(self, tmp_path, capsys):
+        # n=4 < p=5: every fit carries fewer-subjects-than-covariates, its
+        # sandwich is singular, so no replicate has a z and every one fails
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps({
+            "n": 4, "m": 3, "p": 5, "family": "identity", "beta0": [1.0, 0.5, -0.5, 0.2, 0.1],
+            "design": {"kind": "iid_uniform"},
+            "correlation": {"kind": "exchangeable", "rho": 0.3},
+            "replications": 5}))
+        code, out, err = run_cli(["simulate", "--config", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "empty-report",
+                                   "detail": "no replicate gave a two-step estimate; nothing to aggregate"}
+
+    def test_poisson_mean_too_large_is_config_error(self, tmp_path, capsys):
+        # the grid design's largest theta is 7 - 0.5 * 0.6 = 6.7, a mean of
+        # about 812: exp(-mean) underflows, so no count can be drawn
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps({
+            "n": 20, "m": 2, "p": 2, "family": "log", "beta0": [7.0, 0.5],
+            "design": {"kind": "grid"},
+            "correlation": {"kind": "exchangeable", "rho": 0.3}}))
+        code, out, err = run_cli(["simulate", "--config", str(path)], capsys)
+        assert (code, out) == (1, "")
+        doc = json.loads(err)
+        assert doc["error"] == "config"
+        assert doc["detail"].startswith("poisson mean 812.4")
+        assert doc["detail"].endswith("is too large to generate: exp(-mean) underflows "
+                                      "for means above 708.396")
 
     def test_misspelled_config_key_is_config_error(self, config_json, capsys):
         with open(config_json) as fh:

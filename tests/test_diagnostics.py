@@ -16,8 +16,8 @@ from plgee.errors import (DegenerateVarianceError, LinkOverflowError, NotPositiv
 from plgee.estimator import estimate_correlation, gee_independence_fit
 from plgee.matkernel import SymMatrix, matrix_stats, max_relative_eigenvalue, sym_eigen
 from plgee import model
-from plgee.model import (IDENTITY, LOG, LOGIT, LongitudinalDataset, _link_arrays, eval_model,
-                         link_eval)
+from plgee.model import (IDENTITY, LOG, LOGIT, LongitudinalDataset, _higher_derivatives,
+                         eval_model, link_eval)
 from plgee.simulator import exchangeable_matrix, gen_gaussian
 from sandwich_oracle import sandwich
 
@@ -266,7 +266,9 @@ class TestSmoothnessMaxima:
         X = rng.uniform(-1, 1, size=(40, 10, 8))
         data = LongitudinalDataset(X, np.zeros((40, 10)))
         beta = rng.uniform(-0.5, 0.5, size=8)
-        _, d1, d2, d3 = _link_arrays(LOGIT, eval_model(data, LOGIT, beta).theta)
+        ev = eval_model(data, LOGIT, beta)
+        d1 = ev.var
+        d2, d3 = _higher_derivatives(LOGIT, ev.theta, ev.mu, d1)
         rep = design_diagnostics(data, LOGIT, beta)
         assert (rep.k2, rep.k3) == (float(np.max(np.abs(d2 / d1))),
                                     float(np.max(np.abs(d3 / d1))))

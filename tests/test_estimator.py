@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import FrozenInstanceError
 from functools import partial
 
 import numpy as np
@@ -132,6 +133,7 @@ class TestCauses:
     FEW = ("fewer-subjects-than-covariates",
            "n=1 subjects < p=2 covariates: the sandwich covariance is singular, "
            "so stderr and wald_ci are not valid")
+    UNCONVERGED = "the preliminary fit did not converge"
 
     @staticmethod
     def not_converged(fit):
@@ -139,12 +141,32 @@ class TestCauses:
                 f"the {fit.method} fit did not converge (iterations={fit.iterations}, "
                 f"gnorm={fit.final_gnorm:.6g}); beta_hat is its last iterate")
 
+    @staticmethod
+    def fallback(fit, why):
+        """The cause two_step_fit appends when it falls back, as a 1-tuple;
+        () for gee_independence_fit, which never does."""
+        return ((("fallback-to-independence",
+                  f"the two-step fit fell back to the independence fit: {why}"),)
+                if fit is two_step_fit else ())
+
+    @staticmethod
+    def not_spd(corr):
+        """The error the pseudo-likelihood fit raises on a singular R-tilde."""
+        with pytest.raises(NotPositiveDefiniteError) as info:
+            sym_eigen(corr.R_tilde, require_spd="correlation estimate")
+        return str(info.value)
+
     @pytest.mark.parametrize("fit", [gee_independence_fit, two_step_fit])
     def test_fewer_subjects_than_covariates(self, fit):
+        # one subject also makes R-tilde rank one, so two_step_fit falls back
         result = fit(gaussian_dataset(n=1, seed=3), IDENTITY)
         assert result.converged
-        assert result.causes == (self.FEW,)
-        assert fit(gaussian_dataset(n=2, seed=3), IDENTITY).causes == ()
+        assert result.causes[0] == self.FEW
+        if fit is two_step_fit:
+            assert result.causes[1:] == self.fallback(fit, self.not_spd(result.correlation_used))
+        else:
+            assert result.causes[1:] == ()
+        assert fit(gaussian_dataset(n=2, m=2, seed=3), IDENTITY).causes == ()
 
     @pytest.mark.parametrize("fit", [gee_independence_fit, two_step_fit])
     def test_not_converged(self, fit, monkeypatch):
@@ -152,7 +174,8 @@ class TestCauses:
         monkeypatch.setattr(estimator, "_GRAD_TOL", 1e-300)
         result = fit(gaussian_dataset(n=30, seed=7), IDENTITY)
         assert not result.converged
-        assert result.causes == (self.not_converged(result),)
+        assert result.causes == ((self.not_converged(result),)
+                                 + self.fallback(fit, self.UNCONVERGED))
         assert "the independence fit did not converge (iterations=1, " in result.causes[0][1]
 
     def test_pseudo_likelihood_fit_not_converged(self, monkeypatch):
@@ -166,10 +189,19 @@ class TestCauses:
 
     @pytest.mark.parametrize("fit", [gee_independence_fit, two_step_fit])
     def test_both_causes_in_order(self, fit, monkeypatch):
+        # an unconverged preliminary fit is the fallback's reason, before R-tilde
         monkeypatch.setattr(estimator, "_MAX_ITER", 1)
         monkeypatch.setattr(estimator, "_GRAD_TOL", 1e-300)
         result = fit(gaussian_dataset(n=1, seed=3), IDENTITY)
-        assert result.causes == (self.FEW, self.not_converged(result))
+        assert result.causes == ((self.FEW, self.not_converged(result))
+                                 + self.fallback(fit, self.UNCONVERGED))
+
+    def test_fit_result_is_frozen(self):
+        fit = two_step_fit(gaussian_dataset(seed=3), IDENTITY)
+        for name, value in [("beta_hat", np.zeros(2)), ("causes", ()), ("preliminary", None),
+                            ("correlation_used", None)]:
+            with pytest.raises(FrozenInstanceError):
+                setattr(fit, name, value)
 
 
 class TestEstimateCorrelation:
@@ -455,17 +487,24 @@ class TestTwoStep:
         assert np.array_equal(fit.preliminary.beta_hat, alone.beta_hat)
         assert fit.preliminary.iterations == alone.iterations
 
-    def test_preliminary_on_fallback_is_the_fit_itself(self):
+    def test_preliminary_on_fallback_is_the_independence_fit(self):
+        # the fallback is the independence fit with the fallback's cause and
+        # R-tilde added; preliminary is that fit as gee_independence_fit returned it
         rng = np.random.default_rng(20)
         data = gen_gaussian(rng.uniform(-1, 1, size=(2, 4, 2)), np.array([0.5, 0.5]),
                             np.eye(4), seed=21)
         fit = two_step_fit(data, IDENTITY)
-        assert fit.fallback_to_independence
-        assert fit.preliminary is fit
+        assert [kind for kind, _ in fit.causes] == ["fallback-to-independence"]
+        assert fit.preliminary is not fit
+        assert fit.preliminary.causes == () and fit.preliminary.preliminary is None
+        assert fit.preliminary.correlation_used is None
+        assert fit.beta_hat is fit.preliminary.beta_hat
+        assert fit.cov_beta is fit.preliminary.cov_beta
 
     def test_unconverged_preliminary_fit_is_returned_flagged(self, monkeypatch):
         # a preliminary estimate that did not converge never feeds R-tilde
-        # or the refit: the fit falls back to it, still flagged unconverged
+        # or the refit: the fit falls back to it, still flagged unconverged,
+        # and its last cause says why
         rng = np.random.default_rng(47)
         X = rng.uniform(-1, 1, size=(80, 3, 2))
         data = LongitudinalDataset(X, rng.poisson(np.exp(X @ [1.5, -1.0])).astype(float))
@@ -475,10 +514,12 @@ class TestTwoStep:
         fit = two_step_fit(data, LOG)
         alone = gee_independence_fit(data, LOG)
         assert not fit.converged
-        assert fit.fallback_to_independence
+        assert fit.causes == alone.causes + (
+            ("fallback-to-independence", "the two-step fit fell back to the independence "
+                                         "fit: the preliminary fit did not converge"),)
         assert fit.correlation_used is None
         assert fit.method == "independence"
-        assert fit.preliminary is fit
+        assert fit.preliminary.causes == alone.causes
         assert np.array_equal(fit.beta_hat, alone.beta_hat)
 
     @pytest.mark.parametrize("family", [IDENTITY, LOG, LOGIT, PROBIT],
@@ -490,7 +531,7 @@ class TestTwoStep:
         data = glm_dataset(family, n, m, seed=44)
         fit = two_step_fit(data, family)
         assert fit.converged
-        assert fit.fallback_to_independence == (n < m)
+        assert [kind for kind, _ in fit.causes] == ["fallback-to-independence"] * (n < m)
         R = np.eye(m) if n < m else fit.correlation_used.R_tilde.a
         assert_rel_close(fit.cov_beta.a, sandwich(data, family, fit.beta_hat, R)[2],
                          rel=1e-10)
@@ -551,9 +592,15 @@ class TestTwoStep:
         beta0 = np.array([0.5, 0.5])
         data = gen_gaussian(X, beta0, np.eye(4), seed=21)
         fit = two_step_fit(data, IDENTITY)
-        assert fit.fallback_to_independence
+        (kind, detail), = fit.causes
+        assert kind == "fallback-to-independence"
+        assert detail.startswith("the two-step fit fell back to the independence fit: "
+                                 "correlation estimate is not positive definite (lambda_min=")
         assert fit.method == "independence"
-        # the independence fit's own sandwich, not a rebuilt one
+        # the singular R-tilde is kept; the independence fit's own sandwich, not a rebuilt one
+        with pytest.raises(NotPositiveDefiniteError) as info:
+            sym_eigen(fit.correlation_used.R_tilde, require_spd="correlation estimate")
+        assert detail.endswith(str(info.value))
         assert np.array_equal(fit.cov_beta.a, gee_independence_fit(data, IDENTITY).cov_beta.a)
 
     def test_correlation_decomposed_once(self, monkeypatch):

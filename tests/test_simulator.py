@@ -1,5 +1,5 @@
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -187,6 +187,20 @@ class TestDiscreteGenerators:
         monkeypatch.setattr(simulator, "_POISSON_QUANTILE_CAP", 3)
         with pytest.raises(PlgeeError, match="^poisson quantile search exceeded its cap$"):
             _poisson_quantile_grid(v, lam)
+
+    @pytest.mark.parametrize("lam", [740.0, 800.0])
+    def test_poisson_mean_too_large_raises_before_the_search(self, lam, monkeypatch):
+        # exp(-740) is subnormal and exp(-800) is 0: the recursion from it
+        # gives wrong counts or none, so the mean is rejected before any step
+        monkeypatch.setattr(simulator, "_POISSON_QUANTILE_CAP", 0)
+        with pytest.raises(ConfigError, match=f"^poisson mean {lam:g} is too large to generate"):
+            _poisson_quantile_grid(np.array([0.5, 0.5]), np.array([1.0, lam]))
+
+    def test_poisson_quantile_matches_scipy_at_mean_700(self):
+        from scipy.stats import poisson
+        v = np.random.default_rng(5).uniform(size=20_000)
+        lam = np.full_like(v, 700.0)
+        assert np.array_equal(_poisson_quantile_grid(v, lam), poisson.ppf(v, 700.0))
 
     def test_poisson_marginal_moments(self):
         n = 100_000
@@ -416,9 +430,9 @@ class TestHarness:
             fit = real(data, family)
             fits.append(fit)
             if len(fits) == 3:
-                fit = fit.preliminary
-                fit.fallback_to_independence = True
-                fit.preliminary = fit
+                fit = replace(fit.preliminary, preliminary=fit.preliminary, causes=(
+                    ("fallback-to-independence", "the two-step fit fell back to the "
+                     "independence fit: the preliminary fit did not converge"),))
             return fit
 
         monkeypatch.setattr(simulator, "two_step_fit", falls_back_once)
