@@ -2,10 +2,10 @@
 
 All outputs are strict JSON with sorted keys and 17-significant-digit floats
 (null for NaN or infinity), so reruns are byte-identical and round-trip exactly.
-Exit codes: 0 success, 1 error, 2 completed-with-warnings.  The warnings are
-the causes the results carry (FitResult.causes, a fallback to independence
-included, SimConfig.causes, MCReport.causes, a `diagnose` preliminary fit
-that did not converge), each written as one JSON warning line on stderr.
+Exit codes: 0 success, 1 error (a usage error too), 2 completed-with-warnings.
+The warnings are the causes the results carry (FitResult.causes, a fallback
+to independence included, SimConfig.causes, MCReport.causes, a `diagnose`
+preliminary fit that did not converge), each one JSON warning line on stderr.
 """
 
 import argparse
@@ -21,13 +21,12 @@ import warnings
 import numpy as np
 
 from .diagnostics import (
-    DEFAULT_DET_FLOOR,
     _check_grid,
     condition_trend_report,
     example1_closed_form,
     trend_flags,
 )
-from .errors import ConfigError, PlgeeError, SchemaError
+from .errors import ConfigError, InvalidInputError, PlgeeError, SchemaError
 from .estimator import (
     METHOD_INDEPENDENCE,
     gee_independence_fit,
@@ -396,7 +395,7 @@ def cmd_diagnose(args):
         "beta": beta.tolist(),
         "example1": example1_closed_form(data, family, beta) if data.p == 2 else None,
         "trend": [r.to_json() for r in trend],
-        "trend_flags": trend_flags(trend, det_floor=args.det_floor),
+        "trend_flags": trend_flags(trend),
     }
     _write_json(payload, args.out)
     causes = ()
@@ -436,8 +435,15 @@ def cmd_simulate(args):
     return _warn(config.causes + report.causes)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise InvalidInputError: main writes them as JSON (exit 1)."""
+
+    def error(self, message):
+        raise InvalidInputError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="plgee",
         description="Two-step pseudo-likelihood GEE fitting, diagnostics, "
                     "and Monte Carlo simulation for longitudinal data.",
@@ -467,7 +473,6 @@ def build_parser():
                            "independence fit")
     diag.add_argument("--grid", default=None,
                       help="comma-separated subject-prefix sizes for the trend table")
-    diag.add_argument("--det-floor", type=float, default=DEFAULT_DET_FLOOR)
     diag.set_defaults(func=cmd_diagnose)
 
     sim = sub.add_parser("simulate", parents=[output],
@@ -481,8 +486,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (PlgeeError, OSError) as exc:
         _write_notice("error", getattr(exc, "kind", "io"), str(exc))

@@ -18,7 +18,7 @@ from .estimator import (_average_correlation, _blocks, _flat, _sandwiched_block,
 from .matkernel import max_relative_eigenvalue, sym_eigen
 from .model import _higher_derivatives, eval_model
 
-DEFAULT_DET_FLOOR = 1e-6
+DET_FLOOR = 1e-6      # det_R_floor_ok: every report's det_R at least this
 
 
 @dataclass(frozen=True)
@@ -205,7 +205,7 @@ def condition_trend_report(data, family, beta, n_grid=None):
     return [design_diagnostics(data.subset(n_head), family, beta) for n_head in n_grid]
 
 
-def trend_flags(reports, det_floor=DEFAULT_DET_FLOOR):
+def trend_flags(reports):
     """Monotonicity surrogates for the asymptotic regularity conditions.
 
     True means the finite-n trend points the right way; single-report input
@@ -230,5 +230,5 @@ def trend_flags(reports, det_floor=DEFAULT_DET_FLOOR):
         "pi2_gamma_tilde_decreasing": decreasing(pi2g),
         "sqrt_n_pi_gamma_tilde_decreasing": decreasing(sng),
         "sqrt_n_gamma0_indep_decreasing": decreasing(sngi),
-        "det_R_floor_ok": all(r.det_R >= det_floor for r in reports),
+        "det_R_floor_ok": all(r.det_R >= DET_FLOOR for r in reports),
     }

@@ -31,22 +31,21 @@ class LineSearchFailure(PlgeeError):
     kind = "line-search-failure"
 
 
-class LinkOverflowError(PlgeeError):
+class _CellError(PlgeeError):
+    """An error at one cell, naming its subject and time (None if unknown)."""
+
+    def __init__(self, message, subject=None, time=None):
+        super().__init__(message)
+        self.subject = subject
+        self.time = time
+
+
+class LinkOverflowError(_CellError):
     kind = "link-overflow"
 
-    def __init__(self, message, subject=None, time=None):
-        super().__init__(message)
-        self.subject = subject
-        self.time = time
 
-
-class DegenerateVarianceError(PlgeeError):
+class DegenerateVarianceError(_CellError):
     kind = "degenerate-variance"
-
-    def __init__(self, message, subject=None, time=None):
-        super().__init__(message)
-        self.subject = subject
-        self.time = time
 
 
 class ShapeError(PlgeeError):

@@ -41,20 +41,20 @@ _STEP_TOL = 1e-10
 _STEP_HALVING_MAX = 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)     # == of array fields has no truth value
 class CorrelationEstimate:
     R_tilde: SymMatrix
     computed_at_beta: np.ndarray
     n_used: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
     beta_hat: np.ndarray
     converged: bool
     trace: list     # per-iteration (beta, gnorm), from the initial point to beta_hat
+    cov_beta: SymMatrix     # the Liang-Zeger sandwich H^{-1} M H^{-1} at beta_hat
     method: str = METHOD_INDEPENDENCE
-    cov_beta: SymMatrix | None = None
     correlation_used: CorrelationEstimate | None = None
     causes: tuple = ()      # (kind, detail) warnings about this estimate
     # step-1 independence fit of two_step_fit, as gee_independence_fit returned it
@@ -215,12 +215,13 @@ def _newton_solve(data, beta_init, system, method):
         scale = 1.0
         for _ in range(_STEP_HALVING_MAX + 1):
             cand = beta + scale * step
-            try:
-                g_new, t, gram = system(cand, cells)
+            try:    # an overflowing g gives an inf or NaN norm, which is rejected
+                with np.errstate(over="ignore", invalid="ignore"):
+                    g_new, t, gram = system(cand, cells)
+                    gnorm_new = _norm(g_new)
             except LinkOverflowError:
                 scale *= 0.5
                 continue
-            gnorm_new = _norm(g_new)
             if gnorm_new < gnorm:
                 accepted = True
                 break
@@ -343,10 +344,6 @@ def two_step_fit(data, family):
 
 def wald_intervals(fit, level=0.95):
     """Per-coordinate Wald interval beta_k +/- z * se_k."""
-    if fit.cov_beta is None:
-        raise PreconditionError("fit carries no covariance; every fit returned by "
-                                "gee_independence_fit, pseudo_likelihood_fit or "
-                                "two_step_fit has one")
     if not 0.0 < level < 1.0:
         raise PreconditionError(f"level must be in (0,1), got {level}")
     z = gauss_quantile(0.5 * (1.0 + level))

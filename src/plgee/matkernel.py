@@ -45,12 +45,7 @@ class SymMatrix:
         return f"SymMatrix(dim={self.dim})"
 
 
-def _sym_array(S):
-    """Accept SymMatrix or array-like; return the symmetrized ndarray."""
-    return (S if isinstance(S, SymMatrix) else SymMatrix(S)).a
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenDecomposition:
     values: np.ndarray   # nondecreasing
     basis: np.ndarray    # eigh's orthonormal columns, basis[:, k] <-> values[k]
@@ -74,7 +69,7 @@ def sym_eigen(S, require_spd=None):
     Below it, raises NotPositiveDefiniteError naming the matrix and carrying
     lambda_min.
     """
-    a = _sym_array(S)
+    a = (S if isinstance(S, SymMatrix) else SymMatrix(S)).a
     if not np.isfinite(a).all():
         raise InvalidInputError("matrix has non-finite entries")
     values, vectors = np.linalg.eigh(a)
@@ -93,24 +88,23 @@ def sym_eigen(S, require_spd=None):
 def max_relative_eigenvalue(A, eig, floor=-np.inf):
     """lambda_max(S^{-1/2} A S^{-1/2}), where ``eig`` decomposes the SPD S.
 
-    A is one symmetric matrix (a SymMatrix or an array) or an (n, p, p) stack
-    of them; for a stack the result is the largest eigenvalue over the whole
-    stack, or ``floor`` if that is larger.
+    A is one symmetric matrix (a SymMatrix or an array), taken as a stack of
+    one, or an (n, p, p) stack of them; the result is the largest eigenvalue
+    over the whole stack, or ``floor`` if that is larger.
 
-    For a stack, lambda_max(W_i) <= ||W_i||_F: a matrix is solved only when
-    its norm, with 1e-10 relative and 1e-150 added for rounding, reaches the
-    floor and, once the matrix of largest norm is solved, its eigenvalue.
+    lambda_max(W_i) <= ||W_i||_F: a matrix is solved only when its norm,
+    with 1e-10 relative and 1e-150 added for rounding, reaches the floor
+    and, once the matrix of largest norm is solved, its eigenvalue.
     LAPACK solves each matrix on its own, so the result is the whole stack's
     bit for bit.  A caller that reduces a stack block by block passes the
     running maximum as the floor, so each block prunes against every block
     before it, and a block wholly below the floor solves nothing.
     """
     root = eig.power(-0.5)
-    W = root @ (A.a if isinstance(A, SymMatrix) else np.asarray(A, dtype=float)) @ root
-    W = W + np.swapaxes(W, -1, -2)
+    A = A.a if isinstance(A, SymMatrix) else np.asarray(A, dtype=float)
+    W = root @ A.reshape(-1, *A.shape[-2:]) @ root
+    W = W + np.swapaxes(W, 1, 2)
     W *= 0.5            # in place: one stack-sized temporary fewer alive
-    if W.ndim == 2:
-        return float(np.max(np.linalg.eigvalsh(W)))
     flat = W.reshape(len(W), 1, -1)     # a view: W is C-contiguous
     with np.errstate(over="ignore"):    # an inf norm only widens the search
         bound = np.sqrt((flat @ np.swapaxes(flat, 1, 2)).ravel()) * (1 + 1e-10) + 1e-150
@@ -124,22 +118,10 @@ def max_relative_eigenvalue(A, eig, floor=-np.inf):
 
 @dataclass(frozen=True)
 class MatrixStats:
-    spectral_norm: float
-    det: float
-    trace: float
     lambda_min: float
     lambda_max: float
 
 
 def matrix_stats(S):
-    a = _sym_array(S)
-    eig = sym_eigen(a)
-    lam_min = float(eig.values[0])
-    lam_max = float(eig.values[-1])
-    return MatrixStats(
-        spectral_norm=max(abs(lam_min), abs(lam_max)),
-        det=float(np.prod(eig.values)),
-        trace=float(np.trace(a)),
-        lambda_min=lam_min,
-        lambda_max=lam_max,
-    )
+    values = sym_eigen(S).values
+    return MatrixStats(lambda_min=float(values[0]), lambda_max=float(values[-1]))

@@ -282,7 +282,7 @@ class LongitudinalDataset:
         return LongitudinalDataset(self.X[order], self.y[order])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelEval:
     """Per-cell model quantities at a given beta; arrays are (subjects, m)."""
 

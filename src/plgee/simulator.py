@@ -234,7 +234,7 @@ def make_design(config, seed):
     return X.reshape(n, m, p)
 
 
-def gen_gaussian(X, beta0, R_bar, subject_dependence="independent", seed=0):
+def gen_gaussian(X, beta0, R_bar, subject_dependence="independent", *, seed):
     """Identity-link responses y_i = X_i beta0 + L z_i with Cov = R_bar.
 
     sign_modulated flips each residual vector by a sign that is a function
@@ -276,7 +276,7 @@ def _poisson_quantile_grid(v, lam):
     return y
 
 
-def gen_discrete(X, beta0, family, R_bar, seed=0):
+def gen_discrete(X, beta0, family, R_bar, seed):
     """Poisson (log link) or Bernoulli (logit link) marginals with latent
     Gaussian-copula dependence.
 
@@ -462,7 +462,7 @@ def summarize_replicates(config, results):
     )
 
 
-def monte_carlo_run(config, workers=1):
-    """Run all replicates and aggregate them into an MCReport."""
-    return summarize_replicates(config, run_replicates(config, workers))
+def monte_carlo_run(config):
+    """Run all replicates in this process and aggregate them into an MCReport."""
+    return summarize_replicates(config, run_replicates(config))
 

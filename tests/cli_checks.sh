@@ -34,6 +34,13 @@ plgee simulate --config sim.json --workers 1 --replicates-csv reps1.csv --out si
 plgee simulate --config sim.json --workers 2 --replicates-csv reps2.csv --out sim2.json
 cmp sim1.json sim2.json
 cmp reps1.csv reps2.csv
+# a usage error is one invalid-input JSON line (exit 1), not argparse's usage text
+rc=0
+plgee fit --link identity > usage.out 2> usage.err || rc=$?
+test "$rc" -eq 1
+test ! -s usage.out
+test "$(wc -l < usage.err)" -eq 1
+grep -q '"error":"invalid-input"' usage.err
 # fewer than one worker is an error (exit 1), with nothing on stdout
 rc=0
 plgee simulate --config sim.json --workers 0 > zero.out 2> zero.err || rc=$?
@@ -168,6 +175,22 @@ rc=0
 plgee fit --data one_subject.csv --link identity --out one.json 2> one.err || rc=$?
 test "$rc" -eq 2
 grep -q '"warning":"fewer-subjects-than-covariates"' one.err
+# one outlying count makes the log-link line search try a candidate whose
+# estimating function overflows: it is rejected, with nothing on stderr
+python - <<'EOF'
+import numpy as np
+x = np.random.default_rng(0).uniform(-1, 1, (50, 3))
+y = np.round(np.exp(3.0 * x))
+y[0, 0] = 1e5
+with open("overflow.csv", "w") as fh:
+    fh.write("subject,time,y,x1,x2\n")
+    for i in range(50):
+        for j in range(3):
+            fh.write(f"{i + 1},{j + 1},{float(y[i, j])!r},1,{float(x[i, j])!r}\n")
+EOF
+plgee fit --data overflow.csv --link log --method independence --out overflow.json 2> overflow.err
+test ! -s overflow.err
+python -c "import json; assert json.load(open('overflow.json'))['iterations'] == 7"
 # two subjects, three times: R-tilde is singular, so the two-step fit falls
 # back to independence, which exactly one warning line says (exit 2)
 head -n 7 plain.csv > two_subjects.csv

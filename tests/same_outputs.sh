@@ -59,6 +59,10 @@ X = design(rng, 2, 5, 3)        # fewer subjects than times and than covariates
 write_csv("short.csv", X, X @ [1.0, -0.5, 0.3] + exchangeable_normals(rng, 2, 5, 0.5))
 x = np.random.default_rng(0).uniform(-1, 1, (60, 3))     # y = 1[x > 0]: separated
 write_csv("separated.csv", np.stack([np.ones_like(x), x], axis=2), (x > 0) * 1.0)
+x = np.random.default_rng(0).uniform(-1, 1, (50, 3))     # one outlying count
+y = np.round(np.exp(3.0 * x))
+y[0, 0] = 1e5
+write_csv("overflow.csv", np.stack([np.ones_like(x), x], axis=2), y)
 configs = {
     "sim_log.json": {"n": 100, "m": 3, "p": 2, "family": "log", "beta0": [0.5, -0.3],
                      "design": {"kind": "iid_uniform"},
@@ -92,6 +96,8 @@ cases=(
   "fit-fallback fit --data short.csv --link identity"
   "fit-missing fit --data missing.csv --link identity"
   "fit-probit-separated fit --data separated.csv --link probit"
+  "fit-overflow fit --data overflow.csv --link log --method independence"
+  "fit-usage fit --link identity"
   "diagnose-grid diagnose --data gauss.csv --link identity --grid 20,40,60 --out @OUT@"
   "diagnose-beta diagnose --data gauss.csv --link identity --beta 1,-0.5,0.3 --grid 10,30"
   "diagnose-log diagnose --data counts.csv --link log --grid 30,60"

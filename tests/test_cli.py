@@ -790,6 +790,26 @@ class TestFit:
             f"the independence fit did not converge (iterations=1, "
             f"gnorm={doc['final_gnorm']:.6g}); beta_hat is its last iterate")
 
+    def test_overflowing_line_search_candidate_writes_no_warning(self, tmp_path):
+        # one outlying count makes the log-link fit try a candidate whose
+        # estimating function overflows; it is rejected, and stderr stays
+        # empty, also when Python warnings are errors
+        X = np.ones((50, 3, 2))
+        X[:, :, 1] = np.random.default_rng(0).uniform(-1, 1, (50, 3))
+        y = np.round(np.exp(3.0 * X[:, :, 1]))
+        y[0, 0] = 1e5
+        path = tmp_path / "overflow.csv"
+        write_dataset_csv(LongitudinalDataset(X, y), path)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        for flags in ([], ["-W", "error"]):
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "plgee.cli", "fit", "--data", str(path),
+                 "--link", "log", "--method", "independence"],
+                capture_output=True, text=True, env=env)
+            assert (proc.returncode, proc.stderr) == (0, "")
+            doc = json.loads(proc.stdout)
+            assert doc["converged"] is True and doc["iterations"] == 7
+
     def test_probit_fallback_on_separated_data_exits_2(self, tmp_path, capsys):
         # y = 1[x > 0]: the preliminary probit fit runs off to a huge slope,
         # its standardized residuals vanish and R-tilde is singular.  The
@@ -1289,6 +1309,39 @@ class TestExitCodes:
         codes.add(main(["fit", "--data", "/nope.csv", "--link", "identity"]))
         capsys.readouterr()
         assert codes <= {0, 1, 2}
+
+    @pytest.mark.parametrize("argv, detail", [
+        (["fit", "--link", "identity"],
+         "plgee fit: the following arguments are required: --data"),
+        (["fit", "--data", "d.csv", "--link", "cloglog"],
+         "plgee fit: argument --link: invalid choice: 'cloglog' "
+         "(choose from 'identity', 'log', 'logit', 'probit')"),
+        (["simulate", "--config", "c.json", "--workers", "two"],
+         "plgee simulate: argument --workers: invalid int value: 'two'"),
+        (["diagnose", "--data", "d.csv", "--link", "identity", "--det-floor", "1e-3"],
+         "plgee: unrecognized arguments: --det-floor 1e-3"),
+        ([], "plgee: the following arguments are required: subcommand"),
+    ], ids=["missing-data", "bad-link", "bad-workers", "det-floor", "no-subcommand"])
+    def test_usage_error_is_one_invalid_input_line(self, argv, detail, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err == dumps_stable({"error": "invalid-input", "detail": detail}) + "\n"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["diagnose", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: plgee") and "--det-floor" not in out
+
+    @pytest.mark.parametrize("level", ["1.5", "0", "1"])
+    def test_ci_level_outside_the_unit_interval_is_precondition(self, data_csv, level, capsys):
+        code, out, err = run_cli(["fit", "--data", data_csv, "--link", "identity",
+                                  "--ci-level", level], capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "precondition",
+                                   "detail": f"level must be in (0,1), got {float(level)}"}
 
 
 class TestImports:

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from plgee import diagnostics, estimator
 from plgee.diagnostics import (
+    DET_FLOOR,
     _max_quad_form,
     condition_trend_report,
     design_diagnostics,
@@ -388,6 +391,13 @@ class TestTrends:
         assert len(reports) == 1
         flags = trend_flags(reports)
         assert flags["lambda_min_H_over_tau_increasing"]   # vacuous on one point
+
+    def test_det_floor_is_the_constant(self):
+        report, = condition_trend_report(gaussian_dataset(n=50, seed=15), IDENTITY,
+                                         np.array([1.0, -0.5]))
+        for det, ok in [(DET_FLOOR, True), (DET_FLOOR * (1 - 1e-12), False)]:
+            flags = trend_flags([report, replace(report, det_R=det)])
+            assert flags["det_R_floor_ok"] is ok
 
     def test_iid_design_trends_point_the_right_way(self):
         beta0 = np.array([1.0, -0.5])

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from dataclasses import FrozenInstanceError
 from functools import partial
 
@@ -9,13 +10,14 @@ from plgee import estimator, model
 from plgee.diagnostics import design_diagnostics
 from plgee.errors import (
     DegenerateVarianceError,
+    LineSearchFailure,
     LinkOverflowError,
     NotPositiveDefiniteError,
-    PreconditionError,
     SingularDesignError,
 )
 from plgee.estimator import (
     CorrelationEstimate,
+    FitResult,
     _sandwiched_gram,
     _score,
     _subject_scores,
@@ -59,6 +61,17 @@ def independence_fit_from(data, family, beta_init):
     return estimator._newton_solve(
         data, beta_init, partial(estimator._independence_system, data, family),
         estimator.METHOD_INDEPENDENCE)
+
+
+def overflow_dataset():
+    """Counts y = round(exp(3x)) on an intercept and x ~ U(-1, 1), with one
+    outlier of 1e5: the log-link fit's first full step overflows the link,
+    and a later candidate's estimating function overflows its norm."""
+    X = np.ones((50, 3, 2))
+    X[:, :, 1] = np.random.default_rng(0).uniform(-1, 1, (50, 3))
+    y = np.round(np.exp(3.0 * X[:, :, 1]))
+    y[0, 0] = 1e5
+    return LongitudinalDataset(X, y)
 
 
 def logit_dataset(n=80, m=3, p=2, beta0=(0.8, -0.4), seed=1):
@@ -127,6 +140,44 @@ class TestIndependenceFit:
         xty = np.einsum("nmp,nm->p", data.X, data.y)
         scale = estimator._GRAD_TOL * (1 + np.linalg.norm(xty))
         assert np.linalg.norm(g) <= scale
+
+
+class TestLineSearch:
+    def test_overflowing_candidate_is_rejected_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = gee_independence_fit(overflow_dataset(), LOG)
+        assert fit.converged and fit.causes == ()
+        assert fit.iterations == 7
+
+    def test_link_overflow_halves_the_step(self, monkeypatch):
+        overflows = []
+
+        def counted(*args):
+            try:
+                return eval_model(*args)
+            except LinkOverflowError:
+                overflows.append(args[2])
+                raise
+
+        monkeypatch.setattr(estimator, "eval_model", counted)
+        fit = gee_independence_fit(overflow_dataset(), LOG)
+        assert fit.converged and fit.iterations == 7
+        assert len(overflows) == 1
+
+    def test_link_overflow_at_the_initial_point(self):
+        data = overflow_dataset()
+        corr = estimate_correlation(data, LOG, np.zeros(2))
+        with pytest.raises(LineSearchFailure,
+                           match="^link overflow at the initial point: log link overflow at "
+                                 "subject 0, time 0$"):
+            pseudo_likelihood_fit(data, LOG, corr, beta_init=np.array([800.0, 0.0]))
+
+    def test_step_tolerance_stops_the_solve(self, monkeypatch):
+        monkeypatch.setattr(estimator, "_STEP_TOL", 1.0)
+        fit = gee_independence_fit(logit_dataset(), LOGIT)
+        assert fit.iterations == 1 and not fit.converged
+        assert [kind for kind, _ in fit.causes] == ["not-converged"]
 
 
 class TestCauses:
@@ -202,6 +253,18 @@ class TestCauses:
                             ("correlation_used", None)]:
             with pytest.raises(FrozenInstanceError):
                 setattr(fit, name, value)
+
+    def test_fit_result_requires_cov_beta(self):
+        with pytest.raises(TypeError, match="cov_beta"):
+            FitResult(beta_hat=np.zeros(1), converged=True, trace=[(np.zeros(1), 0.0)])
+
+    def test_equal_fits_compare_and_hash_by_identity(self):
+        data = gaussian_dataset(n=30, seed=3)
+        a, b = two_step_fit(data, IDENTITY), two_step_fit(data, IDENTITY)
+        assert np.array_equal(a.beta_hat, b.beta_hat)
+        for x, y in [(a, b), (a.correlation_used, b.correlation_used)]:
+            assert x == x and x != y
+            assert hash(x) == hash(x) and len({x, y}) == 2
 
 
 class TestEstimateCorrelation:
@@ -682,7 +745,6 @@ class TestSandwich:
 
 class TestWaldIntervals:
     def _fit_with_cov(self, beta, var):
-        from plgee.estimator import FitResult
         beta = np.asarray(beta, dtype=float)
         return FitResult(beta_hat=beta, converged=True, trace=[(beta, 0.0)],
                          cov_beta=SymMatrix(np.diag(var)))
@@ -702,9 +764,3 @@ class TestWaldIntervals:
         fit = self._fit_with_cov([0.0], [1.0])
         (lo, hi), = wald_intervals(fit, level=0.5)
         assert hi == pytest.approx(0.674490, abs=1e-5)
-
-    def test_missing_covariance_rejected(self):
-        from plgee.estimator import FitResult
-        fit = FitResult(beta_hat=np.zeros(1), converged=True, trace=[(np.zeros(1), 0.0)])
-        with pytest.raises(PreconditionError):
-            wald_intervals(fit)

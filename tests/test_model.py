@@ -139,7 +139,41 @@ class TestDataset:
         assert np.array_equal(d.X, buf[:, :, 1:]) and np.array_equal(d.y, buf[:, :, 0])
 
 
+def _dataset():
+    return LongitudinalDataset(np.ones((4, 3, 2)), np.zeros((4, 3)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: LongitudinalDataset(np.zeros((4, 3)), np.zeros((4, 3))),
+     r"X must be \(n, m, p\), got shape \(4, 3\)"),
+    (lambda: LongitudinalDataset(np.zeros((0, 3, 2)), np.zeros((0, 3))),
+     r"need n, m, p >= 1, got \(0, 3, 2\)"),
+    (lambda: LongitudinalDataset(np.zeros((4, 0, 2)), np.zeros((4, 0))), "need n, m, p >= 1"),
+    (lambda: LongitudinalDataset(np.zeros((4, 3, 0)), np.zeros((4, 3))), "need n, m, p >= 1"),
+    (lambda: _dataset().subset(0), r"prefix size 0 out of range \[1, 4\]"),
+    (lambda: _dataset().subset(5), r"prefix size 5 out of range \[1, 4\]"),
+    (lambda: _dataset().permuted([0, 1, 1, 3]), "order must be a permutation"),
+    (lambda: _dataset().permuted([0, 1, 2]), "order must be a permutation"),
+    (lambda: eval_model(_dataset(), LOG, np.zeros(3)),
+     r"beta must have length 2, got shape \(3,\)"),
+    (lambda: eval_model(_dataset(), LOG, np.zeros((2, 1))), "beta must have length 2"),
+    (lambda: eval_model(_dataset(), LOG, np.array([0.0, np.nan])),
+     "beta has non-finite entries"),
+    (lambda: eval_model(_dataset(), LOG, np.array([np.inf, 0.0])),
+     "beta has non-finite entries"),
+], ids=["X-ndim", "n", "m", "p", "subset-0", "subset-n+1", "permuted-repeat",
+        "permuted-short", "beta-length", "beta-2d", "beta-nan", "beta-inf"])
+def test_input_checks_raise_invalid_input(call, message):
+    with pytest.raises(InvalidInputError, match=message):
+        call()
+
+
 class TestEvalModel:
+    def test_evaluations_compare_and_hash_by_identity(self):
+        a, b = eval_model(_dataset(), LOG, np.zeros(2)), eval_model(_dataset(), LOG, np.zeros(2))
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b}) == 2
+
     def test_identity_single_cell(self):
         X = np.array([[[1.0, 1.0]]])
         y = np.array([[5.0]])

@@ -23,6 +23,7 @@ from plgee.simulator import (
     mix_seed,
     monte_carlo_run,
     run_replicates,
+    summarize_replicates,
 )
 
 
@@ -242,17 +243,48 @@ class TestDiscreteGenerators:
         # attenuation: response correlation below the latent rho
         assert corrs[2] < 0.9
 
+    def test_generators_take_no_default_seed(self):
+        X, R = np.zeros((2, 2, 1)), np.eye(2)
+        with pytest.raises(TypeError, match="seed"):
+            gen_gaussian(X, np.zeros(1), R)
+        with pytest.raises(TypeError, match="seed"):
+            gen_discrete(X, np.zeros(1), LOG, R)
+
     def test_rejects_identity_family(self):
         with pytest.raises(ConfigError):
-            gen_discrete(np.zeros((2, 2, 1)), np.zeros(1), IDENTITY, np.eye(2))
+            gen_discrete(np.zeros((2, 2, 1)), np.zeros(1), IDENTITY, np.eye(2), seed=0)
 
     def test_rejects_non_pd_correlation(self):
         with pytest.raises(NotPositiveDefiniteError) as exc:
-            gen_discrete(np.zeros((2, 2, 1)), np.zeros(1), LOG, [[1, 2], [2, 1]])
+            gen_discrete(np.zeros((2, 2, 1)), np.zeros(1), LOG, [[1, 2], [2, 1]], seed=0)
         assert exc.value.lambda_min == pytest.approx(-1.0)
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("kw, message", [
+        (dict(n=0), r"need n, m, p >= 1, got \(0, 3, 2\)"),
+        (dict(m=0), r"need n, m, p >= 1"),
+        (dict(replications=0), "replications must be >= 1"),
+        (dict(ci_level=1.5), r"ci_level must be in \(0,1\)"),
+        (dict(ci_level=0.0), r"ci_level must be in \(0,1\)"),
+        (dict(subject_dependence="markov"), "unknown subject_dependence 'markov'"),
+        (dict(design=DesignSpec("sobol")), "unknown design kind 'sobol'"),
+        (dict(design=DesignSpec("iid_uniform", lo=1.0, hi=1.0)),
+         r"iid_uniform needs lo < hi, got \[1.0, 1.0\]"),
+        (dict(design=DesignSpec("iid_uniform", lo=2.0, hi=-1.0)), "iid_uniform needs lo < hi"),
+        (dict(correlation=CorrelationSpec("toeplitz")), "unknown correlation kind 'toeplitz'"),
+        (dict(correlation=CorrelationSpec("custom", R_bar=((1.0, 0.0), (0.0, 1.0)))),
+         r"custom correlation must be 3x3, got \(2, 2\)"),
+    ], ids=["n", "m", "replications", "ci_level-above", "ci_level-zero", "subject_dependence",
+            "design-kind", "lo-equals-hi", "lo-above-hi", "correlation-kind", "custom-shape"])
+    def test_rejected_config_names_its_fault(self, kw, message):
+        with pytest.raises(ConfigError, match=message):
+            config(**kw)
+
+    def test_ar1_matrix_of_the_spec(self):
+        R = config(correlation=CorrelationSpec("ar1", rho=-0.5)).correlation.matrix(3)
+        assert np.array_equal(R, [[1.0, -0.5, 0.25], [-0.5, 1.0, -0.5], [0.25, -0.5, 1.0]])
+
     def test_probit_rejected(self):
         with pytest.raises(ConfigError, match="probit"):
             config(family=PROBIT)
@@ -379,9 +411,10 @@ class TestHarness:
 
     def test_parallel_matches_sequential(self):
         c = config(n=80, replications=8)
-        seq = monte_carlo_run(c, workers=1)
-        par = monte_carlo_run(c, workers=3)
-        assert seq.to_json() == par.to_json()
+        seq = monte_carlo_run(c)
+        for workers in (1, 3):
+            par = summarize_replicates(c, run_replicates(c, workers=workers))
+            assert seq.to_json() == par.to_json()
 
     def test_report_shape_and_sanity(self):
         c = config(n=150, replications=20, base_seed=101)
