@@ -353,7 +353,7 @@ def cmd_fit(args):
         "beta_hat": fit.beta_hat.tolist(),
         "cov_beta": fit.cov_beta.a.tolist(),
         "stderr": stderr.tolist(),
-        "wald_ci": [list(ci) for ci in wald_intervals(fit, level=args.ci_level)],
+        "wald_ci": [list(ci) for ci in wald_intervals(fit)],
         "converged": bool(fit.converged),
         "iterations": int(fit.iterations),
         "final_gnorm": float(fit.final_gnorm),
@@ -463,7 +463,6 @@ def build_parser():
                          help="fit a marginal model from a long-format CSV")
     fit.add_argument("--method", default="two-step",
                      choices=[METHOD_INDEPENDENCE, "two-step"])
-    fit.add_argument("--ci-level", type=float, default=0.95)
     fit.set_defaults(func=cmd_fit)
 
     diag = sub.add_parser("diagnose", parents=[dataset],

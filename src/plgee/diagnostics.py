@@ -64,7 +64,8 @@ def design_diagnostics(data, family, beta):
     None where M is not numerically SPD (fewer subjects than covariates).
     """
     beta = np.asarray(beta, dtype=float)
-    ev = eval_model(data, family, beta)
+    with np.errstate(over="ignore", invalid="ignore"):  # a theta that overflows raises, named
+        ev = eval_model(data, family, beta)
     var, eps = ev.var, ev.eps       # var is mu', the canonical link's variance
 
     R = _average_correlation(data.X, lambda rows: (eps[rows], var[rows]))

@@ -52,10 +52,6 @@ class ShapeError(PlgeeError):
     kind = "shape"
 
 
-class PreconditionError(PlgeeError):
-    kind = "precondition"
-
-
 class SchemaError(PlgeeError):
     kind = "schema"
 

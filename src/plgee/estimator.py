@@ -20,17 +20,22 @@ import numpy as np
 
 from .errors import (
     DegenerateVarianceError,
+    InvalidInputError,
     LineSearchFailure,
     LinkOverflowError,
     NotPositiveDefiniteError,
-    PreconditionError,
     SingularDesignError,
 )
 from .matkernel import SymMatrix, sym_eigen
-from .model import eval_model, gauss_quantile
+from .model import eval_model
 
 METHOD_INDEPENDENCE = "independence"
 METHOD_PSEUDO_LIKELIHOOD = "pseudo_likelihood"
+
+# The one confidence level of the Wald intervals, and its two-sided z: the
+# 0.975 standard normal quantile, model.gauss_quantile_array(0.975) bit for bit.
+CI_LEVEL = 0.95
+Z_95 = 1.959963984540054
 
 
 # Newton iteration cap, relative gradient and step tolerances, and step
@@ -166,10 +171,6 @@ def _norm(v):
     return math.sqrt(v @ v)
 
 
-def _convergence_scale(data):
-    return _GRAD_TOL * (1.0 + _norm(_score(data.X, data.y)))
-
-
 def _scoring_inverse(H, where):
     """H^{-1} from the one decomposition of the scoring matrix H."""
     try:
@@ -178,10 +179,18 @@ def _scoring_inverse(H, where):
         raise SingularDesignError(f"{exc} {where}") from exc
 
 
+def _require_finite(value, what):
+    """value, if all of it is finite; else InvalidInputError naming `what`."""
+    if not np.isfinite(value).all():
+        raise InvalidInputError(f"{what} is not finite (it overflows double precision)")
+    return value
+
+
 def _sandwich(X, t, H_inv):
     """H^{-1} M H^{-1}, M the sum of the subjects' score outer products."""
     V = _subject_scores(X, t)
-    return H_inv @ (V.T @ V) @ H_inv
+    with np.errstate(over="ignore", invalid="ignore"):      # an overflow is named instead
+        return _require_finite(H_inv @ (V.T @ V) @ H_inv, "the sandwich covariance")
 
 
 def _newton_solve(data, beta_init, system, method):
@@ -196,13 +205,16 @@ def _newton_solve(data, beta_init, system, method):
     overwrites its t and gram, and beta_hat is the point evaluated last.
     """
     beta = np.asarray(beta_init, dtype=float).copy()
-    tol = _convergence_scale(data)
     cells = np.empty((2,) + data.y.shape)
-    try:
-        g, t, gram = system(beta, cells)
+    try:    # under the line search's errstate: what overflows is named below
+        with np.errstate(over="ignore", invalid="ignore"):
+            tol = _GRAD_TOL * (1.0 + _norm(_score(data.X, data.y)))
+            g, t, gram = system(beta, cells)
+            gnorm = _norm(g)
     except LinkOverflowError as exc:
         raise LineSearchFailure(f"link overflow at the initial point: {exc}") from exc
-    gnorm = _norm(g)
+    _require_finite(tol, "the convergence scale (the norm of sum_i X_i' y_i)")
+    _require_finite(gnorm, "the estimating function's norm at the initial point")
     trace = [(beta.copy(), gnorm)]
     H_inv = _scoring_inverse(gram(), "at the initial point")
     converged = gnorm <= tol
@@ -269,7 +281,7 @@ def _average_correlation(X, cells):
     """R-tilde = (1/n) sum_i s_i s_i', s_i = eps_i / sqrt(var_i) the standardized
     residuals, summed a block of subjects at a time; cells(rows) gives the
     block's (eps, var).  A variance that is not positive and finite raises,
-    naming its subject and time."""
+    naming its subject and time, and so does an R-tilde that overflows."""
     def block_outer(rows):
         eps, var = cells(rows)
         ok = (var > 0.0) & np.isfinite(var)
@@ -279,9 +291,10 @@ def _average_correlation(X, cells):
             raise DegenerateVarianceError(
                 f"degenerate variance at subject {i}, time {j}", subject=i, time=j)
         s = eps / np.sqrt(var)
-        return s.T @ s
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+            return s.T @ s
 
-    return reduce(np.add, map(block_outer, _blocks(X))) / len(X)
+    return _require_finite(reduce(np.add, map(block_outer, _blocks(X))) / len(X), "R-tilde")
 
 
 def estimate_correlation(data, family, beta):
@@ -342,10 +355,8 @@ def two_step_fit(data, family):
                    causes=indep.causes + (("fallback-to-independence", fallback),))
 
 
-def wald_intervals(fit, level=0.95):
-    """Per-coordinate Wald interval beta_k +/- z * se_k."""
-    if not 0.0 < level < 1.0:
-        raise PreconditionError(f"level must be in (0,1), got {level}")
-    z = gauss_quantile(0.5 * (1.0 + level))
+def wald_intervals(fit):
+    """Per-coordinate 95 % Wald interval beta_k +/- Z_95 * se_k; any other
+    level is beta_k +/- z * se_k from the same standard errors."""
     se = np.sqrt(np.maximum(np.diag(fit.cov_beta.a), 0.0))
-    return [(float(b - z * s), float(b + z * s)) for b, s in zip(fit.beta_hat, se)]
+    return [(float(b - Z_95 * s), float(b + Z_95 * s)) for b, s in zip(fit.beta_hat, se)]

@@ -71,7 +71,7 @@ def sym_eigen(S, require_spd=None):
     """
     a = (S if isinstance(S, SymMatrix) else SymMatrix(S)).a
     if not np.isfinite(a).all():
-        raise InvalidInputError("matrix has non-finite entries")
+        raise InvalidInputError(f"{require_spd or 'matrix'} has non-finite entries")
     values, vectors = np.linalg.eigh(a)
     if require_spd is not None:
         tol = 1e-12 * max(1.0, float(np.trace(a)) / a.shape[0])

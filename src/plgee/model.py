@@ -9,7 +9,6 @@ mu'(theta) = phi(theta), not the Bernoulli variance Phi(theta)(1 - Phi(theta)).
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -146,11 +145,6 @@ def gauss_quantile_array(q):
     return _ndtri(q)
 
 
-@lru_cache
-def gauss_quantile(q):
-    return float(gauss_quantile_array(float(q)))
-
-
 @dataclass(frozen=True)
 class LinkFamily:
     kind: str
@@ -176,6 +170,11 @@ class LinkValues:
     d3: float
 
 
+def _theta_limit(family):
+    """|theta| above which the link overflows (no inf or NaN is within it)."""
+    return LOG_THETA_LIMIT if family.kind == "log" else np.finfo(float).max
+
+
 def _mean_and_variance(family, theta):
     """Vectorized mean function and its first derivative, the variance.
 
@@ -187,10 +186,6 @@ def _mean_and_variance(family, theta):
     if kind == "identity":
         return theta.copy(), np.ones_like(theta)
     if kind == "log":
-        if (np.abs(theta) > LOG_THETA_LIMIT).any():
-            raise LinkOverflowError(
-                f"log link overflow: |theta| > {LOG_THETA_LIMIT:g}"
-            )
         e = np.exp(theta)
         return e, e.copy()
     if kind == "logit":
@@ -222,6 +217,8 @@ def link_eval(family, theta):
     theta = float(theta)
     if not np.isfinite(theta):
         raise InvalidInputError(f"theta must be finite, got {theta}")
+    if abs(theta) > _theta_limit(family):
+        raise LinkOverflowError(f"log link overflow: |theta| > {LOG_THETA_LIMIT:g}")
     mu, d1 = _mean_and_variance(family, theta)
     return LinkValues(*map(float, (mu, d1, *_higher_derivatives(family, theta, mu, d1))))
 
@@ -297,7 +294,8 @@ class ModelEval:
 
 
 def eval_model(data, family, beta, rows=slice(None)):
-    """The model at beta for the subjects data.X[rows] (all by default)."""
+    """The model at beta for the subjects data.X[rows] (all by default).  A theta
+    beyond the link's limit, inf or NaN, raises LinkOverflowError naming its cell."""
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (data.p,):
         raise InvalidInputError(f"beta must have length {data.p}, got shape {beta.shape}")
@@ -306,12 +304,11 @@ def eval_model(data, family, beta, rows=slice(None)):
     X = data.X[rows]
     # one GEMV on the (cells, p) flattening: numpy's batched matvec is several times slower
     theta = (X.reshape(-1, data.p) @ beta).reshape(X.shape[:2])
-    try:
-        mu, var = _mean_and_variance(family, theta)
-    except LinkOverflowError:
-        bad = np.argwhere(np.abs(theta) > LOG_THETA_LIMIT)
-        i, j = (range(data.n)[rows][bad[0][0]], int(bad[0][1])) if len(bad) else (None, None)
-        raise LinkOverflowError(
-            f"log link overflow at subject {i}, time {j}", subject=i, time=j
-        ) from None
+    within = np.abs(theta) <= _theta_limit(family)
+    if not within.all():
+        i, j = np.argwhere(~within)[0]
+        i, j = range(data.n)[rows][i], int(j)
+        raise LinkOverflowError(f"{family.kind} link overflow at subject {i}, time {j}",
+                                subject=i, time=j)
+    mu, var = _mean_and_variance(family, theta)
     return ModelEval(theta=theta, mu=mu, var=var, eps=data.y[rows] - mu)

@@ -14,11 +14,7 @@ import numpy as np
 
 from .errors import (ConfigError, EmptyReportError, InvalidInputError, NotPositiveDefiniteError,
                      PlgeeError)
-from .estimator import (
-    estimate_correlation,
-    two_step_fit,
-    wald_intervals,
-)
+from .estimator import CI_LEVEL, Z_95, estimate_correlation, two_step_fit, wald_intervals
 from .matkernel import SymMatrix, max_relative_eigenvalue, sym_eigen
 from .model import (
     _TINY,
@@ -28,7 +24,6 @@ from .model import (
     gauss_quantile_array,
 )
 
-Z_TWO_SIDED_95 = 1.959964
 MAX_FAILURE_FRACTION = 0.02     # of replicates, before a report warns
 _POISSON_QUANTILE_CAP = 100000  # largest count the Poisson quantile search tries
 
@@ -143,7 +138,6 @@ class SimConfig:
     subject_dependence: str = "independent"   # independent | sign_modulated
     replications: int = 1
     base_seed: int = 0
-    ci_level: float = 0.95
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1 or self.p < 1:
@@ -152,8 +146,6 @@ class SimConfig:
             raise ConfigError(f"beta0 must have length p={self.p}")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
-        if not 0.0 < self.ci_level < 1.0:
-            raise ConfigError("ci_level must be in (0,1)")
         if self.subject_dependence not in ("independent", "sign_modulated"):
             raise ConfigError(
                 f"unknown subject_dependence {self.subject_dependence!r}"
@@ -187,7 +179,7 @@ class SimConfig:
                 "n": int, "m": int, "p": int, "family": LinkFamily, "beta0": _floats,
                 "design": lambda d: _from_json(DesignSpec, d, "design", spec),
                 "correlation": lambda d: _from_json(CorrelationSpec, d, "correlation", spec),
-                "replications": int, "base_seed": int, "ci_level": float,
+                "replications": int, "base_seed": int,
             })
         except (TypeError, ValueError, InvalidInputError) as exc:   # LinkFamily raises the last
             raise ConfigError(f"invalid simulation config: {exc}") from exc
@@ -368,7 +360,7 @@ def _run_replicate(config, r):
     beta0 = np.asarray(config.beta0, dtype=float)
     delta = two.beta_hat - beta0
     z = sym_eigen(two.cov_beta, require_spd="sandwich covariance").power(-0.5) @ delta
-    ci = wald_intervals(two, level=config.ci_level)
+    ci = wald_intervals(two)
     covered = [lo <= b0 <= hi for (lo, hi), b0 in zip(ci, beta0)]
     corr = estimate_correlation(data, config.family, beta0)   # oracle-beta estimate
     out.update(
@@ -445,14 +437,14 @@ def summarize_replicates(config, results):
     return MCReport(
         replications=config.replications,
         n_failures=n_fail,
-        ci_level=config.ci_level,
+        ci_level=CI_LEVEL,
         bias=np.mean(err, axis=0).tolist(),
         emp_var=emp_var.tolist(),
         rmse=np.sqrt(np.mean(err * err, axis=0)).tolist(),
         coverage=np.mean(covered, axis=0).tolist(),
         indep_emp_var=ind_var.tolist(),
         efficiency_ratio=eff.tolist(),
-        z_within_1960_frac=float(np.mean(np.abs(z_pool) <= Z_TWO_SIDED_95)),
+        z_within_1960_frac=float(np.mean(np.abs(z_pool) <= Z_95)),
         ks_distance=ks_distance_to_normal(z_pool),
         median_beta_error_norm=_median(np.linalg.norm(err, axis=1).tolist()),
         mean_corr_max_abs_error=float(np.mean(corr_err)),

@@ -214,3 +214,58 @@ PYTHONWARNINGS=error plgee simulate --config frechet.json --out frechet_out.json
 test "$rc" -eq 2
 test "$(wc -l < frechet.err)" -eq 1
 grep -q '"warning":"latent-correlation-above-frechet-bound"' frechet.err
+# responses of order 1e200 overflow the estimating function's norm: either
+# method ends in one invalid-input line (exit 1), and no numpy warning,
+# which Python warnings as errors would turn into a traceback.  On data of
+# unit scale, a --beta whose theta overflows names its cell, and one whose
+# R-tilde overflows names that matrix
+python - <<'EOF'
+import numpy as np
+rng = np.random.default_rng(0)
+X = np.ones((30, 3, 2))
+X[:, :, 1] = rng.uniform(-1, 1, (30, 3))
+for path, y in (("huge_y.csv", 1e200 * rng.standard_normal((30, 3))),
+                ("unit_y.csv", X @ [1.0, 0.5] + rng.standard_normal((30, 3)))):
+    with open(path, "w") as fh:
+        fh.write("subject,time,y,x1,x2\n")
+        for i in range(30):
+            for j in range(3):
+                fh.write(f"{i + 1},{j + 1},{float(y[i, j])!r},1,{float(X[i, j, 1])!r}\n")
+EOF
+for method in independence two-step; do
+  rc=0
+  PYTHONWARNINGS=error plgee fit --data huge_y.csv --link identity --method "$method" \
+    > huge.out 2> huge.err || rc=$?
+  test "$rc" -eq 1
+  test ! -s huge.out
+  test "$(wc -l < huge.err)" -eq 1
+  grep -q '"error":"invalid-input"' huge.err
+  grep -q 'convergence scale' huge.err
+done
+for case in '1e308,1e308 link-overflow identity link overflow at subject' \
+            '1e200,1e200 invalid-input R-tilde is not finite'; do
+  read -r beta kind detail <<< "$case"
+  rc=0
+  PYTHONWARNINGS=error plgee diagnose --data unit_y.csv --link identity --beta "$beta" \
+    > beta.out 2> beta.err || rc=$?
+  test "$rc" -eq 1
+  test ! -s beta.out
+  test "$(wc -l < beta.err)" -eq 1
+  grep -q "\"error\":\"$kind\"" beta.err
+  grep -q "$detail" beta.err
+done
+# the intervals are 95 %: --ci-level is a usage error, and a config key
+# ci_level a config error (exit 1, one JSON line each)
+rc=0
+plgee fit --data plain.csv --link identity --ci-level 0.9 > level.out 2> level.err || rc=$?
+test "$rc" -eq 1
+test ! -s level.out
+test "$(wc -l < level.err)" -eq 1
+grep -q '"error":"invalid-input"' level.err
+sed 's/"base_seed": 1/"base_seed": 1, "ci_level": 0.9/' sim.json > level.json
+rc=0
+plgee simulate --config level.json > level.out 2> level.err || rc=$?
+test "$rc" -eq 1
+test ! -s level.out
+test "$(wc -l < level.err)" -eq 1
+grep -q '"error":"config"' level.err

@@ -63,6 +63,11 @@ x = np.random.default_rng(0).uniform(-1, 1, (50, 3))     # one outlying count
 y = np.round(np.exp(3.0 * x))
 y[0, 0] = 1e5
 write_csv("overflow.csv", np.stack([np.ones_like(x), x], axis=2), y)
+rng = np.random.default_rng(0)      # responses of order 1e200, and of unit scale
+X = np.ones((30, 3, 2))
+X[:, :, 1] = rng.uniform(-1, 1, (30, 3))
+write_csv("huge_y.csv", X, 1e200 * rng.standard_normal((30, 3)))
+write_csv("unit_y.csv", X, X @ [1.0, 0.5] + rng.standard_normal((30, 3)))
 configs = {
     "sim_log.json": {"n": 100, "m": 3, "p": 2, "family": "log", "beta0": [0.5, -0.3],
                      "design": {"kind": "iid_uniform"},
@@ -80,6 +85,9 @@ configs = {
     "sim_few.json": {"n": 4, "m": 3, "p": 5, "family": "identity",    # n < p
                      "beta0": [1.0, 0.5, -0.5, 0.2, 0.1], "design": {"kind": "iid_uniform"},
                      "correlation": {"kind": "exchangeable", "rho": 0.3}, "replications": 5},
+    "sim_ci_level.json": {"n": 40, "m": 3, "p": 2, "family": "identity", "beta0": [1.0, -0.5],
+                          "design": {"kind": "iid_uniform"},
+                          "correlation": {"kind": "ar1", "rho": 0.3}, "ci_level": 0.9},
 }
 for path, doc in configs.items():
     with open(path, "w") as fh:
@@ -90,7 +98,7 @@ EOF
 # for the run's --out and --replicates-csv paths.
 cases=(
   "fit-log fit --data counts.csv --link log"
-  "fit-independence fit --data counts.csv --link log --method independence --ci-level 0.9 --out @OUT@"
+  "fit-independence fit --data counts.csv --link log --method independence --out @OUT@"
   "fit-logit fit --data binary.csv --link logit"
   "fit-probit-shuffled fit --data binary.csv --link probit --shuffle-subjects 3"
   "fit-fallback fit --data short.csv --link identity"
@@ -98,14 +106,20 @@ cases=(
   "fit-probit-separated fit --data separated.csv --link probit"
   "fit-overflow fit --data overflow.csv --link log --method independence"
   "fit-usage fit --link identity"
+  "fit-ci-level fit --data counts.csv --link log --ci-level 0.9"
+  "fit-huge-independence fit --data huge_y.csv --link identity --method independence"
+  "fit-huge-two-step fit --data huge_y.csv --link identity"
   "diagnose-grid diagnose --data gauss.csv --link identity --grid 20,40,60 --out @OUT@"
   "diagnose-beta diagnose --data gauss.csv --link identity --beta 1,-0.5,0.3 --grid 10,30"
   "diagnose-log diagnose --data counts.csv --link log --grid 30,60"
   "diagnose-short diagnose --data short.csv --link identity"
+  "diagnose-theta-overflow diagnose --data unit_y.csv --link identity --beta 1e308,1e308"
+  "diagnose-r-tilde-overflow diagnose --data unit_y.csv --link identity --beta 1e200,1e200"
   "simulate-log simulate --config sim_log.json --replicates-csv @CSV@ --out @OUT@"
   "simulate-identity simulate --config sim_identity.json --replicates-csv @CSV@"
   "simulate-logit simulate --config sim_logit.json --replicates-csv @CSV@"
   "simulate-few simulate --config sim_few.json --replicates-csv @CSV@"
+  "simulate-ci-level simulate --config sim_ci_level.json"
 )
 
 run_all() {     # $1: the tree whose src/ runs, $2: the directory for its outputs

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -650,6 +651,30 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+def run_cli_without_warnings(argv, capsys):
+    """run_cli twice: recording Python warnings, of which there must be
+    none, and with warnings as errors (as `python -W error` runs it), which
+    must give the same result."""
+    results = []
+    for action in ("always", "error"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            results.append(run_cli(argv, capsys))
+        assert caught == []
+    assert results[0] == results[1]
+    return results[0]
+
+
+def overflowing_csv(tmp_path, y_of):
+    """An intercept and x ~ U(-1, 1), n=30, m=3, with responses y_of(rng, X)."""
+    rng = np.random.default_rng(0)
+    X = np.ones((30, 3, 2))
+    X[:, :, 1] = rng.uniform(-1, 1, (30, 3))
+    path = tmp_path / "overflow.csv"
+    write_dataset_csv(LongitudinalDataset(X, y_of(rng, X)), path)
+    return str(path)
+
+
 def fresh_python(script, *args):
     """JSON printed by `script` run in a new interpreter with this sys.path."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
@@ -810,6 +835,19 @@ class TestFit:
             doc = json.loads(proc.stdout)
             assert doc["converged"] is True and doc["iterations"] == 7
 
+    @pytest.mark.parametrize("method", ["independence", "two-step"])
+    def test_overflowing_estimating_function_is_one_error_line(self, tmp_path, method, capsys):
+        # responses of order 1e200: the fit used to print "converged" at
+        # beta = 0 with null covariances, exit 0
+        path = overflowing_csv(tmp_path, lambda rng, X: 1e200 * rng.standard_normal((30, 3)))
+        code, out, err = run_cli_without_warnings(
+            ["fit", "--data", path, "--link", "identity", "--method", method], capsys)
+        assert (code, out) == (1, "")
+        assert err == dumps_stable({
+            "error": "invalid-input",
+            "detail": "the convergence scale (the norm of sum_i X_i' y_i) is not finite "
+                      "(it overflows double precision)"}) + "\n"
+
     def test_probit_fallback_on_separated_data_exits_2(self, tmp_path, capsys):
         # y = 1[x > 0]: the preliminary probit fit runs off to a huge slope,
         # its standardized residuals vanish and R-tilde is singular.  The
@@ -864,6 +902,19 @@ class TestShuffleSubjects:
 
 
 class TestDiagnose:
+    @pytest.mark.parametrize("beta, kind, detail", [
+        ("1e308,1e308", "link-overflow", "identity link overflow at subject 1, time 2"),
+        ("1e200,1e200", "invalid-input", "R-tilde is not finite (it overflows double precision)"),
+    ], ids=["theta", "R-tilde"])
+    def test_beta_that_overflows_names_what_is_not_finite(self, tmp_path, beta, kind, detail,
+                                                         capsys):
+        path = overflowing_csv(
+            tmp_path, lambda rng, X: X @ [1.0, 0.5] + rng.standard_normal((30, 3)))
+        code, out, err = run_cli_without_warnings(
+            ["diagnose", "--data", path, "--link", "identity", "--beta", beta], capsys)
+        assert (code, out) == (1, "")
+        assert err == dumps_stable({"error": kind, "detail": detail}) + "\n"
+
     def test_payload_structure(self, data_csv, capsys):
         code, out, _ = run_cli(
             ["diagnose", "--data", data_csv, "--link", "identity",
@@ -1320,28 +1371,34 @@ class TestExitCodes:
          "plgee simulate: argument --workers: invalid int value: 'two'"),
         (["diagnose", "--data", "d.csv", "--link", "identity", "--det-floor", "1e-3"],
          "plgee: unrecognized arguments: --det-floor 1e-3"),
+        (["fit", "--data", "d.csv", "--link", "identity", "--ci-level", "0.9"],
+         "plgee: unrecognized arguments: --ci-level 0.9"),
         ([], "plgee: the following arguments are required: subcommand"),
-    ], ids=["missing-data", "bad-link", "bad-workers", "det-floor", "no-subcommand"])
+    ], ids=["missing-data", "bad-link", "bad-workers", "det-floor", "ci-level", "no-subcommand"])
     def test_usage_error_is_one_invalid_input_line(self, argv, detail, capsys):
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (1, "")
         assert err == dumps_stable({"error": "invalid-input", "detail": detail}) + "\n"
 
-    @pytest.mark.parametrize("argv", [["--help"], ["diagnose", "--help"]])
+    @pytest.mark.parametrize("argv", [["--help"], ["fit", "--help"], ["diagnose", "--help"]])
     def test_help_exits_0(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        assert out.startswith("usage: plgee") and "--det-floor" not in out
+        assert out.startswith("usage: plgee")
+        assert "--det-floor" not in out and "--ci-level" not in out
 
-    @pytest.mark.parametrize("level", ["1.5", "0", "1"])
-    def test_ci_level_outside_the_unit_interval_is_precondition(self, data_csv, level, capsys):
-        code, out, err = run_cli(["fit", "--data", data_csv, "--link", "identity",
-                                  "--ci-level", level], capsys)
+    def test_config_with_ci_level_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps({
+            "n": 40, "m": 3, "p": 2, "family": "identity", "beta0": [1.0, -0.5],
+            "design": {"kind": "iid_uniform"}, "correlation": {"kind": "ar1", "rho": 0.3},
+            "ci_level": 0.9}))
+        code, out, err = run_cli(["simulate", "--config", str(path)], capsys)
         assert (code, out) == (1, "")
-        assert json.loads(err) == {"error": "precondition",
-                                   "detail": f"level must be in (0,1), got {float(level)}"}
+        assert err == dumps_stable({"error": "config",
+                                    "detail": "unknown key(s) in config: ci_level"}) + "\n"
 
 
 class TestImports:

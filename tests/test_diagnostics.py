@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -14,8 +15,8 @@ from plgee.diagnostics import (
     example2_closed_form,
     trend_flags,
 )
-from plgee.errors import (DegenerateVarianceError, LinkOverflowError, NotPositiveDefiniteError,
-                          ShapeError)
+from plgee.errors import (DegenerateVarianceError, InvalidInputError, LinkOverflowError,
+                          NotPositiveDefiniteError, ShapeError)
 from plgee.estimator import estimate_correlation, gee_independence_fit
 from plgee.matkernel import SymMatrix, matrix_stats, max_relative_eigenvalue, sym_eigen
 from plgee import model
@@ -247,6 +248,22 @@ class TestDesignDiagnostics:
                            match=r"^log link overflow at subject 4, time 1$") as info:
             design_diagnostics(data, LOG, np.ones(1))
         assert (info.value.subject, info.value.time) == (4, 1)
+
+
+    def test_beta_that_overflows_is_named_without_a_warning(self):
+        # theta = 1e308 (1 + x) overflows where x > 0.797; at 1e200 theta is
+        # finite, but R-tilde's sum of squared residuals overflows
+        rng = np.random.default_rng(0)
+        X = np.ones((30, 3, 2))
+        X[:, :, 1] = rng.uniform(-1, 1, (30, 3))
+        data = LongitudinalDataset(X, X @ [1.0, 0.5] + rng.standard_normal((30, 3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LinkOverflowError, match="^identity link overflow at subject"):
+                design_diagnostics(data, IDENTITY, [1e308, 1e308])
+            with pytest.raises(InvalidInputError,
+                               match=r"^R-tilde is not finite \(it overflows"):
+                design_diagnostics(data, IDENTITY, [1e200, 1e200])
 
 
 class TestSmoothnessMaxima:

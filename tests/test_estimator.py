@@ -5,11 +5,13 @@ from functools import partial
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from plgee import estimator, model
 from plgee.diagnostics import design_diagnostics
 from plgee.errors import (
     DegenerateVarianceError,
+    InvalidInputError,
     LineSearchFailure,
     LinkOverflowError,
     NotPositiveDefiniteError,
@@ -72,6 +74,15 @@ def overflow_dataset():
     y = np.round(np.exp(3.0 * X[:, :, 1]))
     y[0, 0] = 1e5
     return LongitudinalDataset(X, y)
+
+
+def overflowing_response_dataset():
+    """Responses of order 1e200 on an intercept and x ~ U(-1, 1): the norm of
+    sum_i X_i' y_i, about 1e202, overflows as sqrt(v @ v)."""
+    rng = np.random.default_rng(0)
+    X = np.ones((30, 3, 2))
+    X[:, :, 1] = rng.uniform(-1, 1, (30, 3))
+    return LongitudinalDataset(X, 1e200 * rng.standard_normal((30, 3)))
 
 
 def logit_dataset(n=80, m=3, p=2, beta0=(0.8, -0.4), seed=1):
@@ -178,6 +189,40 @@ class TestLineSearch:
         fit = gee_independence_fit(logit_dataset(), LOGIT)
         assert fit.iterations == 1 and not fit.converged
         assert [kind for kind, _ in fit.causes] == ["not-converged"]
+
+
+class TestOverflowingData:
+    """A fit whose estimating function, sandwich or theta overflows ends in
+    one typed error naming what overflowed, with no numpy warning."""
+
+    @pytest.mark.parametrize("fit", [gee_independence_fit, two_step_fit],
+                             ids=["independence", "two-step"])
+    def test_overflowing_convergence_scale_is_an_error(self, fit):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=(
+                    r"^the convergence scale \(the norm of sum_i X_i' y_i\) is not finite "
+                    r"\(it overflows double precision\)$")):
+                fit(overflowing_response_dataset(), IDENTITY)
+
+    def test_overflowing_sandwich_is_an_error(self):
+        # intercept only, subjects of +-2^530 that cancel exactly: g = 0 at
+        # beta = 0, so the fit converges at once, but the scores' squares overflow
+        y = np.repeat([[2.0 ** 530], [-2.0 ** 530]], 3, axis=1)
+        data = LongitudinalDataset(np.ones((2, 3, 1)), y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="^the sandwich covariance is not finite"):
+                gee_independence_fit(data, IDENTITY)
+
+    def test_theta_that_overflows_at_the_initial_point(self):
+        data = gaussian_dataset()
+        corr = estimate_correlation(data, IDENTITY, np.zeros(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LineSearchFailure, match="^link overflow at the initial point: "
+                                                        "identity link overflow at subject"):
+                pseudo_likelihood_fit(data, IDENTITY, corr, beta_init=np.array([1e308, 1e308]))
 
 
 class TestCauses:
@@ -751,16 +796,19 @@ class TestWaldIntervals:
 
     def test_standard_95(self):
         fit = self._fit_with_cov([1.0], [0.25])
-        (lo, hi), = wald_intervals(fit, level=0.95)
+        (lo, hi), = wald_intervals(fit)
         assert lo == pytest.approx(1.0 - 1.959964 * 0.5, abs=1e-5)
         assert hi == pytest.approx(1.0 + 1.959964 * 0.5, abs=1e-5)
 
     def test_zero_variance_degenerates(self):
         fit = self._fit_with_cov([2.5], [0.0])
-        (lo, hi), = wald_intervals(fit, level=0.95)
+        (lo, hi), = wald_intervals(fit)
         assert lo == hi == 2.5
 
-    def test_level_half_uses_correct_quantile(self):
-        fit = self._fit_with_cov([0.0], [1.0])
-        (lo, hi), = wald_intervals(fit, level=0.5)
-        assert hi == pytest.approx(0.674490, abs=1e-5)
+    def test_z_is_the_0975_quantile_bit_for_bit(self):
+        assert estimator.Z_95 == float(model.gauss_quantile_array(0.975)) == float(ndtri(0.975))
+        assert estimator.CI_LEVEL == 0.95 and 0.5 * (1.0 + estimator.CI_LEVEL) == 0.975
+
+    def test_level_is_not_a_parameter(self):
+        with pytest.raises(TypeError):
+            wald_intervals(self._fit_with_cov([0.0], [1.0]), level=0.9)

@@ -86,8 +86,12 @@ class TestSymEigen:
             assert np.allclose(e.values, np.linalg.eigvalsh(s), rtol=0, atol=1e-12)
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="^matrix has non-finite entries$"):
             sym_eigen(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+    def test_nonfinite_error_names_the_required_spd_matrix(self):
+        with pytest.raises(InvalidInputError, match="^sandwich meat has non-finite entries$"):
+            sym_eigen(np.array([[np.inf, 0.0], [0.0, 1.0]]), require_spd="sandwich meat")
 
 
 class TestSqrtPair:

@@ -12,7 +12,7 @@ from plgee.model import (
     eval_model,
     gauss_cdf,
     gauss_pdf,
-    gauss_quantile,
+    gauss_quantile_array,
     link_eval,
 )
 
@@ -108,11 +108,11 @@ class TestLinkValues:
 class TestGauss:
     def test_quantile_round_trip(self):
         for q in (0.001, 0.025, 0.25, 0.5, 0.9, 0.975, 0.999):
-            assert float(gauss_cdf(gauss_quantile(q))) == pytest.approx(q, abs=1e-12)
+            assert float(gauss_cdf(gauss_quantile_array(q))) == pytest.approx(q, abs=1e-12)
 
     def test_known_quantiles(self):
-        assert gauss_quantile(0.975) == pytest.approx(1.959964, abs=1e-6)
-        assert gauss_quantile(0.75) == pytest.approx(0.674490, abs=1e-6)
+        assert gauss_quantile_array(0.975) == pytest.approx(1.959964, abs=1e-6)
+        assert gauss_quantile_array(0.75) == pytest.approx(0.674490, abs=1e-6)
 
     def test_cdf_accuracy(self):
         # against a high-precision reference value for Phi(1)
@@ -242,6 +242,18 @@ class TestEvalModel:
             eval_model(LongitudinalDataset(X, np.zeros((4, 2))), LOG, np.array([1.0]),
                        slice(1, 4))
         assert (exc.value.subject, exc.value.time) == (2, 1)
+
+    @pytest.mark.parametrize("family", [IDENTITY, LOG, LOGIT, PROBIT],
+                             ids=lambda f: f.kind)
+    def test_theta_that_overflows_names_its_cell(self, family):
+        # theta = 1e308 (1 + x): 0 at subject 0 time 0, then inf
+        X = np.ones((2, 2, 2))
+        X[:, :, 1] = [[-1.0, 0.9], [0.0, 0.99]]
+        d = LongitudinalDataset(X, np.zeros((2, 2)))
+        with np.errstate(over="ignore"), pytest.raises(LinkOverflowError, match=(
+                f"^{family.kind} link overflow at subject 0, time 1$")) as exc:
+            eval_model(d, family, np.array([1e308, 1e308]))
+        assert (exc.value.subject, exc.value.time) == (0, 1)
 
     def test_overflow_carries_coordinates(self):
         X = np.zeros((2, 2, 1))

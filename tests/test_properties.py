@@ -147,3 +147,67 @@ def test_diagnostics_invariant_under_reparametrisation(case):
                                      np.linalg.solve(A, beta))
     for name in INVARIANT_DIAGNOSTICS:
         assert_close(getattr(moved, name), getattr(rep, name), rel=1e-8)
+
+
+def same_report(actual, expected, rel):
+    """Every field of two diagnostics reports agrees (c_n may be None in both)."""
+    for name, value in expected.to_json().items():
+        if value is None:
+            assert getattr(actual, name) is None, name
+        else:
+            assert_close(getattr(actual, name), value, rel=rel)
+
+
+@PROPERTY
+@given(cases)
+def test_time_relabelling(case):
+    # The same permutation P of the m times in every subject permutes each
+    # subject's cells: beta-hat and cov are unchanged, R-tilde becomes P R P',
+    # and H = sum_i B_i' Q B_i, each B_i' Q B_i and so every diagnostic stay
+    family, data, rng = draw(case)
+    perm = rng.permutation(data.m)
+    moved_data = LongitudinalDataset(data.X[:, perm], data.y[:, perm])
+    fit = converged(two_step_fit(data, family))
+    moved = converged(two_step_fit(moved_data, family))
+    assert fit.method == moved.method
+    assert_close(moved.beta_hat, fit.beta_hat, rel=1e-12)
+    assert_close(moved.cov_beta.a, fit.cov_beta.a, rel=1e-12)
+    if fit.correlation_used is not None:
+        R = fit.correlation_used.R_tilde.a
+        assert_close(moved.correlation_used.R_tilde.a, R[perm][:, perm], rel=1e-12)
+    beta = rng.uniform(-0.5, 0.5, size=data.p)
+    [rep] = condition_trend_report(data, family, beta)
+    [moved_rep] = condition_trend_report(moved_data, family, beta)
+    same_report(moved_rep, rep, rel=1e-12)
+
+
+@PROPERTY
+@given(cases)
+def test_subject_duplication(case):
+    # Each subject twice (n -> 2n): the estimating function, H and M double,
+    # so beta-hat and R-tilde stay and the sandwich H^{-1} M H^{-1} halves
+    family, data, _ = draw(case)
+    twice = LongitudinalDataset(np.concatenate([data.X, data.X]),
+                                np.concatenate([data.y, data.y]))
+    fit = converged(two_step_fit(data, family))
+    doubled = converged(two_step_fit(twice, family))
+    assert fit.method == doubled.method
+    assert_close(doubled.beta_hat, fit.beta_hat, rel=1e-12)
+    assert_close(2.0 * doubled.cov_beta.a, fit.cov_beta.a, rel=1e-12)
+    if fit.correlation_used is not None:
+        assert_close(doubled.correlation_used.R_tilde.a, fit.correlation_used.R_tilde.a,
+                     rel=1e-12)
+
+
+@PROPERTY
+@given(cases.map(lambda case: (IDENTITY, *case[1:])))
+def test_response_scaling_under_the_identity_link(case):
+    # y -> c y scales the residuals and R-tilde (by c^2), not the weights
+    # R-tilde^{-1} gives up to scale: beta-hat -> c beta-hat, cov -> c^2 cov
+    family, data, rng = draw(case)
+    c = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 3.0)
+    fit = converged(two_step_fit(data, family))
+    scaled = converged(two_step_fit(LongitudinalDataset(data.X, c * data.y), family))
+    assert fit.method == scaled.method
+    assert_close(scaled.beta_hat, c * fit.beta_hat, rel=1e-12)
+    assert_close(scaled.cov_beta.a, c * c * fit.cov_beta.a, rel=1e-12)

@@ -265,8 +265,6 @@ class TestConfigValidation:
         (dict(n=0), r"need n, m, p >= 1, got \(0, 3, 2\)"),
         (dict(m=0), r"need n, m, p >= 1"),
         (dict(replications=0), "replications must be >= 1"),
-        (dict(ci_level=1.5), r"ci_level must be in \(0,1\)"),
-        (dict(ci_level=0.0), r"ci_level must be in \(0,1\)"),
         (dict(subject_dependence="markov"), "unknown subject_dependence 'markov'"),
         (dict(design=DesignSpec("sobol")), "unknown design kind 'sobol'"),
         (dict(design=DesignSpec("iid_uniform", lo=1.0, hi=1.0)),
@@ -275,7 +273,7 @@ class TestConfigValidation:
         (dict(correlation=CorrelationSpec("toeplitz")), "unknown correlation kind 'toeplitz'"),
         (dict(correlation=CorrelationSpec("custom", R_bar=((1.0, 0.0), (0.0, 1.0)))),
          r"custom correlation must be 3x3, got \(2, 2\)"),
-    ], ids=["n", "m", "replications", "ci_level-above", "ci_level-zero", "subject_dependence",
+    ], ids=["n", "m", "replications", "subject_dependence",
             "design-kind", "lo-equals-hi", "lo-above-hi", "correlation-kind", "custom-shape"])
     def test_rejected_config_names_its_fault(self, kw, message):
         with pytest.raises(ConfigError, match=message):
@@ -377,7 +375,7 @@ class TestConfigValidation:
         assert type(c.n) is int and type(c.beta0[0]) is float
 
     @pytest.mark.parametrize("where, key", [
-        (None, "replicatons"), ("correlation", "rh0"), ("design", "hi_"),
+        (None, "replicatons"), ("correlation", "rh0"), ("design", "hi_"), (None, "ci_level"),
     ])
     def test_from_json_unknown_key(self, where, key):
         doc = {
