@@ -8,7 +8,9 @@ deterministic per-replicate seeds, so parallel and sequential runs agree
 bit for bit.
 """
 
-from dataclasses import dataclass, fields
+import os
+from collections import Counter
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -87,6 +89,10 @@ class DesignSpec:
             raise ConfigError(f"unknown design kind {self.kind!r}")
         if self.kind == "iid_uniform" and not self.lo < self.hi:
             raise ConfigError(f"iid_uniform needs lo < hi, got [{self.lo}, {self.hi}]")
+        for key, default in (("lo", -1.0), ("hi", 1.0)):
+            if self.kind != "iid_uniform" and getattr(self, key) != default:
+                raise ConfigError(f"a {self.kind} design does not read {key!r}, "
+                                  f"got {key}={getattr(self, key)}")
 
 
 @dataclass(frozen=True)
@@ -95,35 +101,40 @@ class CorrelationSpec:
     rho: float = 0.0
     R_bar: tuple = ()         # nested tuple for custom matrices (hashable)
 
-    def validate(self, m):
-        if self.kind == "exchangeable":
-            lower = -1.0 / (m - 1) if m > 1 else -1.0
-            if not lower < self.rho < 1.0:
-                raise ConfigError(
-                    f"exchangeable rho must be in ({lower:.4g}, 1), got {self.rho}"
-                )
-        elif self.kind == "ar1":
-            if not abs(self.rho) < 1.0:
-                raise ConfigError(f"ar1 rho must satisfy |rho| < 1, got {self.rho}")
-        elif self.kind == "custom":
+    def matrix(self, m):
+        """R_bar for m times, read-only.  A ConfigError unless it is symmetric
+        with unit diagonal to 1e-10 and meets sym_eigen's SPD floor, which the
+        generators apply; so is a key that the kind does not read."""
+        if self.kind == "custom":
+            if self.rho != 0.0:
+                raise ConfigError(f"a custom correlation does not read 'rho', got rho={self.rho}")
             R = np.asarray(self.R_bar, dtype=float)
             if R.shape != (m, m):
                 raise ConfigError(f"custom correlation must be {m}x{m}, got {R.shape}")
-            if np.max(np.abs(np.diag(R) - 1.0)) > 1e-10:
-                raise ConfigError("custom correlation must have unit diagonal")
-            try:
-                sym_eigen(R, require_spd="custom correlation")
-            except NotPositiveDefiniteError as exc:
-                raise ConfigError(str(exc)) from exc
-        else:
+        elif self.kind not in ("exchangeable", "ar1"):
             raise ConfigError(f"unknown correlation kind {self.kind!r}")
-
-    def matrix(self, m):
-        if self.kind == "exchangeable":
-            return exchangeable_matrix(m, self.rho)
-        if self.kind == "ar1":
-            return ar1_matrix(m, self.rho)
-        return SymMatrix(self.R_bar).a
+        elif self.R_bar:
+            raise ConfigError(f"an {self.kind} correlation does not read 'R_bar'")
+        elif self.kind == "exchangeable":
+            lower = -1.0 / (m - 1) if m > 1 else -1.0
+            if not lower < self.rho < 1.0:
+                raise ConfigError(f"exchangeable rho must be in ({lower:.4g}, 1), got {self.rho}")
+            R = exchangeable_matrix(m, self.rho)
+        else:
+            if not abs(self.rho) < 1.0:
+                raise ConfigError(f"ar1 rho must satisfy |rho| < 1, got {self.rho}")
+            R = ar1_matrix(m, self.rho)
+        if np.max(np.abs(R - R.T)) > 1e-10:
+            raise ConfigError(f"{self.kind} correlation must be symmetric")
+        if np.max(np.abs(np.diag(R) - 1.0)) > 1e-10:
+            raise ConfigError(f"{self.kind} correlation must have unit diagonal")
+        R = SymMatrix(R).a
+        try:
+            sym_eigen(R, require_spd=f"{self.kind} correlation")
+        except NotPositiveDefiniteError as exc:
+            raise ConfigError(str(exc)) from exc
+        R.setflags(write=False)
+        return R
 
 
 @dataclass(frozen=True)
@@ -138,6 +149,7 @@ class SimConfig:
     subject_dependence: str = "independent"   # independent | sign_modulated
     replications: int = 1
     base_seed: int = 0
+    R_bar: np.ndarray = field(init=False, repr=False, compare=False)   # correlation's, once
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1 or self.p < 1:
@@ -158,12 +170,13 @@ class SimConfig:
         if self.family.kind != "identity" and self.subject_dependence != "independent":
             raise ConfigError("sign_modulated dependence requires the identity link")
         self.design.validate()
-        self.correlation.validate(self.m)
+        object.__setattr__(self, "R_bar", self.correlation.matrix(self.m))
 
     @property
     def causes(self):
-        """(kind, detail) warnings: a latent rho binary marginals cannot attain."""
-        if self.family.kind == "logit" and self.correlation.rho > 0.95:
+        """(kind, detail) warnings: a latent correlation binary marginals cannot attain."""
+        off_diagonal = self.R_bar[~np.eye(self.m, dtype=bool)]
+        if self.family.kind == "logit" and np.max(off_diagonal, initial=-1.0) > 0.95:
             return (("latent-correlation-above-frechet-bound",
                      "latent rho > 0.95 with binary marginals: attainable response "
                      "correlation is Frechet-bounded well below the latent value"),)
@@ -195,7 +208,7 @@ def _from_json(cls, doc, where, convert):
     default; a key that is not a field is a ConfigError naming `where`."""
     rest = dict(doc)
     obj = cls(**{f.name: convert.get(f.name, lambda v: v)(rest.pop(f.name))
-                 for f in fields(cls) if f.name in rest})
+                 for f in fields(cls) if f.init and f.name in rest})
     if rest:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(rest))}")
     return obj
@@ -294,13 +307,12 @@ def gen_discrete(X, beta0, family, R_bar, seed):
 def generate_dataset(config, seed):
     """Dispatch to the generator matching the configured link."""
     X = make_design(config, seed=mix_seed(seed, _TAG_DESIGN))
-    R_bar = config.correlation.matrix(config.m)
     resp_seed = mix_seed(seed, _TAG_RESPONSE)
     if config.family.kind == "identity":
-        return gen_gaussian(X, config.beta0, R_bar,
+        return gen_gaussian(X, config.beta0, config.R_bar,
                             subject_dependence=config.subject_dependence,
                             seed=resp_seed)
-    return gen_discrete(X, config.beta0, config.family, R_bar, seed=resp_seed)
+    return gen_discrete(X, config.beta0, config.family, config.R_bar, seed=resp_seed)
 
 
 @dataclass
@@ -321,17 +333,21 @@ class MCReport:
     max_corr_max_abs_error: float
     lambda_min_R_bar: float
     tau_oracle: float
+    failure_kinds: tuple = ()   # (kind, count) of the failed replicates, most frequent first
 
     def to_json(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        """The payload: every field but failure_kinds, which only causes reads."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "failure_kinds"}
 
     @property
     def causes(self):
         """(kind, detail) warnings about this report: too many failed replicates."""
         if self.n_failures / self.replications > MAX_FAILURE_FRACTION:
+            counts = ", ".join(f"{count} {kind}" for kind, count in self.failure_kinds)
             return (("replicates-failed",
                      f"{self.n_failures} of {self.replications} replicates failed, "
-                     f"more than the {MAX_FAILURE_FRACTION:g} fraction allowed"),)
+                     f"more than the {MAX_FAILURE_FRACTION:g} fraction allowed ({counts})"),)
         return ()
 
 
@@ -349,44 +365,44 @@ def _run_replicate(config, r):
     """One seeded replicate: generate, fit both ways, standardize."""
     seed = mix_seed(config.base_seed, r)
     data = generate_dataset(config, seed)
-    R_bar = config.correlation.matrix(config.m)
-    out = {"rep": r, "ok": False}
     try:
         two = two_step_fit(data, config.family)
-    except PlgeeError:
-        return out
+    except PlgeeError as exc:
+        return {"rep": r, "ok": False, "kind": exc.kind}
     if two.causes:      # unconverged, fallen back, or a singular sandwich
-        return out
+        return {"rep": r, "ok": False, "kind": two.causes[0][0]}
     beta0 = np.asarray(config.beta0, dtype=float)
     delta = two.beta_hat - beta0
     z = sym_eigen(two.cov_beta, require_spd="sandwich covariance").power(-0.5) @ delta
     ci = wald_intervals(two)
     covered = [lo <= b0 <= hi for (lo, hi), b0 in zip(ci, beta0)]
     corr = estimate_correlation(data, config.family, beta0)   # oracle-beta estimate
-    out.update(
+    return dict(
+        rep=r,
         ok=True,
         beta_two=two.beta_hat.tolist(),
         beta_indep=two.preliminary.beta_hat.tolist(),
         z=z.tolist(),
         covered=covered,
-        corr_err=float(np.max(np.abs(corr.R_tilde.a - R_bar))),
+        corr_err=float(np.max(np.abs(corr.R_tilde.a - config.R_bar))),
         R_tilde=corr.R_tilde.a.tolist(),
     )
-    return out
 
 
 def run_replicates(config, workers=1):
     """Run every replicate once, in a process pool when workers > 1.
 
     The pool, imported only by a run that starts it, has at most one process
-    per replicate.  Results come back in replicate order either way, so
-    worker count does not affect anything built from them.  Fewer than one
-    worker raises InvalidInputError.
+    per replicate and per CPU this process may use.  Results come back in
+    replicate order either way, so worker count does not affect anything
+    built from them.  Fewer than one worker raises InvalidInputError.
     """
     if workers < 1:
         raise InvalidInputError(f"workers must be at least 1, got {workers}")
     reps = range(config.replications)
-    workers = min(workers, config.replications)
+    # the CPUs this process may run on (macOS and Windows have no affinity)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, config.replications, cpus or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -406,10 +422,11 @@ def summarize_replicates(config, results):
 
     Replicates whose two-step fit raises or carries any cause (it did not
     converge, fell back to the independence fit, or has a singular sandwich)
-    are counted and excluded from the moment statistics.
+    are counted by kind and excluded from the moment statistics.
     """
     ok = [d for d in results if d["ok"]]
     n_fail = config.replications - len(ok)
+    kinds = Counter(d["kind"] for d in results if not d["ok"])
     if not ok:
         raise EmptyReportError("no replicate gave a two-step estimate; nothing to aggregate")
 
@@ -427,9 +444,8 @@ def summarize_replicates(config, results):
     ind_var = np.var(B_ind, axis=0, ddof=ddof)
     z_pool = Z.ravel()
 
-    R_bar = config.correlation.matrix(config.m)
     eig_mean = sym_eigen(R_mean, require_spd="mean correlation estimate")
-    tau_oracle = max_relative_eigenvalue(R_bar, eig_mean)   # lambda_max(R_mean^{-1} R_bar)
+    tau_oracle = max_relative_eigenvalue(config.R_bar, eig_mean)   # lambda_max(R_mean^{-1} R_bar)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         eff = np.where(ind_var > 0, emp_var / ind_var, np.nan)
@@ -449,8 +465,9 @@ def summarize_replicates(config, results):
         median_beta_error_norm=_median(np.linalg.norm(err, axis=1).tolist()),
         mean_corr_max_abs_error=float(np.mean(corr_err)),
         max_corr_max_abs_error=float(np.max(corr_err)),
-        lambda_min_R_bar=float(sym_eigen(R_bar).values[0]),
+        lambda_min_R_bar=float(sym_eigen(config.R_bar).values[0]),
         tau_oracle=tau_oracle,
+        failure_kinds=tuple(kinds.most_common()),
     )
 
 

@@ -214,6 +214,32 @@ PYTHONWARNINGS=error plgee simulate --config frechet.json --out frechet_out.json
 test "$rc" -eq 2
 test "$(wc -l < frechet.err)" -eq 1
 grep -q '"warning":"latent-correlation-above-frechet-bound"' frechet.err
+# so does a custom R-bar whose latent correlations are as high; an asymmetric
+# R-bar, and one below the SPD floor of the generators, are one config line
+# each (exit 1), written before any replicate runs
+sed 's/"kind": "exchangeable", "rho": 0.97/"kind": "custom", "R_bar": [[1, 0.97, 0.97], [0.97, 1, 0.97], [0.97, 0.97, 1]]/' \
+  frechet.json > frechet_custom.json
+rc=0
+PYTHONWARNINGS=error plgee simulate --config frechet_custom.json --out frechet_custom_out.json \
+  2> frechet_custom.err || rc=$?
+test "$rc" -eq 2
+cmp frechet.err frechet_custom.err
+sed 's/"kind": "exchangeable", "rho": 0.3/"kind": "custom", "R_bar": [[1, 0.9, 0], [0, 1, 0], [0, 0, 1]]/' \
+  sim.json > asymmetric.json
+sed -e 's/"m": 3/"m": 4/' -e 's/"rho": 0.3/"rho": -0.3333333333333/' sim.json > singular.json
+sed -e 's/"m": 3/"m": 4/' -e 's/"exchangeable", "rho": 0.3/"ar1", "rho": 0.99999999999999/' \
+  sim.json > ar1_singular.json
+for config in asymmetric singular ar1_singular; do
+  rc=0
+  plgee simulate --config "$config.json" > "$config.out" 2> "$config.err" || rc=$?
+  test "$rc" -eq 1
+  test ! -s "$config.out"
+  test "$(wc -l < "$config.err")" -eq 1
+  grep -q '"error":"config"' "$config.err"
+done
+grep -q 'custom correlation must be symmetric' asymmetric.err
+grep -q 'exchangeable correlation is not positive definite (lambda_min=9.99478e-14' singular.err
+grep -q 'ar1 correlation is not positive definite (lambda_min=5.49669e-15' ar1_singular.err
 # responses of order 1e200 overflow the estimating function's norm: either
 # method ends in one invalid-input line (exit 1), and no numpy warning,
 # which Python warnings as errors would turn into a traceback.  On data of

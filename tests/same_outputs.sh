@@ -89,6 +89,19 @@ configs = {
                           "design": {"kind": "iid_uniform"},
                           "correlation": {"kind": "ar1", "rho": 0.3}, "ci_level": 0.9},
 }
+small = {"n": 50, "p": 2, "beta0": [0.2, -0.3], "design": {"kind": "iid_uniform"},
+         "replications": 3, "base_seed": 1}
+for path, family, m, correlation in (     # R-bar faults, and a custom R-bar past Frechet
+        ("sim_custom_asymmetric.json", "identity", 3,
+         {"kind": "custom", "R_bar": [[1, 0.9, 0], [0, 1, 0], [0, 0, 1]]}),
+        ("sim_exchangeable_singular.json", "identity", 4,
+         {"kind": "exchangeable", "rho": -0.3333333333333}),
+        ("sim_ar1_singular.json", "identity", 4, {"kind": "ar1", "rho": 0.99999999999999}),
+        ("sim_custom_frechet.json", "logit", 3,
+         {"kind": "custom", "R_bar": [[1, 0.97, 0.97], [0.97, 1, 0.97], [0.97, 0.97, 1]]})):
+    configs[path] = dict(small, family=family, m=m, correlation=correlation)
+configs["sim_grid_lo.json"] = dict(small, family="identity", m=3, design={
+    "kind": "grid", "lo": 0, "hi": 5}, correlation={"kind": "exchangeable", "rho": 0.3})
 for path, doc in configs.items():
     with open(path, "w") as fh:
         json.dump(doc, fh)
@@ -120,6 +133,11 @@ cases=(
   "simulate-logit simulate --config sim_logit.json --replicates-csv @CSV@"
   "simulate-few simulate --config sim_few.json --replicates-csv @CSV@"
   "simulate-ci-level simulate --config sim_ci_level.json"
+  "simulate-custom-asymmetric simulate --config sim_custom_asymmetric.json"
+  "simulate-exchangeable-singular simulate --config sim_exchangeable_singular.json"
+  "simulate-ar1-singular simulate --config sim_ar1_singular.json"
+  "simulate-custom-frechet simulate --config sim_custom_frechet.json --replicates-csv @CSV@"
+  "simulate-grid-lo simulate --config sim_grid_lo.json"
 )
 
 run_all() {     # $1: the tree whose src/ runs, $2: the directory for its outputs

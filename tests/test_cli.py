@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -1173,7 +1174,8 @@ class TestSimulate:
         import plgee.simulator as simulator
         run_one = simulator._run_replicate
         monkeypatch.setattr(simulator, "_run_replicate", lambda config, r: (
-            {"rep": r, "ok": False} if r == 2 else run_one(config, r)))
+            {"rep": r, "ok": False, "kind": "singular-design"} if r == 2
+            else run_one(config, r)))
         reps = tmp_path / "reps.csv"
         code, out, err = run_cli(["simulate", "--config", config_json,
                                   "--replicates-csv", str(reps)], capsys)
@@ -1186,7 +1188,38 @@ class TestSimulate:
         assert err.count("\n") == 1
         assert json.loads(err) == {
             "warning": "replicates-failed",
-            "detail": "1 of 6 replicates failed, more than the 0.02 fraction allowed"}
+            "detail": "1 of 6 replicates failed, more than the 0.02 fraction allowed "
+                      "(1 singular-design)"}
+
+    def test_failed_replicates_are_counted_by_kind(self, config_json, tmp_path, capsys,
+                                                  monkeypatch):
+        # replicates 1, 3 and 4 raise a singular design, replicate 2 does not
+        # converge: the warning names both kinds, the most frequent first
+        import plgee.simulator as simulator
+        from plgee.errors import SingularDesignError
+        real = simulator.two_step_fit
+        fits = []
+
+        def failing(data, family):
+            fits.append(1)
+            if len(fits) in (2, 4, 5):
+                raise SingularDesignError("design is singular")
+            fit = real(data, family)
+            if len(fits) == 3:
+                fit = replace(fit, causes=(("not-converged", "it did not converge"),))
+            return fit
+
+        monkeypatch.setattr(simulator, "two_step_fit", failing)
+        reps = tmp_path / "reps.csv"
+        code, out, err = run_cli(["simulate", "--config", config_json,
+                                  "--replicates-csv", str(reps)], capsys)
+        assert code == 2
+        assert json.loads(out)["n_failures"] == 4
+        assert reps.read_text().splitlines()[2:6] == [f"{r},0,,,,,," for r in (1, 2, 3, 4)]
+        assert json.loads(err) == {
+            "warning": "replicates-failed",
+            "detail": "4 of 6 replicates failed, more than the 0.02 fraction allowed "
+                      "(3 singular-design, 1 not-converged)"}
 
     def test_every_replicate_falling_back_is_an_empty_report(self, tmp_path, capsys):
         # n=4 < m=6: every R-tilde is singular, so every fit falls back to
@@ -1261,6 +1294,54 @@ class TestSimulate:
         assert err.count("\n") == 1
         assert json.loads(err) == self.FRECHET
 
+    @staticmethod
+    def small_config(family, m, correlation, design=None):
+        """n=50, p=2, three replicates at base seed 1, iid_uniform by default."""
+        return {"n": 50, "m": m, "p": 2, "family": family, "beta0": [0.2, -0.3],
+                "design": design or {"kind": "iid_uniform"}, "correlation": correlation,
+                "replications": 3, "base_seed": 1}
+
+    @pytest.mark.parametrize("m, correlation, design, detail", [
+        (3, {"kind": "custom", "R_bar": [[1, 0.9, 0], [0, 1, 0], [0, 0, 1]]}, None,
+         "custom correlation must be symmetric"),
+        (4, {"kind": "exchangeable", "rho": -0.3333333333333}, None,
+         "exchangeable correlation is not positive definite "
+         "(lambda_min=9.99478e-14, tol=1e-12)"),
+        (4, {"kind": "ar1", "rho": 0.99999999999999}, None,
+         "ar1 correlation is not positive definite (lambda_min=5.49669e-15, tol=1e-12)"),
+        (3, {"kind": "exchangeable", "rho": 0.3, "R_bar": [[1, 0.9, 0.9], [0.9, 1, 0.9],
+                                                            [0.9, 0.9, 1]]},
+         None, "an exchangeable correlation does not read 'R_bar'"),
+        (3, {"kind": "exchangeable", "rho": 0.3}, {"kind": "grid", "lo": 0, "hi": 5},
+         "a grid design does not read 'lo', got lo=0.0"),
+    ], ids=["custom-asymmetric", "exchangeable-singular", "ar1-singular",
+            "exchangeable-R_bar", "grid-lo"])
+    def test_correlation_or_design_fault_is_a_config_error_at_load(
+            self, m, correlation, design, detail, tmp_path, capsys, monkeypatch):
+        import plgee.simulator as simulator
+        monkeypatch.setattr(simulator, "_run_replicate", pytest.fail)    # nothing runs
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(self.small_config("identity", m, correlation, design)))
+        code, out, err = run_cli(["simulate", "--config", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "config", "detail": detail}
+
+    def test_custom_latent_correlation_past_frechet_bound_is_a_warning(self, tmp_path, capsys):
+        # the data of exchangeable rho = 0.97, and its warning
+        R_bar = [[1.0 if i == j else 0.97 for j in range(3)] for i in range(3)]
+        outputs = []
+        for correlation in ({"kind": "custom", "R_bar": R_bar},
+                            {"kind": "exchangeable", "rho": 0.97}):
+            path = tmp_path / "sim.json"
+            path.write_text(json.dumps(self.small_config("logit", 3, correlation)))
+            outputs.append(run_cli(["simulate", "--config", str(path)], capsys))
+        assert outputs[0] == outputs[1]
+        code, out, err = outputs[0]
+        assert code == 2
+        assert json.loads(out)["replications"] == 3
+        assert err.count("\n") == 1
+        assert json.loads(err) == self.FRECHET
+
     def test_latent_rho_warning_under_warnings_as_errors(self, tmp_path):
         path = tmp_path / "sim.json"
         path.write_text(json.dumps(self.HIGH_RHO))
@@ -1300,7 +1381,9 @@ class TestSimulate:
 
     POOL_PARENT = """
 import json, sys
+import os
 import plgee.cli
+os.sched_getaffinity = lambda pid: {0, 1}   # a pool also on a one-CPU host
 code = plgee.cli.main(json.loads(sys.argv[1]))
 print(json.dumps([code, "numpy.random" in sys.modules]))
 """

@@ -10,6 +10,7 @@ import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from plgee.diagnostics import condition_trend_report
+from plgee.errors import ConfigError
 from plgee.estimator import (
     CorrelationEstimate,
     gee_independence_fit,
@@ -18,7 +19,7 @@ from plgee.estimator import (
 )
 from plgee.matkernel import SymMatrix, max_relative_eigenvalue, sym_eigen
 from plgee.model import IDENTITY, LOG, LOGIT, PROBIT, LongitudinalDataset
-from plgee.simulator import exchangeable_matrix, gen_discrete, gen_gaussian
+from plgee.simulator import CorrelationSpec, exchangeable_matrix, gen_discrete, gen_gaussian
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=20)
 
@@ -127,6 +128,32 @@ def test_norm_bound_keeps_the_stack_maximum_bit_for_bit(seed, n, m, p, spread, f
     want = np.max(np.linalg.eigvalsh(0.5 * (W + np.swapaxes(W, 1, 2))))
     floor = floor_share * want
     assert max_relative_eigenvalue(stack, eig, floor=floor) == max(floor, want)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(st.sampled_from(["exchangeable", "ar1", "custom"]), st.integers(1, 6),
+       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 1e-12, 1e-9]))
+def test_a_correlation_that_loads_is_one_the_generators_take(kind, m, t, seed, skew):
+    # rho = lower + t (1 - lower) sweeps the kind's open range, its singular
+    # edges included.  A custom matrix scales U(-1, 1) off-diagonals by rho and
+    # skews one entry, on either side of the 1e-10 symmetry tolerance
+    lower = -1.0 / (m - 1) if kind == "exchangeable" and m > 1 else -1.0
+    rho = lower + t * (1.0 - lower)
+    if kind == "custom":
+        R = np.triu(rho * np.random.default_rng(seed).uniform(-1.0, 1.0, size=(m, m)), 1)
+        R = R + R.T + np.eye(m)
+        R[0, -1] += skew
+        spec = CorrelationSpec("custom", R_bar=tuple(map(tuple, R)))
+    else:
+        spec = CorrelationSpec(kind, rho=rho)
+    try:
+        R_bar = spec.matrix(m)
+    except ConfigError:
+        return
+    assert np.array_equal(R_bar, R_bar.T)
+    assert np.max(np.abs(np.diag(R_bar) - 1.0)) <= 1e-10
+    gen_gaussian(np.zeros((3, m, 1)), np.zeros(1), R_bar, seed=seed)
 
 
 INVARIANT_DIAGNOSTICS = ("gamma0", "gamma0_indep", "gamma_tilde", "gamma_D", "c_n", "pi_n",

@@ -260,6 +260,10 @@ class TestDiscreteGenerators:
         assert exc.value.lambda_min == pytest.approx(-1.0)
 
 
+ASYMMETRIC = ((1.0, 0.9, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+EXCHANGEABLE_09 = ((1.0, 0.9, 0.9), (0.9, 1.0, 0.9), (0.9, 0.9, 1.0))
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize("kw, message", [
         (dict(n=0), r"need n, m, p >= 1, got \(0, 3, 2\)"),
@@ -273,8 +277,26 @@ class TestConfigValidation:
         (dict(correlation=CorrelationSpec("toeplitz")), "unknown correlation kind 'toeplitz'"),
         (dict(correlation=CorrelationSpec("custom", R_bar=((1.0, 0.0), (0.0, 1.0)))),
          r"custom correlation must be 3x3, got \(2, 2\)"),
+        (dict(correlation=CorrelationSpec("custom", R_bar=ASYMMETRIC)),
+         "^custom correlation must be symmetric$"),
+        (dict(m=4, correlation=CorrelationSpec("exchangeable", rho=-0.3333333333333)),
+         r"^exchangeable correlation is not positive definite \(lambda_min=9.99478e-14, "),
+        (dict(m=4, correlation=CorrelationSpec("ar1", rho=0.99999999999999)),
+         r"^ar1 correlation is not positive definite \(lambda_min=5.49669e-15, "),
+        (dict(design=DesignSpec("grid", lo=0.0, hi=5.0)),
+         "^a grid design does not read 'lo', got lo=0.0$"),
+        (dict(design=DesignSpec("categorical", hi=5.0)),
+         "^a categorical design does not read 'hi', got hi=5.0$"),
+        (dict(correlation=CorrelationSpec("exchangeable", rho=0.3, R_bar=EXCHANGEABLE_09)),
+         "^an exchangeable correlation does not read 'R_bar'$"),
+        (dict(correlation=CorrelationSpec("ar1", rho=0.3, R_bar=EXCHANGEABLE_09)),
+         "^an ar1 correlation does not read 'R_bar'$"),
+        (dict(correlation=CorrelationSpec("custom", rho=0.3, R_bar=EXCHANGEABLE_09)),
+         "^a custom correlation does not read 'rho', got rho=0.3$"),
     ], ids=["n", "m", "replications", "subject_dependence",
-            "design-kind", "lo-equals-hi", "lo-above-hi", "correlation-kind", "custom-shape"])
+            "design-kind", "lo-equals-hi", "lo-above-hi", "correlation-kind", "custom-shape",
+            "custom-asymmetric", "exchangeable-singular", "ar1-singular", "grid-lo",
+            "categorical-hi", "exchangeable-R_bar", "ar1-R_bar", "custom-rho"])
     def test_rejected_config_names_its_fault(self, kw, message):
         with pytest.raises(ConfigError, match=message):
             config(**kw)
@@ -310,6 +332,47 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             config(correlation=CorrelationSpec("custom", R_bar=not_pd))
 
+    def test_keys_at_their_defaults_are_not_faults(self):
+        config(design=DesignSpec("grid", lo=-1.0, hi=1.0))
+        config(correlation=CorrelationSpec("custom", rho=0.0, R_bar=EXCHANGEABLE_09))
+
+    def test_R_bar_is_built_once_and_read_by_every_stage(self, monkeypatch):
+        calls = []
+        real = CorrelationSpec.matrix
+        monkeypatch.setattr(CorrelationSpec, "matrix",
+                            lambda spec, m: calls.append(m) or real(spec, m))
+        c = config(family=LOGIT, correlation=CorrelationSpec("ar1", rho=0.5), replications=3)
+        assert calls == [3]
+        assert c.causes == ()
+        monte_carlo_run(c)
+        assert calls == [3]
+
+    def test_R_bar_is_derived_and_read_only(self):
+        import pickle
+        c = config(correlation=CorrelationSpec("custom", R_bar=EXCHANGEABLE_09))
+        assert np.array_equal(c.R_bar, EXCHANGEABLE_09)
+        assert not c.R_bar.flags.writeable
+        assert "R_bar=array" not in repr(c)
+        assert "R_bar" not in [f.name for f in fields(c) if f.init]
+        again = pickle.loads(pickle.dumps(c))
+        assert again == c and hash(again) == hash(c)
+        assert np.array_equal(again.R_bar, c.R_bar)
+        moved = replace(c, correlation=CorrelationSpec("ar1", rho=-0.5))
+        assert np.array_equal(moved.R_bar, ar1_matrix(3, -0.5))
+        with pytest.raises(ValueError):
+            c.R_bar[0, 1] = 0.5
+
+    def test_nearly_symmetric_custom_R_bar_is_symmetrized(self):
+        # within 1e-10 of symmetric, a custom matrix is averaged with its
+        # transpose; an exactly symmetric one is kept bit for bit
+        nearly = np.array(EXCHANGEABLE_09)
+        nearly[0, 1] += 1e-11
+        c = config(correlation=CorrelationSpec("custom", R_bar=tuple(map(tuple, nearly))))
+        assert np.array_equal(c.R_bar, c.R_bar.T)
+        assert c.R_bar[0, 1] == 0.5 * (nearly[0, 1] + 0.9)
+        assert np.array_equal(config(correlation=CorrelationSpec("exchangeable", rho=0.9)).R_bar,
+                              exchangeable_matrix(3, 0.9))
+
     def test_beta0_length(self):
         with pytest.raises(ConfigError):
             config(beta0=(1.0,))
@@ -324,11 +387,25 @@ class TestConfigValidation:
             "latent rho > 0.95 with binary marginals: attainable response "
             "correlation is Frechet-bounded well below the latent value"),)
 
+    @pytest.mark.parametrize("correlation", [
+        CorrelationSpec("custom", R_bar=tuple(tuple(1.0 if i == j else 0.97 for j in range(3))
+                                              for i in range(3))),
+        CorrelationSpec("custom", R_bar=((1.0, 0.0, 0.97), (0.0, 1.0, 0.0), (0.97, 0.0, 1.0))),
+        CorrelationSpec("ar1", rho=-0.98),      # times 1 and 3: 0.9604
+    ], ids=["custom-0.97", "custom-one-pair", "ar1-negative"])
+    def test_frechet_cause_reads_the_largest_latent_correlation(self, correlation):
+        assert config(family=LOGIT, correlation=correlation).causes == config(
+            family=LOGIT, correlation=CorrelationSpec("exchangeable", rho=0.97)).causes != ()
+
     @pytest.mark.parametrize("family, rho", [(LOGIT, 0.95), (IDENTITY, 0.97), (LOG, 0.97)],
                              ids=["logit-0.95", "identity-0.97", "log-0.97"])
     def test_attainable_latent_rho_has_no_cause(self, family, rho):
         assert config(family=family,
                       correlation=CorrelationSpec("exchangeable", rho=rho)).causes == ()
+
+    def test_one_time_has_no_latent_correlation_to_bound(self):
+        assert config(family=LOGIT, m=1,
+                      correlation=CorrelationSpec("exchangeable", rho=0.97)).causes == ()
 
     def test_from_json_round_trip(self):
         doc = {
@@ -376,6 +453,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("where, key", [
         (None, "replicatons"), ("correlation", "rh0"), ("design", "hi_"), (None, "ci_level"),
+        (None, "R_bar"),    # SimConfig's R_bar is derived, not read
     ])
     def test_from_json_unknown_key(self, where, key):
         doc = {
@@ -468,7 +546,7 @@ class TestHarness:
 
         monkeypatch.setattr(simulator, "two_step_fit", falls_back_once)
         got = run_replicates(c)
-        assert got[2] == {"rep": 2, "ok": False}
+        assert got[2] == {"rep": 2, "ok": False, "kind": "fallback-to-independence"}
         assert got[:2] + got[3:] == want[:2] + want[3:]
         report = simulator.summarize_replicates(c, got)
         assert report.n_failures == 1
@@ -476,7 +554,7 @@ class TestHarness:
         assert report.emp_var == np.var(kept, axis=0, ddof=1).tolist()
         assert report.bias == np.mean(kept - np.array(c.beta0), axis=0).tolist()
         assert report.to_json() == simulator.summarize_replicates(
-            c, want[:2] + [{"rep": 2, "ok": False}] + want[3:]).to_json()
+            c, want[:2] + [got[2]] + want[3:]).to_json()
 
     @pytest.mark.parametrize("replications, n_failures, warns", [
         (100, 2, False), (50, 1, False), (100, 0, False), (100, 3, True), (49, 1, True)])
@@ -486,12 +564,14 @@ class TestHarness:
         import plgee.simulator as simulator
         assert simulator.MAX_FAILURE_FRACTION == 0.02
         report = MCReport(**dict({f.name: 0.0 for f in fields(MCReport)},
-                                 replications=replications, n_failures=n_failures))
+                                 replications=replications, n_failures=n_failures,
+                                 failure_kinds=(("not-converged", n_failures),)))
         assert report.causes == ((
             "replicates-failed",
             f"{n_failures} of {replications} replicates failed, "
-            "more than the 0.02 fraction allowed"),) * warns
+            f"more than the 0.02 fraction allowed ({n_failures} not-converged)"),) * warns
         assert "causes" not in report.to_json()
+        assert "failure_kinds" not in report.to_json()
 
     def test_per_replicate_rows(self):
         c = config(n=60, replications=6)
@@ -504,7 +584,10 @@ class TestHarness:
                 assert len(r["covered"]) == c.p
 
     def test_pool_never_larger_than_replications(self, monkeypatch):
+        # nor than the usable CPUs.  A fake pool records its size and maps in
+        # this process, so no process starts
         import concurrent.futures
+        import os
         sizes = []
 
         class InProcessPool:
@@ -521,12 +604,21 @@ class TestHarness:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5, 7}, raising=False)
         c = config(n=40, replications=3)
         rows = run_replicates(c, workers=10_000)
         assert sizes == [3]
         assert rows == run_replicates(c, workers=1)
+        run_replicates(config(n=40, replications=6), workers=10_000)
+        assert sizes == [3, 4]              # the four CPUs this process may use
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        run_replicates(config(n=40, replications=6), workers=5)
+        assert sizes == [3, 4, 2]           # no affinity: every CPU
         run_replicates(config(n=40, replications=1), workers=8)   # one replicate: no pool
-        assert sizes == [3]
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        run_replicates(config(n=40, replications=6), workers=8)   # one CPU: no pool
+        assert sizes == [3, 4, 2]
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_fewer_than_one_worker_is_rejected(self, workers, monkeypatch):
