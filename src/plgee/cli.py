@@ -20,12 +20,7 @@ import warnings
 
 import numpy as np
 
-from .diagnostics import (
-    _check_grid,
-    condition_trend_report,
-    example1_closed_form,
-    trend_flags,
-)
+from .diagnostics import diagnose
 from .errors import ConfigError, InvalidInputError, PlgeeError, SchemaError
 from .estimator import (
     METHOD_INDEPENDENCE,
@@ -34,13 +29,7 @@ from .estimator import (
     wald_intervals,
 )
 from .model import LINK_KINDS, LinkFamily, LongitudinalDataset
-from .simulator import (
-    SimConfig,
-    _rng,
-    mix_seed,
-    run_replicates,
-    summarize_replicates,
-)
+from .simulator import SimConfig, run_replicates, summarize_replicates
 
 
 # ---------------------------------------------------------------------------
@@ -337,22 +326,14 @@ def parse_dataset_csv(path):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _load_dataset(args):
-    data = parse_dataset_csv(args.data)
-    if args.shuffle_subjects is not None:
-        data = data.permuted(_rng(mix_seed(args.shuffle_subjects, 0)).permutation(data.n))
-    return data
-
-
 def cmd_fit(args):
-    data = _load_dataset(args)
+    data = parse_dataset_csv(args.data)
     fit = (two_step_fit if args.method == "two-step" else gee_independence_fit)(
         data, LinkFamily(args.link))
-    stderr = np.sqrt(np.maximum(np.diag(fit.cov_beta.a), 0.0))
     payload = {
         "beta_hat": fit.beta_hat.tolist(),
         "cov_beta": fit.cov_beta.a.tolist(),
-        "stderr": stderr.tolist(),
+        "stderr": fit.stderr.tolist(),
         "wald_ci": [list(ci) for ci in wald_intervals(fit)],
         "converged": bool(fit.converged),
         "iterations": int(fit.iterations),
@@ -374,36 +355,15 @@ def _parse_list(text, convert, flag):
 
 
 def cmd_diagnose(args):
-    data = _load_dataset(args)
-    family = LinkFamily(args.link)
-    prelim = beta = None
+    data = parse_dataset_csv(args.data)
+    beta = None
     if args.beta is not None:
         beta = np.asarray(_parse_list(args.beta, float, "--beta"), dtype=float)
         if beta.shape != (data.p,):
             raise SchemaError(f"--beta must have {data.p} comma-separated values")
-    grid = _parse_list(args.grid, int, "--grid") if args.grid else [data.n]
-    # the full-n report is the trend's last row, computed once; the grid's
-    # shape errors come before any fit
-    full_grid = _check_grid(data, grid if grid[-1] == data.n else grid + [data.n])
-    if beta is None:
-        prelim = gee_independence_fit(data, family)
-        beta = prelim.beta_hat
-    reports = condition_trend_report(data, family, beta, n_grid=full_grid)
-    report, trend = reports[-1], reports[:len(grid)]
-    payload = {
-        "report": report.to_json(),
-        "beta": beta.tolist(),
-        "example1": example1_closed_form(data, family, beta) if data.p == 2 else None,
-        "trend": [r.to_json() for r in trend],
-        "trend_flags": trend_flags(trend),
-    }
+    grid = _parse_list(args.grid, int, "--grid") if args.grid else None
+    payload, causes = diagnose(data, LinkFamily(args.link), beta, grid)
     _write_json(payload, args.out)
-    causes = ()
-    if prelim is not None and not prelim.converged:
-        causes = (("preliminary-not-converged",
-                   f"the preliminary independence fit did not converge (iterations="
-                   f"{prelim.iterations}, gnorm={prelim.final_gnorm:.6g}); beta is its "
-                   "last iterate"),)
     return _warn(causes)
 
 
@@ -456,8 +416,6 @@ def build_parser():
     dataset = argparse.ArgumentParser(add_help=False, parents=[output])
     dataset.add_argument("--data", required=True, help="input CSV path")
     dataset.add_argument("--link", required=True, choices=LINK_KINDS)
-    dataset.add_argument("--shuffle-subjects", type=int, default=None,
-                         help="permute subject order with this seed (sensitivity check)")
 
     fit = sub.add_parser("fit", parents=[dataset],
                          help="fit a marginal model from a long-format CSV")

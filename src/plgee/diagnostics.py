@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NotPositiveDefiniteError, ShapeError
 from .estimator import (_average_correlation, _blocks, _flat, _sandwiched_block,
-                        _sandwiched_gram, _subject_scores, _weighted_gram)
+                        _sandwiched_gram, _subject_scores, _weighted_gram, gee_independence_fit)
 from .matkernel import max_relative_eigenvalue, sym_eigen
 from .model import _higher_derivatives, eval_model
 
@@ -204,6 +204,36 @@ def condition_trend_report(data, family, beta, n_grid=None):
     doubles as the determinant-floor sequence."""
     n_grid = _check_grid(data, [data.n] if n_grid is None else n_grid)
     return [design_diagnostics(data.subset(n_head), family, beta) for n_head in n_grid]
+
+
+def diagnose(data, family, beta=None, n_grid=None):
+    """(payload, causes) of `plgee diagnose`: the full-n "report", "beta", "example1"
+    (p = 2), and the "trend" along n_grid (the full n by default) with its
+    "trend_flags".  The grid is checked before any fit; without a beta, the
+    preliminary independence fit gives it, and its not converging is the one
+    cause.  The full-n report is computed once, also as the trend's last row."""
+    grid = _check_grid(data, [data.n] if n_grid is None else n_grid)
+    full_grid = grid if grid[-1:] == [data.n] else grid + [data.n]
+    causes = ()
+    if beta is None:
+        prelim = gee_independence_fit(data, family)
+        beta = prelim.beta_hat
+        if not prelim.converged:
+            causes = (("preliminary-not-converged",
+                       f"the preliminary independence fit did not converge (iterations="
+                       f"{prelim.iterations}, gnorm={prelim.final_gnorm:.6g}); beta is its "
+                       "last iterate"),)
+    beta = np.asarray(beta, dtype=float)
+    reports = condition_trend_report(data, family, beta, n_grid=full_grid)
+    trend = reports[:len(grid)]
+    payload = {
+        "report": reports[-1].to_json(),
+        "beta": beta.tolist(),
+        "example1": example1_closed_form(data, family, beta) if data.p == 2 else None,
+        "trend": [r.to_json() for r in trend],
+        "trend_flags": trend_flags(trend),
+    }
+    return payload, causes
 
 
 def trend_flags(reports):

@@ -75,6 +75,11 @@ class FitResult:
         """Estimating-function norm at beta_hat, the trace's last."""
         return self.trace[-1][1]
 
+    @property
+    def stderr(self):
+        """Robust standard errors: square roots of cov_beta's diagonal, a negative entry as 0."""
+        return np.sqrt(np.maximum(np.diag(self.cov_beta.a), 0.0))
+
 
 # Sums over the (n, m, p) subject stack, as BLAS calls on the (n*m, p)
 # flattening.  The reshapes are views only when the stacks are C-contiguous.
@@ -356,7 +361,5 @@ def two_step_fit(data, family):
 
 
 def wald_intervals(fit):
-    """Per-coordinate 95 % Wald interval beta_k +/- Z_95 * se_k; any other
-    level is beta_k +/- z * se_k from the same standard errors."""
-    se = np.sqrt(np.maximum(np.diag(fit.cov_beta.a), 0.0))
-    return [(float(b - Z_95 * s), float(b + Z_95 * s)) for b, s in zip(fit.beta_hat, se)]
+    """Per-coordinate 95 % Wald interval beta_k +/- Z_95 * se_k, se = fit.stderr."""
+    return [(float(b - Z_95 * s), float(b + Z_95 * s)) for b, s in zip(fit.beta_hat, fit.stderr)]

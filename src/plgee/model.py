@@ -272,12 +272,6 @@ class LongitudinalDataset:
             raise InvalidInputError(f"prefix size {n_head} out of range [1, {self.n}]")
         return LongitudinalDataset(self.X[:n_head], self.y[:n_head])
 
-    def permuted(self, order):
-        order = np.asarray(order, dtype=int)
-        if sorted(order.tolist()) != list(range(self.n)):
-            raise InvalidInputError("order must be a permutation of subject indices")
-        return LongitudinalDataset(self.X[order], self.y[order])
-
 
 @dataclass(frozen=True, eq=False)
 class ModelEval:

@@ -29,8 +29,8 @@ from .model import (
 MAX_FAILURE_FRACTION = 0.02     # of replicates, before a report warns
 _POISSON_QUANTILE_CAP = 100000  # largest count the Poisson quantile search tries
 
-# Stream tags keep the design, response, and shuffle draws on distinct
-# deterministic substreams of each replicate seed.
+# Stream tags keep the design and response draws on distinct deterministic
+# substreams of each replicate seed.
 _TAG_DESIGN = 0x9E3779B97F4A7C15
 _TAG_RESPONSE = 0xC2B2AE3D27D4EB4F
 _MASK64 = (1 << 64) - 1
@@ -89,6 +89,9 @@ class DesignSpec:
             raise ConfigError(f"unknown design kind {self.kind!r}")
         if self.kind == "iid_uniform" and not self.lo < self.hi:
             raise ConfigError(f"iid_uniform needs lo < hi, got [{self.lo}, {self.hi}]")
+        if self.kind == "iid_uniform" and not np.isfinite(self.hi - self.lo):
+            raise ConfigError(f"iid_uniform needs finite lo, hi and hi - lo, "
+                              f"got [{self.lo}, {self.hi}]")
         for key, default in (("lo", -1.0), ("hi", 1.0)):
             if self.kind != "iid_uniform" and getattr(self, key) != default:
                 raise ConfigError(f"a {self.kind} design does not read {key!r}, "
@@ -111,6 +114,8 @@ class CorrelationSpec:
             R = np.asarray(self.R_bar, dtype=float)
             if R.shape != (m, m):
                 raise ConfigError(f"custom correlation must be {m}x{m}, got {R.shape}")
+            if not np.isfinite(R).all():
+                raise ConfigError("custom correlation has non-finite entries")
         elif self.kind not in ("exchangeable", "ar1"):
             raise ConfigError(f"unknown correlation kind {self.kind!r}")
         elif self.R_bar:
@@ -152,10 +157,16 @@ class SimConfig:
     R_bar: np.ndarray = field(init=False, repr=False, compare=False)   # correlation's, once
 
     def __post_init__(self):
+        for key in ("n", "m", "p", "replications", "base_seed"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
         if self.n < 1 or self.m < 1 or self.p < 1:
             raise ConfigError(f"need n, m, p >= 1, got {(self.n, self.m, self.p)}")
         if len(self.beta0) != self.p:
             raise ConfigError(f"beta0 must have length p={self.p}")
+        if not np.isfinite(self.beta0).all():
+            raise ConfigError(f"beta0 must be finite, got {list(self.beta0)}")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
         if self.subject_dependence not in ("independent", "sign_modulated"):
@@ -189,10 +200,9 @@ class SimConfig:
                 "R_bar": lambda rows: tuple(map(_floats, rows))}
         try:
             return _from_json(SimConfig, doc, "config", {
-                "n": int, "m": int, "p": int, "family": LinkFamily, "beta0": _floats,
+                "family": LinkFamily, "beta0": _floats,
                 "design": lambda d: _from_json(DesignSpec, d, "design", spec),
                 "correlation": lambda d: _from_json(CorrelationSpec, d, "correlation", spec),
-                "replications": int, "base_seed": int,
             })
         except (TypeError, ValueError, InvalidInputError) as exc:   # LinkFamily raises the last
             raise ConfigError(f"invalid simulation config: {exc}") from exc
@@ -296,10 +306,12 @@ def gen_discrete(X, beta0, family, R_bar, seed):
     beta0 = np.asarray(beta0, dtype=float)
     v = gauss_cdf(_correlated_normals(R_bar, seed, X.shape[:2]))
     theta = X @ beta0
+    with np.errstate(over="ignore"):    # inf: a mean the quantile grid rejects, or mu = 0
+        e = np.exp(theta if family.kind == "log" else -theta)
     if family.kind == "log":
-        y = _poisson_quantile_grid(v, np.exp(theta))
+        y = _poisson_quantile_grid(v, e)
     else:
-        mu = 1.0 / (1.0 + np.exp(-theta))
+        mu = 1.0 / (1.0 + e)
         y = (v > 1.0 - mu).astype(float)
     return LongitudinalDataset(X, y)
 

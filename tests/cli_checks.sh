@@ -41,6 +41,14 @@ test "$rc" -eq 1
 test ! -s usage.out
 test "$(wc -l < usage.err)" -eq 1
 grep -q '"error":"invalid-input"' usage.err
+# subjects are fitted in their stored order: --shuffle-subjects is a usage
+# error too (exit 1, one invalid-input line)
+rc=0
+plgee fit --data sim.json --link identity --shuffle-subjects 3 > shuffle.out 2> shuffle.err || rc=$?
+test "$rc" -eq 1
+test ! -s shuffle.out
+test "$(wc -l < shuffle.err)" -eq 1
+grep -q '"error":"invalid-input"' shuffle.err
 # fewer than one worker is an error (exit 1), with nothing on stdout
 rc=0
 plgee simulate --config sim.json --workers 0 > zero.out 2> zero.err || rc=$?

@@ -102,6 +102,16 @@ for path, family, m, correlation in (     # R-bar faults, and a custom R-bar pas
     configs[path] = dict(small, family=family, m=m, correlation=correlation)
 configs["sim_grid_lo.json"] = dict(small, family="identity", m=3, design={
     "kind": "grid", "lo": 0, "hi": 5}, correlation={"kind": "exchangeable", "rho": 0.3})
+for path, edit in (      # numbers a config must give as they are, and finite
+        ("sim_n_fraction.json", {"n": 30.5}), ("sim_n_bool.json", {"n": True}),
+        ("sim_n_string.json", {"n": "30"}), ("sim_beta0_inf.json", {"beta0": [float("inf"), 0]}),
+        ("sim_beta0_nan.json", {"beta0": [float("nan"), 0]}),
+        ("sim_width_overflow.json", {"design": {"kind": "iid_uniform", "lo": -1e308, "hi": 1e308}}),
+        ("sim_custom_inf.json", {"correlation": {"kind": "custom", "R_bar": [
+            [1, float("inf"), 0], [float("inf"), 1, 0], [0, 0, 1]]}}),
+        ("sim_log_overflow.json", {"family": "log", "beta0": [800.0, 0.0]})):
+    configs[path] = {**small, "family": "identity", "m": 3,
+                     "correlation": {"kind": "exchangeable", "rho": 0.3}, **edit}
 for path, doc in configs.items():
     with open(path, "w") as fh:
         json.dump(doc, fh)
@@ -113,7 +123,7 @@ cases=(
   "fit-log fit --data counts.csv --link log"
   "fit-independence fit --data counts.csv --link log --method independence --out @OUT@"
   "fit-logit fit --data binary.csv --link logit"
-  "fit-probit-shuffled fit --data binary.csv --link probit --shuffle-subjects 3"
+  "fit-probit fit --data binary.csv --link probit"
   "fit-fallback fit --data short.csv --link identity"
   "fit-missing fit --data missing.csv --link identity"
   "fit-probit-separated fit --data separated.csv --link probit"
@@ -128,6 +138,7 @@ cases=(
   "diagnose-short diagnose --data short.csv --link identity"
   "diagnose-theta-overflow diagnose --data unit_y.csv --link identity --beta 1e308,1e308"
   "diagnose-r-tilde-overflow diagnose --data unit_y.csv --link identity --beta 1e200,1e200"
+  "diagnose-separated-logit diagnose --data separated.csv --link logit"
   "simulate-log simulate --config sim_log.json --replicates-csv @CSV@ --out @OUT@"
   "simulate-identity simulate --config sim_identity.json --replicates-csv @CSV@"
   "simulate-logit simulate --config sim_logit.json --replicates-csv @CSV@"
@@ -138,6 +149,14 @@ cases=(
   "simulate-ar1-singular simulate --config sim_ar1_singular.json"
   "simulate-custom-frechet simulate --config sim_custom_frechet.json --replicates-csv @CSV@"
   "simulate-grid-lo simulate --config sim_grid_lo.json"
+  "simulate-n-fraction simulate --config sim_n_fraction.json"
+  "simulate-n-bool simulate --config sim_n_bool.json"
+  "simulate-n-string simulate --config sim_n_string.json"
+  "simulate-beta0-inf simulate --config sim_beta0_inf.json"
+  "simulate-beta0-nan simulate --config sim_beta0_nan.json"
+  "simulate-width-overflow simulate --config sim_width_overflow.json"
+  "simulate-custom-inf simulate --config sim_custom_inf.json"
+  "simulate-log-overflow simulate --config sim_log_overflow.json"
 )
 
 run_all() {     # $1: the tree whose src/ runs, $2: the directory for its outputs

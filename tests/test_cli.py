@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import plgee.cli as cli
-from plgee import estimator
+from plgee import diagnostics, estimator
 from plgee.cli import (
     dumps_stable,
     main,
@@ -20,8 +20,8 @@ from plgee.cli import (
 )
 from plgee.errors import InvalidInputError, PlgeeError, SchemaError
 from plgee.estimator import two_step_fit
-from plgee.model import IDENTITY, PROBIT, LongitudinalDataset
-from plgee.simulator import SimConfig, exchangeable_matrix, gen_gaussian, mix_seed
+from plgee.model import IDENTITY, LOG, PROBIT, LongitudinalDataset
+from plgee.simulator import SimConfig, exchangeable_matrix, gen_gaussian
 
 
 def write_dataset_csv(data, path):
@@ -874,33 +874,6 @@ class TestFit:
             data, PROBIT, indep.beta_hat).R_tilde.a.tolist())
         assert out == dumps_stable(want) + "\n"
 
-    def test_shuffle_subjects_keeps_estimate(self, data_csv, capsys):
-        _, out0, _ = run_cli(
-            ["fit", "--data", data_csv, "--link", "identity"], capsys)
-        _, out1, _ = run_cli(
-            ["fit", "--data", data_csv, "--link", "identity",
-             "--shuffle-subjects", "3"], capsys)
-        b0 = json.loads(out0)["beta_hat"]
-        b1 = json.loads(out1)["beta_hat"]
-        assert np.allclose(b0, b1, atol=1e-8)
-
-
-class TestShuffleSubjects:
-    @pytest.mark.parametrize("command", ["fit", "diagnose"])
-    def test_shuffle_is_the_seeded_permutation(self, tmp_path, capsys, command):
-        """--shuffle-subjects 3 writes the bytes of the same command run on a
-        CSV whose subjects are stored in the order of the seed-3 stream."""
-        data = sample_dataset()
-        order = np.random.Generator(np.random.PCG64(mix_seed(3, 0))).permutation(data.n)
-        plain, permuted = tmp_path / "plain.csv", tmp_path / "permuted.csv"
-        write_dataset_csv(data, plain)
-        write_dataset_csv(data.permuted(order), permuted)
-        argv = [command, "--link", "identity", "--data"]
-        want = run_cli(argv + [str(permuted)], capsys)
-        assert want[0] == 0
-        assert run_cli(argv + [str(plain), "--shuffle-subjects", "3"], capsys) == want
-        assert run_cli(argv + [str(plain)], capsys)[1] != want[1]
-
 
 class TestDiagnose:
     @pytest.mark.parametrize("beta, kind, detail", [
@@ -977,6 +950,22 @@ class TestDiagnose:
         assert run_cli(["diagnose", "--data", counts_csv, "--link", "log",
                         "--beta", beta], capsys) == (0, out, "")
 
+    @pytest.mark.parametrize("beta, max_iter", [(None, 50), ("1.5,-1", 50), (None, 1)],
+                             ids=["preliminary", "beta", "unconverged"])
+    def test_prints_the_library_diagnose(self, counts_csv, capsys, monkeypatch, beta, max_iter):
+        # stdout is diagnostics.diagnose's payload, and stderr its causes
+        monkeypatch.setattr(estimator, "_MAX_ITER", max_iter)
+        argv = ["diagnose", "--data", counts_csv, "--link", "log", "--grid", "30,60"]
+        code, out, err = run_cli(argv + ([] if beta is None else ["--beta", beta]), capsys)
+        payload, causes = diagnostics.diagnose(
+            parse_dataset_csv(counts_csv), LOG,
+            None if beta is None else np.array([1.5, -1.0]), [30, 60])
+        assert (max_iter == 1) == bool(causes)
+        assert out == dumps_stable(payload) + "\n"
+        assert err == "".join(dumps_stable({"warning": kind, "detail": detail}) + "\n"
+                              for kind, detail in causes)
+        assert code == (2 if causes else 0)
+
     def test_bad_beta_length(self, data_csv, capsys):
         code, _, err = run_cli(
             ["diagnose", "--data", data_csv, "--link", "identity",
@@ -1042,8 +1031,8 @@ class TestDiagnose:
         write_dataset_csv(gen_gaussian(rng.uniform(-1, 1, size=(5, 10, 3)),
                                        np.array([1.0, -0.5, 0.3]),
                                        exchangeable_matrix(10, 0.5), seed=37), path)
-        fits, real = [], cli.gee_independence_fit
-        monkeypatch.setattr(cli, "gee_independence_fit",
+        fits, real = [], diagnostics.gee_independence_fit
+        monkeypatch.setattr(diagnostics, "gee_independence_fit",
                             lambda *args: fits.append(1) or real(*args))
         code, out, err = run_cli(
             ["diagnose", "--data", str(path), "--link", "identity"] + grid, capsys)
@@ -1057,7 +1046,6 @@ class TestDiagnose:
                                                ("20,40", [20, 40])])
     def test_full_n_report_computed_once(self, data_csv, capsys, monkeypatch,
                                          grid, trend_n):
-        import plgee.diagnostics as diagnostics
         calls = []
         real = diagnostics.design_diagnostics
 
@@ -1326,6 +1314,38 @@ class TestSimulate:
         assert (code, out) == (1, "")
         assert json.loads(err) == {"error": "config", "detail": detail}
 
+    @pytest.mark.parametrize("edit, detail", [
+        ({"n": 30.5}, "n must be an integer, got 30.5"),
+        ({"n": True}, "n must be an integer, got True"),
+        ({"n": "30"}, "n must be an integer, got '30'"),
+        ({"beta0": [float("inf"), 0.0]}, "beta0 must be finite, got [inf, 0.0]"),
+        ({"design": {"kind": "iid_uniform", "lo": -1e308, "hi": 1e308}},
+         "iid_uniform needs finite lo, hi and hi - lo, got [-1e+308, 1e+308]"),
+    ], ids=["n-fraction", "n-bool", "n-string", "beta0-inf", "width-overflow"])
+    def test_number_fault_is_a_config_error_at_load(self, edit, detail, tmp_path, capsys,
+                                                    monkeypatch):
+        import plgee.simulator as simulator
+        monkeypatch.setattr(simulator, "_run_replicate", pytest.fail)    # nothing runs
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(dict(self.small_config(
+            "identity", 3, {"kind": "exchangeable", "rho": 0.3}), **edit)))
+        code, out, err = run_cli_without_warnings(["simulate", "--config", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": "config", "detail": detail}
+
+    def test_poisson_mean_that_overflows_is_one_config_line(self, tmp_path, capsys):
+        # exp(theta) overflows to inf in the generator: the mean is named,
+        # and numpy's overflow warning does not reach stderr
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(dict(self.small_config(
+            "log", 3, {"kind": "exchangeable", "rho": 0.3}), beta0=[800.0, 0.0])))
+        code, out, err = run_cli_without_warnings(["simulate", "--config", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {
+            "error": "config",
+            "detail": "poisson mean inf is too large to generate: exp(-mean) underflows "
+                      "for means above 708.396"}
+
     def test_custom_latent_correlation_past_frechet_bound_is_a_warning(self, tmp_path, capsys):
         # the data of exchangeable rho = 0.97, and its warning
         R_bar = [[1.0 if i == j else 0.97 for j in range(3)] for i in range(3)]
@@ -1527,12 +1547,10 @@ print(json.dumps(sorted(set(sys.modules) - loaded)))
                  ["simulate", "--config", str(config), "--out", out,
                   "--replicates-csv", str(tmp_path / "reps.csv")]]
         doc = fresh_python(self.SCRIPT, json.dumps(argvs))
-        shuffled = fresh_python(self.SCRIPT, json.dumps([fit + ["--shuffle-subjects", "3"]]))
         random = fresh_python(self.RANDOM)
         assert "numpy.random" in random
         assert doc == {"scipy": [], "pool": [], "rng": [],
                        "added": {"fit": [], "diagnose": [], "simulate": random}}
-        assert shuffled["added"] == {"fit": random}
 
 
 def test_cli_checks_script_passes():

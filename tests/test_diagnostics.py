@@ -463,6 +463,16 @@ class TestTrends:
         condition_trend_report(data, IDENTITY, np.array([1.0, -0.5]), n_grid=[20, 40, 60])
         assert evaluated == [20, 40, 60]
 
+    @pytest.mark.parametrize("n_grid, message", [
+        ([40, 20], "grid must be strictly increasing"),
+        ([2], r"grid values must lie in \[m, n\] = \[3, 60\], got n_head=2"),
+    ], ids=["decreasing", "below-m"])
+    def test_diagnose_checks_the_grid_before_any_fit(self, monkeypatch, n_grid, message):
+        monkeypatch.setattr(diagnostics, "gee_independence_fit", pytest.fail)
+        monkeypatch.setattr(diagnostics, "design_diagnostics", pytest.fail)
+        with pytest.raises(ShapeError, match=message):
+            diagnostics.diagnose(gaussian_dataset(), IDENTITY, n_grid=n_grid)
+
     def test_bad_grid_rejected(self):
         data = gaussian_dataset(n=20, seed=19)
         with pytest.raises(ShapeError):

@@ -152,8 +152,6 @@ def _dataset():
     (lambda: LongitudinalDataset(np.zeros((4, 3, 0)), np.zeros((4, 3))), "need n, m, p >= 1"),
     (lambda: _dataset().subset(0), r"prefix size 0 out of range \[1, 4\]"),
     (lambda: _dataset().subset(5), r"prefix size 5 out of range \[1, 4\]"),
-    (lambda: _dataset().permuted([0, 1, 1, 3]), "order must be a permutation"),
-    (lambda: _dataset().permuted([0, 1, 2]), "order must be a permutation"),
     (lambda: eval_model(_dataset(), LOG, np.zeros(3)),
      r"beta must have length 2, got shape \(3,\)"),
     (lambda: eval_model(_dataset(), LOG, np.zeros((2, 1))), "beta must have length 2"),
@@ -161,8 +159,8 @@ def _dataset():
      "beta has non-finite entries"),
     (lambda: eval_model(_dataset(), LOG, np.array([np.inf, 0.0])),
      "beta has non-finite entries"),
-], ids=["X-ndim", "n", "m", "p", "subset-0", "subset-n+1", "permuted-repeat",
-        "permuted-short", "beta-length", "beta-2d", "beta-nan", "beta-inf"])
+], ids=["X-ndim", "n", "m", "p", "subset-0", "subset-n+1", "beta-length", "beta-2d",
+        "beta-nan", "beta-inf"])
 def test_input_checks_raise_invalid_input(call, message):
     with pytest.raises(InvalidInputError, match=message):
         call()

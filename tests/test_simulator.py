@@ -1,3 +1,5 @@
+import json
+import math
 import warnings
 from dataclasses import fields, replace
 
@@ -293,10 +295,27 @@ class TestConfigValidation:
          "^an ar1 correlation does not read 'R_bar'$"),
         (dict(correlation=CorrelationSpec("custom", rho=0.3, R_bar=EXCHANGEABLE_09)),
          "^a custom correlation does not read 'rho', got rho=0.3$"),
+        (dict(n=30.5), "^n must be an integer, got 30.5$"),
+        (dict(n=True), "^n must be an integer, got True$"),
+        (dict(n="30"), "^n must be an integer, got '30'$"),
+        (dict(replications=3.0), "^replications must be an integer, got 3.0$"),
+        (dict(base_seed="7"), "^base_seed must be an integer, got '7'$"),
+        (dict(beta0=(math.inf, 0.0)), r"^beta0 must be finite, got \[inf, 0.0\]$"),
+        (dict(beta0=(1.0, math.nan)), r"^beta0 must be finite, got \[1.0, nan\]$"),
+        (dict(design=DesignSpec("iid_uniform", hi=math.inf)),
+         r"^iid_uniform needs finite lo, hi and hi - lo, got \[-1.0, inf\]$"),
+        (dict(design=DesignSpec("iid_uniform", lo=-1e308, hi=1e308)),
+         r"^iid_uniform needs finite lo, hi and hi - lo, got \[-1e\+308, 1e\+308\]$"),
+        (dict(correlation=CorrelationSpec("custom", R_bar=((1.0, math.inf, 0.0),
+                                                            (math.inf, 1.0, 0.0),
+                                                            (0.0, 0.0, 1.0)))),
+         "^custom correlation has non-finite entries$"),
     ], ids=["n", "m", "replications", "subject_dependence",
             "design-kind", "lo-equals-hi", "lo-above-hi", "correlation-kind", "custom-shape",
             "custom-asymmetric", "exchangeable-singular", "ar1-singular", "grid-lo",
-            "categorical-hi", "exchangeable-R_bar", "ar1-R_bar", "custom-rho"])
+            "categorical-hi", "exchangeable-R_bar", "ar1-R_bar", "custom-rho",
+            "n-fraction", "n-bool", "n-string", "replications-float", "base_seed-string",
+            "beta0-inf", "beta0-nan", "hi-inf", "width-overflow", "custom-inf"])
     def test_rejected_config_names_its_fault(self, kw, message):
         with pytest.raises(ConfigError, match=message):
             config(**kw)
@@ -419,6 +438,19 @@ class TestConfigValidation:
         c = SimConfig.from_json(doc)
         assert c.correlation.matrix(2)[0, 1] == 0.3
         assert c.beta0 == (1.0, -0.5)
+
+    @pytest.mark.parametrize("text, message", [
+        ('"n": 30.5', "^n must be an integer, got 30.5$"),
+        ('"m": true', "^m must be an integer, got True$"),
+        ('"p": "2"', "^p must be an integer, got '2'$"),
+        ('"beta0": [Infinity, 0]', r"^beta0 must be finite, got \[inf, 0.0\]$"),
+        ('"beta0": [NaN, 0]', r"^beta0 must be finite, got \[nan, 0.0\]$"),
+    ], ids=["n-fraction", "m-bool", "p-string", "beta0-Infinity", "beta0-NaN"])
+    def test_from_json_takes_numbers_as_they_are(self, text, message):
+        doc = json.loads('{"n": 40, "m": 2, "p": 2, "beta0": [1, -0.5], ' + text + "}")
+        doc.update(family="identity", design={"kind": "grid"}, correlation={"kind": "ar1"})
+        with pytest.raises(ConfigError, match=message):
+            SimConfig.from_json(doc)
 
     def test_from_json_missing_key(self):
         with pytest.raises(ConfigError):
