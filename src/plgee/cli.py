@@ -46,14 +46,10 @@ def dumps_stable(obj):
         return "false"
     if isinstance(obj, float):
         return format(obj, ".17g") if math.isfinite(obj) else "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, np.floating):
-        return dumps_stable(float(obj))
+    if isinstance(obj, int):
+        return str(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, np.ndarray):
-        return dumps_stable(obj.tolist())
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(dumps_stable(v) for v in obj) + "]"
     if isinstance(obj, dict):

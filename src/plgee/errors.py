@@ -31,21 +31,15 @@ class LineSearchFailure(PlgeeError):
     kind = "line-search-failure"
 
 
-class _CellError(PlgeeError):
-    """An error at one cell, naming its subject and time (None if unknown)."""
+class LinkOverflowError(PlgeeError):
+    """A theta past the link's limit, naming its subject and time (None if unknown)."""
+
+    kind = "link-overflow"
 
     def __init__(self, message, subject=None, time=None):
         super().__init__(message)
         self.subject = subject
         self.time = time
-
-
-class LinkOverflowError(_CellError):
-    kind = "link-overflow"
-
-
-class DegenerateVarianceError(_CellError):
-    kind = "degenerate-variance"
 
 
 class ShapeError(PlgeeError):

@@ -19,7 +19,6 @@ from functools import partial, reduce
 import numpy as np
 
 from .errors import (
-    DegenerateVarianceError,
     InvalidInputError,
     LineSearchFailure,
     LinkOverflowError,
@@ -285,16 +284,9 @@ def gee_independence_fit(data, family):
 def _average_correlation(X, cells):
     """R-tilde = (1/n) sum_i s_i s_i', s_i = eps_i / sqrt(var_i) the standardized
     residuals, summed a block of subjects at a time; cells(rows) gives the
-    block's (eps, var).  A variance that is not positive and finite raises,
-    naming its subject and time, and so does an R-tilde that overflows."""
+    block's (eps, var).  An R-tilde that overflows raises."""
     def block_outer(rows):
         eps, var = cells(rows)
-        ok = (var > 0.0) & np.isfinite(var)
-        if not ok.all():
-            bad = np.argwhere(~ok)[0]
-            i, j = range(len(X))[rows][bad[0]], int(bad[1])
-            raise DegenerateVarianceError(
-                f"degenerate variance at subject {i}, time {j}", subject=i, time=j)
         s = eps / np.sqrt(var)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
             return s.T @ s

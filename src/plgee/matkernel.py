@@ -37,12 +37,8 @@ class SymMatrix:
         arr = _as_matrix(entries)
         self.a = 0.5 * (arr + arr.T)
 
-    @property
-    def dim(self):
-        return self.a.shape[0]
-
     def __repr__(self):
-        return f"SymMatrix(dim={self.dim})"
+        return f"SymMatrix(dim={self.a.shape[0]})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,9 +84,9 @@ def sym_eigen(S, require_spd=None):
 def max_relative_eigenvalue(A, eig, floor=-np.inf):
     """lambda_max(S^{-1/2} A S^{-1/2}), where ``eig`` decomposes the SPD S.
 
-    A is one symmetric matrix (a SymMatrix or an array), taken as a stack of
-    one, or an (n, p, p) stack of them; the result is the largest eigenvalue
-    over the whole stack, or ``floor`` if that is larger.
+    A is one symmetric matrix, taken as a stack of one, or an (n, p, p) stack
+    of them; the result is the largest eigenvalue over the whole stack, or
+    ``floor`` if that is larger.
 
     lambda_max(W_i) <= ||W_i||_F: a matrix is solved only when its norm,
     with 1e-10 relative and 1e-150 added for rounding, reaches the floor
@@ -101,7 +97,7 @@ def max_relative_eigenvalue(A, eig, floor=-np.inf):
     before it, and a block wholly below the floor solves nothing.
     """
     root = eig.power(-0.5)
-    A = A.a if isinstance(A, SymMatrix) else np.asarray(A, dtype=float)
+    A = np.asarray(A, dtype=float)
     W = root @ A.reshape(-1, *A.shape[-2:]) @ root
     W = W + np.swapaxes(W, 1, 2)
     W *= 0.5            # in place: one stack-sized temporary fewer alive

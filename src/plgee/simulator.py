@@ -344,7 +344,7 @@ class MCReport:
     mean_corr_max_abs_error: float
     max_corr_max_abs_error: float
     lambda_min_R_bar: float
-    tau_oracle: float
+    tau_oracle: float | None    # None where the replicates' mean R-tilde is not SPD
     failure_kinds: tuple = ()   # (kind, count) of the failed replicates, most frequent first
 
     def to_json(self):
@@ -354,13 +354,20 @@ class MCReport:
 
     @property
     def causes(self):
-        """(kind, detail) warnings about this report: too many failed replicates."""
+        """(kind, detail) warnings about this report: too many failed replicates,
+        and an oracle tau that does not exist."""
+        causes = ()
         if self.n_failures / self.replications > MAX_FAILURE_FRACTION:
             counts = ", ".join(f"{count} {kind}" for kind, count in self.failure_kinds)
-            return (("replicates-failed",
-                     f"{self.n_failures} of {self.replications} replicates failed, "
-                     f"more than the {MAX_FAILURE_FRACTION:g} fraction allowed ({counts})"),)
-        return ()
+            causes += (("replicates-failed",
+                        f"{self.n_failures} of {self.replications} replicates failed, "
+                        f"more than the {MAX_FAILURE_FRACTION:g} fraction allowed ({counts})"),)
+        if self.tau_oracle is None:
+            causes += (("tau-oracle-undefined",
+                        f"{self.replications - self.n_failures} of {self.replications} "
+                        "replicates passed, and their mean correlation estimate is not "
+                        "positive definite"),)
+        return causes
 
 
 def ks_distance_to_normal(z):
@@ -456,8 +463,12 @@ def summarize_replicates(config, results):
     ind_var = np.var(B_ind, axis=0, ddof=ddof)
     z_pool = Z.ravel()
 
-    eig_mean = sym_eigen(R_mean, require_spd="mean correlation estimate")
-    tau_oracle = max_relative_eigenvalue(config.R_bar, eig_mean)   # lambda_max(R_mean^{-1} R_bar)
+    try:
+        eig_mean = sym_eigen(R_mean, require_spd="mean correlation estimate")
+    except NotPositiveDefiniteError:    # tau does not exist for a singular R_mean
+        tau_oracle = None
+    else:   # lambda_max(R_mean^{-1} R_bar)
+        tau_oracle = max_relative_eigenvalue(config.R_bar, eig_mean)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         eff = np.where(ind_var > 0, emp_var / ind_var, np.nan)

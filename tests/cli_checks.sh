@@ -222,6 +222,18 @@ PYTHONWARNINGS=error plgee simulate --config frechet.json --out frechet_out.json
 test "$rc" -eq 2
 test "$(wc -l < frechet.err)" -eq 1
 grep -q '"warning":"latent-correlation-above-frechet-bound"' frechet.err
+# separated logit data (y = 1[x1 < 0]): one replicate of three passes, and
+# the mean R-tilde of that one is singular, so the report is written with a
+# null tau_oracle and two warning lines (exit 2)
+sed -e 's/"n": 40/"n": 30/' -e 's/"identity"/"logit"/' -e 's/\[1.0, -0.5\]/[-800.0, 0.0]/' \
+  sim.json > separated.json
+rc=0
+PYTHONWARNINGS=error plgee simulate --config separated.json > separated.out 2> separated.err || rc=$?
+test "$rc" -eq 2
+grep -q '"tau_oracle":null' separated.out
+test "$(wc -l < separated.err)" -eq 2
+grep -q '"warning":"replicates-failed"' separated.err
+grep -q '"warning":"tau-oracle-undefined"' separated.err
 # so does a custom R-bar whose latent correlations are as high; an asymmetric
 # R-bar, and one below the SPD floor of the generators, are one config line
 # each (exit 1), written before any replicate runs

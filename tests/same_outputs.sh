@@ -112,6 +112,9 @@ for path, edit in (      # numbers a config must give as they are, and finite
         ("sim_log_overflow.json", {"family": "log", "beta0": [800.0, 0.0]})):
     configs[path] = {**small, "family": "identity", "m": 3,
                      "correlation": {"kind": "exchangeable", "rho": 0.3}, **edit}
+configs["sim_singular_mean.json"] = {    # separated: the one ok replicate's R-tilde is ~0
+    **small, "n": 30, "m": 3, "family": "logit", "beta0": [-800.0, 0.0],
+    "correlation": {"kind": "exchangeable", "rho": 0.3}}
 for path, doc in configs.items():
     with open(path, "w") as fh:
         json.dump(doc, fh)
@@ -157,6 +160,7 @@ cases=(
   "simulate-width-overflow simulate --config sim_width_overflow.json"
   "simulate-custom-inf simulate --config sim_custom_inf.json"
   "simulate-log-overflow simulate --config sim_log_overflow.json"
+  "simulate-singular-mean simulate --config sim_singular_mean.json --replicates-csv @CSV@"
 )
 
 run_all() {     # $1: the tree whose src/ runs, $2: the directory for its outputs

@@ -70,16 +70,19 @@ class TestStableJson:
         assert text == '{"a":[true,null,null],"b":1.5}'
 
     def test_non_finite_floats_are_null(self):
-        values = [float("nan"), float("inf"), -float("inf"), np.float32("nan"), np.float64("-inf")]
-        assert dumps_stable(values) == "[null,null,null,null,null]"
+        values = [float("nan"), float("inf"), -float("inf"), np.float64("-inf")]
+        assert dumps_stable(values) == "[null,null,null,null]"
 
     def test_round_trip_precision(self):
         x = 0.1 + 0.2
         assert float(dumps_stable(x)) == x
 
     def test_numpy_values(self):
+        # np.float64 subclasses float; no other numpy type reaches a payload
         assert dumps_stable(np.float64(2.0)) == "2"
-        assert dumps_stable(np.array([1, 2])) == "[1,2]"
+        for value in (np.array([1, 2]), np.int64(1), np.float32(2.0)):
+            with pytest.raises(TypeError, match="cannot serialize"):
+                dumps_stable(value)
 
 
 class TestCsv:
@@ -1236,6 +1239,30 @@ class TestSimulate:
         assert (code, out) == (1, "")
         assert json.loads(err) == {"error": "empty-report",
                                    "detail": "no replicate gave a two-step estimate; nothing to aggregate"}
+
+    def test_singular_mean_r_tilde_is_a_report_with_null_tau(self, tmp_path, capsys):
+        # separated logit data: one replicate of three passes, with an R-tilde
+        # of about 0, so the report is written with tau_oracle null, exit 2
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps({
+            "n": 30, "m": 3, "p": 2, "family": "logit", "beta0": [-800.0, 0.0],
+            "design": {"kind": "iid_uniform"},
+            "correlation": {"kind": "exchangeable", "rho": 0.3},
+            "replications": 3, "base_seed": 1}))
+        reps = tmp_path / "reps.csv"
+        code, out, err = run_cli_without_warnings(
+            ["simulate", "--config", str(path), "--replicates-csv", str(reps)], capsys)
+        assert code == 2
+        doc = json.loads(out)
+        assert (doc["tau_oracle"], doc["n_failures"]) == (None, 2)
+        assert [line[:4] for line in reps.read_text().splitlines()[1:]] == ["0,0,", "1,0,", "2,1,"]
+        assert [json.loads(line) for line in err.splitlines()] == [
+            {"warning": "replicates-failed",
+             "detail": "2 of 3 replicates failed, more than the 0.02 fraction allowed "
+                       "(2 fallback-to-independence)"},
+            {"warning": "tau-oracle-undefined",
+             "detail": "1 of 3 replicates passed, and their mean correlation estimate "
+                       "is not positive definite"}]
 
     def test_poisson_mean_too_large_is_config_error(self, tmp_path, capsys):
         # the grid design's largest theta is 7 - 0.5 * 0.6 = 6.7, a mean of

@@ -15,11 +15,9 @@ from plgee.diagnostics import (
     example2_closed_form,
     trend_flags,
 )
-from plgee.errors import (DegenerateVarianceError, InvalidInputError, LinkOverflowError,
-                          NotPositiveDefiniteError, ShapeError)
+from plgee.errors import InvalidInputError, LinkOverflowError, NotPositiveDefiniteError, ShapeError
 from plgee.estimator import estimate_correlation, gee_independence_fit
 from plgee.matkernel import SymMatrix, matrix_stats, max_relative_eigenvalue, sym_eigen
-from plgee import model
 from plgee.model import (IDENTITY, LOG, LOGIT, LongitudinalDataset, _higher_derivatives,
                          eval_model, link_eval)
 from plgee.simulator import exchangeable_matrix, gen_gaussian
@@ -219,25 +217,6 @@ class TestDesignDiagnostics:
         data = gaussian_dataset(seed=9).subset(2)
         with pytest.raises(NotPositiveDefiniteError, match="^correlation matrix "):
             design_diagnostics(data, IDENTITY, np.zeros(2))
-
-    def test_degenerate_variance_names_subject_in_later_block(self, monkeypatch):
-        # canonical variances are clamped positive, so zero one by hand: the
-        # variance is 0 where theta is 1, which is subject 8, time 0 alone
-        X = np.full((10, 2, 1), 0.5)
-        X[8, 0, 0] = 1.0
-        data = LongitudinalDataset(X, np.zeros((10, 2)))
-        real = model._mean_and_variance
-
-        def zero_variance_at_one(family, theta):
-            mu, var = real(family, theta)
-            return mu, np.where(theta == 1.0, 0.0, var)
-
-        monkeypatch.setattr(model, "_mean_and_variance", zero_variance_at_one)
-        monkeypatch.setattr(estimator, "_BLOCK_CELLS", 3 * 2 * 1)
-        with pytest.raises(DegenerateVarianceError) as info:
-            design_diagnostics(data, IDENTITY, [1.0])
-        assert (info.value.subject, info.value.time) == (8, 0)
-        assert str(info.value) == "degenerate variance at subject 8, time 0"
 
     def test_log_link_overflow_names_subject_and_time(self, monkeypatch):
         X = np.ones((6, 2, 1))

@@ -10,7 +10,6 @@ from scipy.special import ndtri
 from plgee import estimator, model
 from plgee.diagnostics import design_diagnostics
 from plgee.errors import (
-    DegenerateVarianceError,
     InvalidInputError,
     LineSearchFailure,
     LinkOverflowError,
@@ -562,25 +561,6 @@ class TestSubjectBlocks:
             estimate_correlation(data, LOG, [1.0])
         assert (info.value.subject, info.value.time) == (7, 1)
         assert str(info.value) == "log link overflow at subject 7, time 1"
-
-    def test_degenerate_variance_names_subject_in_later_block(self, monkeypatch):
-        # canonical variances are clamped positive, so zero one by hand: the
-        # variance is 0 where theta is 1, which is subject 8, time 0 alone
-        X = np.zeros((10, 2, 1))
-        X[8, 0, 0] = 1.0
-        data = LongitudinalDataset(X, np.zeros((10, 2)))
-        real = model._mean_and_variance
-
-        def zero_variance_at_one(family, theta):
-            mu, var = real(family, theta)
-            return mu, np.where(theta == 1.0, 0.0, var)
-
-        monkeypatch.setattr(model, "_mean_and_variance", zero_variance_at_one)
-        monkeypatch.setattr(estimator, "_BLOCK_CELLS", 3 * 2 * 1)
-        with pytest.raises(DegenerateVarianceError) as info:
-            estimate_correlation(data, IDENTITY, [1.0])
-        assert (info.value.subject, info.value.time) == (8, 0)
-        assert str(info.value) == "degenerate variance at subject 8, time 0"
 
 
 class TestTwoStep:

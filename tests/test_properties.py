@@ -7,10 +7,11 @@ from the logit generator.
 """
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from plgee.diagnostics import condition_trend_report
-from plgee.errors import ConfigError
+from plgee.errors import ConfigError, LinkOverflowError
 from plgee.estimator import (
     CorrelationEstimate,
     gee_independence_fit,
@@ -18,7 +19,8 @@ from plgee.estimator import (
     two_step_fit,
 )
 from plgee.matkernel import SymMatrix, max_relative_eigenvalue, sym_eigen
-from plgee.model import IDENTITY, LOG, LOGIT, PROBIT, LongitudinalDataset
+from plgee.model import (_TINY, IDENTITY, LOG, LOG_THETA_LIMIT, LOGIT, PROBIT, LongitudinalDataset,
+                         eval_model)
 from plgee.simulator import CorrelationSpec, exchangeable_matrix, gen_discrete, gen_gaussian
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=20)
@@ -155,6 +157,42 @@ def test_a_correlation_that_loads_is_one_the_generators_take(kind, m, t, seed, s
     assert np.array_equal(R_bar, R_bar.T)
     assert np.max(np.abs(np.diag(R_bar) - 1.0)) <= 1e-10
     gen_gaussian(np.zeros((3, m, 1)), np.zeros(1), R_bar, seed=seed)
+
+
+def one_cell(theta):
+    """A one-cell dataset whose theta = x'beta at beta = (1,) is `theta`.  x is
+    set after the dataset's finiteness check, so theta may be inf or NaN, as
+    an x'beta that overflows can be."""
+    data = LongitudinalDataset(np.zeros((1, 1, 1)), np.zeros((1, 1)))
+    data.X[0, 0, 0] = theta
+    return data
+
+
+@settings(PROPERTY, max_examples=300)
+@given(st.one_of(st.tuples(st.just(LOG), st.floats(-LOG_THETA_LIMIT, LOG_THETA_LIMIT)),
+                 st.tuples(st.sampled_from([IDENTITY, LOGIT, PROBIT]),
+                           st.floats(allow_nan=False, allow_infinity=False))))
+@example((LOG, -LOG_THETA_LIMIT))
+@example((LOG, LOG_THETA_LIMIT))
+def test_every_theta_eval_model_takes_has_a_positive_finite_variance(case):
+    # R-tilde divides by sqrt(mu') with no check: mu' > 0 wherever eval_model
+    # accepts theta, the saturated logit and probit tails clamped to _TINY
+    family, theta = case
+    with np.errstate(over="ignore"):    # as the solver evaluates
+        var = eval_model(one_cell(theta), family, [1.0]).var
+    assert np.isfinite(var).all() and (var >= _TINY).all()
+
+
+@PROPERTY
+@given(st.one_of(
+    st.tuples(st.just(LOG), st.floats(min_value=LOG_THETA_LIMIT, exclude_min=True,
+                                      allow_infinity=False), st.sampled_from([-1.0, 1.0])),
+    st.tuples(st.sampled_from([IDENTITY, LOG, LOGIT, PROBIT]),
+              st.sampled_from([np.inf, np.nan]), st.sampled_from([-1.0, 1.0]))))
+def test_a_theta_past_the_limit_is_a_link_overflow(case):
+    family, magnitude, sign = case
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(LinkOverflowError):
+        eval_model(one_cell(sign * magnitude), family, [1.0])
 
 
 INVARIANT_DIAGNOSTICS = ("gamma0", "gamma0_indep", "gamma_tilde", "gamma_D", "c_n", "pi_n",

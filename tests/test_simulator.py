@@ -605,6 +605,27 @@ class TestHarness:
         assert "causes" not in report.to_json()
         assert "failure_kinds" not in report.to_json()
 
+    def test_singular_mean_r_tilde_leaves_tau_oracle_null(self):
+        # beta0 (-800, 0) gives y = 1[x1 < 0], separated: replicates 0 and 1
+        # fall back to independence, and replicate 2 passes with an R-tilde of
+        # about 0, so the mean R-tilde is singular and tau does not exist
+        c = config(n=30, family=LOGIT, beta0=(-800.0, 0.0), replications=3, base_seed=1)
+        results = run_replicates(c)
+        report = summarize_replicates(c, results)
+        assert report.tau_oracle is None
+        assert report.causes == (
+            ("replicates-failed", "2 of 3 replicates failed, more than the 0.02 fraction "
+                                  "allowed (2 fallback-to-independence)"),
+            ("tau-oracle-undefined", "1 of 3 replicates passed, and their mean correlation "
+                                     "estimate is not positive definite"))
+        # R-tilde feeds tau alone: an SPD one changes no other field (NaN
+        # efficiency ratios included, so the payloads compare as JSON text)
+        spd = [dict(d, R_tilde=np.eye(c.m).tolist()) if d["ok"] else d for d in results]
+        other = summarize_replicates(c, spd)
+        assert other.tau_oracle is not None
+        assert json.dumps(report.to_json(), sort_keys=True) == json.dumps(
+            dict(other.to_json(), tau_oracle=None), sort_keys=True)
+
     def test_per_replicate_rows(self):
         c = config(n=60, replications=6)
         rows = run_replicates(c)
