@@ -371,9 +371,7 @@ def cmd_simulate(args):
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     config = SimConfig.from_json(doc)
     results = run_replicates(config, workers=args.workers)
-    report = summarize_replicates(config, results)
-    _write_json(report.to_json(), args.out)
-    if args.replicates_csv:
+    if args.replicates_csv:     # before the report, which an all-failed run does not have
         with open(args.replicates_csv, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             cols = (["rep", "converged"]
@@ -388,6 +386,8 @@ def cmd_simulate(args):
                                     + [int(c) for c in d["covered"]])
                 else:
                     writer.writerow([d["rep"], 0] + [""] * (3 * config.p))
+    report = summarize_replicates(config, results)
+    _write_json(report.to_json(), args.out)
     return _warn(config.causes + report.causes)
 
 

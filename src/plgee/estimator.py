@@ -14,7 +14,7 @@ plus about a megabyte per block, never a second copy of the (n, m, p) design.
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -135,39 +135,29 @@ def _subject_scores(X, t):
     return np.matmul(t[:, None, :], X)[:, 0, :]
 
 
-# A system maps (beta, cells) to (g, t, gram): the estimating function
-# g = sum_i X_i' t_i, the working residuals t, one row per subject, and a
-# callable that builds the scoring matrix H at beta from the arrays it binds.
-# t and those arrays are the planes of cells, which each evaluation overwrites.
-# The line search calls gram only at the points it accepts.
-
-def _blockwise_system(data, family, beta, cell_values, cells):
-    """(g, t, w): the model is evaluated a block of subjects at a time, and
-    cell_values(ModelEval) gives the block's rows of t and w, the planes of
-    cells."""
+def _evaluate(data, family, Q, beta, cells):
+    """g = sum_i X_i' t_i at beta, the model evaluated a block of subjects at a
+    time into the two planes of cells, which every call overwrites: (eps, var)
+    with Q None (working independence), else (t, sd) with the working residuals
+    t_i = A_i^{1/2} Q A_i^{-1/2} eps_i of a fixed correlation inverse Q."""
     t, w = cells
 
     def block_score(rows):
-        t[rows], w[rows] = cell_values(eval_model(data, family, beta, rows))
+        ev = eval_model(data, family, beta, rows)
+        if Q is None:
+            t[rows], w[rows] = ev.eps, ev.var
+        else:
+            sd = ev.sd
+            t[rows], w[rows] = sd * ((ev.eps / sd) @ Q.T), sd
         return _score(data.X[rows], t[rows])
 
-    return reduce(np.add, map(block_score, _blocks(data.X))), t, w
+    return reduce(np.add, map(block_score, _blocks(data.X)))
 
 
-def _independence_system(data, family, beta, cells):
-    g, eps, var = _blockwise_system(data, family, beta, lambda ev: (ev.eps, ev.var), cells)
-    return g, eps, partial(_weighted_gram, data.X, var)
-
-
-def _general_system(data, family, Q, beta, cells):
-    """Estimating function and scoring matrix for a fixed correlation inverse Q;
-    the working residuals are A^{1/2} Q A^{-1/2} eps, per subject."""
-    def cell_values(ev):
-        sd = ev.sd
-        return sd * ((ev.eps / sd) @ Q.T), sd
-
-    g, t, sd = _blockwise_system(data, family, beta, cell_values, cells)
-    return g, t, partial(_sandwiched_gram, data.X, sd, Q)
+def _gram(X, Q, w):
+    """H from _evaluate's second plane: sum_i X_i' diag(w_i) X_i with Q None, else
+    sum_i B_i' Q B_i, B_i = diag(w_i) X_i; the first is Q = I, summed as its own GEMM."""
+    return _weighted_gram(X, w) if Q is None else _sandwiched_gram(X, w, Q)
 
 
 def _norm(v):
@@ -197,64 +187,61 @@ def _sandwich(X, t, H_inv):
         return _require_finite(H_inv @ (V.T @ V) @ H_inv, "the sandwich covariance")
 
 
-def _newton_solve(data, beta_init, system, method):
-    """Damped Newton / Fisher scoring on the estimating function.
+def _newton_solve(data, family, beta_init, Q, method):
+    """Damped Newton / Fisher scoring on the estimating function of _evaluate
+    for the correlation inverse Q (None: working independence).
 
     Full step first; halved whenever the estimating-function norm fails to
     decrease or the link overflows along the way.  H is built only at the
-    accepted points and decomposed once there: at the initial point that is
-    the rank check, and at beta_hat it gives H^{-1} for the sandwich
-    covariance the result carries.  Every point is evaluated into one pair of
-    (n, m) arrays: H^{-1} is taken at an accepted point before any candidate
-    overwrites its t and gram, and beta_hat is the point evaluated last.
+    accepted points, and decomposed once there, at the head of the loop: at
+    the initial point that is the rank check, and at beta_hat it gives H^{-1}
+    for the sandwich covariance the result carries.  Every point is evaluated
+    into one pair of (n, m) arrays: H^{-1} is taken at an accepted point before
+    any candidate overwrites its cells, and beta_hat is the point evaluated last.
     """
     beta = np.asarray(beta_init, dtype=float).copy()
     cells = np.empty((2,) + data.y.shape)
     try:    # under the line search's errstate: what overflows is named below
         with np.errstate(over="ignore", invalid="ignore"):
             tol = _GRAD_TOL * (1.0 + _norm(_score(data.X, data.y)))
-            g, t, gram = system(beta, cells)
+            g = _evaluate(data, family, Q, beta, cells)
             gnorm = _norm(g)
     except LinkOverflowError as exc:
         raise LineSearchFailure(f"link overflow at the initial point: {exc}") from exc
     _require_finite(tol, "the convergence scale (the norm of sum_i X_i' y_i)")
     _require_finite(gnorm, "the estimating function's norm at the initial point")
     trace = [(beta.copy(), gnorm)]
-    H_inv = _scoring_inverse(gram(), "at the initial point")
-    converged = gnorm <= tol
 
-    it = 0
-    while not converged and it < _MAX_ITER:
+    it, step_size = 0, math.inf
+    while True:     # at an accepted point: beta, g, gnorm and its cells
+        H_inv = _scoring_inverse(_gram(data.X, Q, cells[1]),
+                                 f"after iteration {it}" if it else "at the initial point")
+        converged = gnorm <= tol
+        if converged or it >= _MAX_ITER or step_size <= _STEP_TOL * (1.0 + _norm(beta)):
+            break
         it += 1
         step = H_inv @ g
-        accepted = False
         scale = 1.0
         for _ in range(_STEP_HALVING_MAX + 1):
             cand = beta + scale * step
             try:    # an overflowing g gives an inf or NaN norm, which is rejected
                 with np.errstate(over="ignore", invalid="ignore"):
-                    g_new, t, gram = system(cand, cells)
+                    g_new = _evaluate(data, family, Q, cand, cells)
                     gnorm_new = _norm(g_new)
             except LinkOverflowError:
                 scale *= 0.5
                 continue
             if gnorm_new < gnorm:
-                accepted = True
                 break
             scale *= 0.5
-        if not accepted:
+        else:
             raise LineSearchFailure(
                 f"step halving exhausted after {_STEP_HALVING_MAX} halvings "
                 f"at iteration {it} (gnorm={gnorm:.6g})"
             )
-
         step_size = _norm(scale * step)
         beta, g, gnorm = cand, g_new, gnorm_new
         trace.append((beta.copy(), gnorm))
-        H_inv = _scoring_inverse(gram(), f"after iteration {it}")
-        converged = gnorm <= tol
-        if step_size <= _STEP_TOL * (1.0 + _norm(beta)):
-            break
 
     causes = ()
     if data.n < data.p:     # the sandwich's middle matrix is a sum of n rank-one terms
@@ -266,7 +253,7 @@ def _newton_solve(data, beta_init, system, method):
                     f"the {method} fit did not converge (iterations={len(trace) - 1}, "
                     f"gnorm={gnorm:.6g}); beta_hat is its last iterate"),)
     return FitResult(beta_hat=beta, converged=converged, trace=trace, method=method,
-                     cov_beta=SymMatrix(_sandwich(data.X, t, H_inv)), causes=causes)
+                     cov_beta=SymMatrix(_sandwich(data.X, cells[0], H_inv)), causes=causes)
 
 
 def gee_independence_fit(data, family):
@@ -277,8 +264,7 @@ def gee_independence_fit(data, family):
     covariance H^{-1} M H^{-1} at beta_hat.  A rank-deficient design raises
     SingularDesignError at the initial point.
     """
-    return _newton_solve(data, np.zeros(data.p), partial(_independence_system, data, family),
-                         METHOD_INDEPENDENCE)
+    return _newton_solve(data, family, np.zeros(data.p), None, METHOD_INDEPENDENCE)
 
 
 def _average_correlation(X, cells):
@@ -320,8 +306,8 @@ def pseudo_likelihood_fit(data, family, corr, beta_init=None):
     Q = sym_eigen(corr.R_tilde, require_spd="correlation estimate").power(-1)
     if beta_init is None:
         beta_init = np.zeros(data.p)
-    return replace(_newton_solve(data, beta_init, partial(_general_system, data, family, Q),
-                                 METHOD_PSEUDO_LIKELIHOOD), correlation_used=corr)
+    return replace(_newton_solve(data, family, beta_init, Q, METHOD_PSEUDO_LIKELIHOOD),
+                   correlation_used=corr)
 
 
 def two_step_fit(data, family):

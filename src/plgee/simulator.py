@@ -105,9 +105,9 @@ class CorrelationSpec:
     R_bar: tuple = ()         # nested tuple for custom matrices (hashable)
 
     def matrix(self, m):
-        """R_bar for m times, read-only.  A ConfigError unless it is symmetric
-        with unit diagonal to 1e-10 and meets sym_eigen's SPD floor, which the
-        generators apply; so is a key that the kind does not read."""
+        """R_bar for m times, read-only.  A ConfigError unless it meets sym_eigen's
+        SPD floor, which the generators apply (a custom one must also be symmetric
+        with unit diagonal to 1e-10), or if the kind does not read a key given."""
         if self.kind == "custom":
             if self.rho != 0.0:
                 raise ConfigError(f"a custom correlation does not read 'rho', got rho={self.rho}")
@@ -116,6 +116,11 @@ class CorrelationSpec:
                 raise ConfigError(f"custom correlation must be {m}x{m}, got {R.shape}")
             if not np.isfinite(R).all():
                 raise ConfigError("custom correlation has non-finite entries")
+            if np.max(np.abs(R - R.T)) > 1e-10:
+                raise ConfigError("custom correlation must be symmetric")
+            if np.max(np.abs(np.diag(R) - 1.0)) > 1e-10:
+                raise ConfigError("custom correlation must have unit diagonal")
+            R = SymMatrix(R).a
         elif self.kind not in ("exchangeable", "ar1"):
             raise ConfigError(f"unknown correlation kind {self.kind!r}")
         elif self.R_bar:
@@ -129,11 +134,6 @@ class CorrelationSpec:
             if not abs(self.rho) < 1.0:
                 raise ConfigError(f"ar1 rho must satisfy |rho| < 1, got {self.rho}")
             R = ar1_matrix(m, self.rho)
-        if np.max(np.abs(R - R.T)) > 1e-10:
-            raise ConfigError(f"{self.kind} correlation must be symmetric")
-        if np.max(np.abs(np.diag(R) - 1.0)) > 1e-10:
-            raise ConfigError(f"{self.kind} correlation must have unit diagonal")
-        R = SymMatrix(R).a
         try:
             sym_eigen(R, require_spd=f"{self.kind} correlation")
         except NotPositiveDefiniteError as exc:
@@ -327,6 +327,11 @@ def generate_dataset(config, seed):
     return gen_discrete(X, config.beta0, config.family, config.R_bar, seed=resp_seed)
 
 
+def _counts(kinds):
+    """(kind, count) pairs as "3 not-converged, 1 link-overflow"."""
+    return ", ".join(f"{count} {kind}" for kind, count in kinds)
+
+
 @dataclass
 class MCReport:
     replications: int
@@ -358,10 +363,10 @@ class MCReport:
         and an oracle tau that does not exist."""
         causes = ()
         if self.n_failures / self.replications > MAX_FAILURE_FRACTION:
-            counts = ", ".join(f"{count} {kind}" for kind, count in self.failure_kinds)
             causes += (("replicates-failed",
-                        f"{self.n_failures} of {self.replications} replicates failed, "
-                        f"more than the {MAX_FAILURE_FRACTION:g} fraction allowed ({counts})"),)
+                        f"{self.n_failures} of {self.replications} replicates failed, more than "
+                        f"the {MAX_FAILURE_FRACTION:g} fraction allowed "
+                        f"({_counts(self.failure_kinds)})"),)
         if self.tau_oracle is None:
             causes += (("tau-oracle-undefined",
                         f"{self.replications - self.n_failures} of {self.replications} "
@@ -445,9 +450,10 @@ def summarize_replicates(config, results):
     """
     ok = [d for d in results if d["ok"]]
     n_fail = config.replications - len(ok)
-    kinds = Counter(d["kind"] for d in results if not d["ok"])
+    kinds = tuple(Counter(d["kind"] for d in results if not d["ok"]).most_common())
     if not ok:
-        raise EmptyReportError("no replicate gave a two-step estimate; nothing to aggregate")
+        raise EmptyReportError("no replicate gave a two-step estimate; nothing to aggregate "
+                               f"({_counts(kinds)})")
 
     beta0 = np.asarray(config.beta0, dtype=float)
     B_two = np.array([d["beta_two"] for d in ok])
@@ -490,7 +496,7 @@ def summarize_replicates(config, results):
         max_corr_max_abs_error=float(np.max(corr_err)),
         lambda_min_R_bar=float(sym_eigen(config.R_bar).values[0]),
         tau_oracle=tau_oracle,
-        failure_kinds=tuple(kinds.most_common()),
+        failure_kinds=kinds,
     )
 
 

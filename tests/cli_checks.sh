@@ -234,6 +234,21 @@ grep -q '"tau_oracle":null' separated.out
 test "$(wc -l < separated.err)" -eq 2
 grep -q '"warning":"replicates-failed"' separated.err
 grep -q '"warning":"tau-oracle-undefined"' separated.err
+# four subjects, six times: every R-tilde is singular and all 20 replicates
+# fall back to independence, so there is no report (exit 1); the replicates
+# CSV is still written, and the error detail counts the failures by kind
+sed -e 's/"n": 40, "m": 3/"n": 4, "m": 6/' -e 's/"replications": 3/"replications": 20/' \
+  sim.json > empty.json
+rc=0
+PYTHONWARNINGS=error plgee simulate --config empty.json --replicates-csv empty.csv \
+  > empty.out 2> empty.err || rc=$?
+test "$rc" -eq 1
+test ! -s empty.out
+test "$(wc -l < empty.err)" -eq 1
+grep -q '"error":"empty-report"' empty.err
+grep -q '(20 fallback-to-independence)' empty.err
+test "$(tail -n +2 empty.csv | wc -l)" -eq 20
+test "$(cut -d, -f2 empty.csv | tail -n +2 | sort -u)" = 0
 # so does a custom R-bar whose latent correlations are as high; an asymmetric
 # R-bar, and one below the SPD floor of the generators, are one config line
 # each (exit 1), written before any replicate runs

@@ -115,6 +115,9 @@ for path, edit in (      # numbers a config must give as they are, and finite
 configs["sim_singular_mean.json"] = {    # separated: the one ok replicate's R-tilde is ~0
     **small, "n": 30, "m": 3, "family": "logit", "beta0": [-800.0, 0.0],
     "correlation": {"kind": "exchangeable", "rho": 0.3}}
+configs["sim_empty_report.json"] = {     # n < m: every replicate falls back
+    **small, "n": 4, "m": 6, "family": "identity", "beta0": [1.0, 0.5], "replications": 20,
+    "correlation": {"kind": "exchangeable", "rho": 0.3}}
 for path, doc in configs.items():
     with open(path, "w") as fh:
         json.dump(doc, fh)
@@ -161,6 +164,7 @@ cases=(
   "simulate-custom-inf simulate --config sim_custom_inf.json"
   "simulate-log-overflow simulate --config sim_log_overflow.json"
   "simulate-singular-mean simulate --config sim_singular_mean.json --replicates-csv @CSV@"
+  "simulate-empty-report simulate --config sim_empty_report.json --replicates-csv @CSV@"
 )
 
 run_all() {     # $1: the tree whose src/ runs, $2: the directory for its outputs

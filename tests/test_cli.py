@@ -1214,17 +1214,25 @@ class TestSimulate:
 
     def test_every_replicate_falling_back_is_an_empty_report(self, tmp_path, capsys):
         # n=4 < m=6: every R-tilde is singular, so every fit falls back to
-        # independence, and no replicate has a two-step estimate
+        # independence, and no replicate has a two-step estimate.  The CSV is
+        # written before the report is aggregated, so it still lists them
         path = tmp_path / "sim.json"
         path.write_text(json.dumps({
             "n": 4, "m": 6, "p": 2, "family": "identity", "beta0": [1.0, 0.5],
             "design": {"kind": "iid_uniform"},
             "correlation": {"kind": "exchangeable", "rho": 0.3},
             "replications": 20, "base_seed": 1}))
-        code, out, err = run_cli(["simulate", "--config", str(path)], capsys)
+        reps, report = tmp_path / "reps.csv", tmp_path / "report.json"
+        code, out, err = run_cli(["simulate", "--config", str(path), "--replicates-csv",
+                                  str(reps), "--out", str(report)], capsys)
         assert (code, out) == (1, "")
         assert json.loads(err) == {"error": "empty-report",
-                                   "detail": "no replicate gave a two-step estimate; nothing to aggregate"}
+                                   "detail": "no replicate gave a two-step estimate; nothing "
+                                             "to aggregate (20 fallback-to-independence)"}
+        assert reps.read_text().splitlines() == (
+            ["rep,converged,beta1,beta2,z1,z2,covered1,covered2"]
+            + [f"{r},0,,,,,," for r in range(20)])
+        assert not report.exists()
 
     def test_fewer_subjects_than_covariates_is_an_empty_report(self, tmp_path, capsys):
         # n=4 < p=5: every fit carries fewer-subjects-than-covariates, its
@@ -1238,7 +1246,8 @@ class TestSimulate:
         code, out, err = run_cli(["simulate", "--config", str(path)], capsys)
         assert (code, out) == (1, "")
         assert json.loads(err) == {"error": "empty-report",
-                                   "detail": "no replicate gave a two-step estimate; nothing to aggregate"}
+                                   "detail": "no replicate gave a two-step estimate; nothing "
+                                             "to aggregate (5 fewer-subjects-than-covariates)"}
 
     def test_singular_mean_r_tilde_is_a_report_with_null_tau(self, tmp_path, capsys):
         # separated logit data: one replicate of three passes, with an R-tilde

@@ -1,7 +1,6 @@
 import tracemalloc
 import warnings
 from dataclasses import FrozenInstanceError
-from functools import partial
 
 import numpy as np
 import pytest
@@ -59,9 +58,7 @@ def glm_dataset(family, n, m, seed):
 
 def independence_fit_from(data, family, beta_init):
     """gee_independence_fit started at beta_init instead of zero."""
-    return estimator._newton_solve(
-        data, beta_init, partial(estimator._independence_system, data, family),
-        estimator.METHOD_INDEPENDENCE)
+    return estimator._newton_solve(data, family, beta_init, None, estimator.METHOD_INDEPENDENCE)
 
 
 def overflow_dataset():
@@ -514,16 +511,16 @@ class TestAssemblyHelpers:
         # keeping a rejected candidate's arrays alive while the next one is
         # evaluated peaked at 0.54x X.nbytes against 0.35x
         data = self.large_counts()
-        systems = []
-        real = estimator._independence_system
-        monkeypatch.setattr(estimator, "_independence_system",
-                            lambda *args: systems.append(1) or real(*args))
+        evaluations = []
+        real = estimator._evaluate
+        monkeypatch.setattr(estimator, "_evaluate",
+                            lambda *args: evaluations.append(1) or real(*args))
         halved, halved_peak = self.traced_peak(lambda: gee_independence_fit(data, LOG))
-        assert len(systems) == halved.iterations + 2       # one halving
-        systems.clear()
+        assert len(evaluations) == halved.iterations + 2       # one halving
+        evaluations.clear()
         near, near_peak = self.traced_peak(
             lambda: independence_fit_from(data, LOG, halved.beta_hat + 1e-3))
-        assert len(systems) == near.iterations + 1         # none
+        assert len(evaluations) == near.iterations + 1         # none
         # the halved fit holds about a kilobyte more: its longer trace
         assert halved_peak <= near_peak + 0.01 * data.X.nbytes
 
@@ -628,16 +625,14 @@ class TestTwoStep:
         # only the correlation estimate's SPD check may trigger the fallback
         import plgee.estimator as estimator
         data = logit_dataset(n=90, seed=46)
-        beta_hat = two_step_fit(data, LOGIT).beta_hat
-        real = estimator._general_system
+        last = two_step_fit(data, LOGIT).iterations + 1     # the scoring matrix at beta_hat
+        real, calls = estimator._sandwiched_gram, []
 
-        def singular_at_beta_hat(data, family, Q, beta, cells):
-            g, t, gram = real(data, family, Q, beta, cells)
-            if np.array_equal(beta, beta_hat):
-                return g, t, lambda: 0.0 * gram()
-            return g, t, gram
+        def singular_at_beta_hat(*args):
+            calls.append(1)
+            return 0.0 * real(*args) if len(calls) == last else real(*args)
 
-        monkeypatch.setattr(estimator, "_general_system", singular_at_beta_hat)
+        monkeypatch.setattr(estimator, "_sandwiched_gram", singular_at_beta_hat)
         with pytest.raises(SingularDesignError, match="scoring matrix"):
             two_step_fit(data, LOGIT)
 

@@ -1,4 +1,5 @@
-"""Invariances the estimator has by construction, checked as properties.
+"""Invariances the estimator has by construction, checked as properties, and
+the two-step estimate checked against a scipy root of the paper's equation.
 
 Each example draws its arrays from ``default_rng(seed)`` with the seed drawn
 by hypothesis; ``derandomize`` fixes the examples, so every run checks the
@@ -9,7 +10,9 @@ from the logit generator.
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from scipy import optimize
 
+from plgee import estimator
 from plgee.diagnostics import condition_trend_report
 from plgee.errors import ConfigError, LinkOverflowError
 from plgee.estimator import (
@@ -22,6 +25,7 @@ from plgee.matkernel import SymMatrix, max_relative_eigenvalue, sym_eigen
 from plgee.model import (_TINY, IDENTITY, LOG, LOG_THETA_LIMIT, LOGIT, PROBIT, LongitudinalDataset,
                          eval_model)
 from plgee.simulator import CorrelationSpec, exchangeable_matrix, gen_discrete, gen_gaussian
+from sandwich_oracle import mean_variance, sandwich
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=20)
 
@@ -277,3 +281,34 @@ def test_response_scaling_under_the_identity_link(case):
     assert fit.method == scaled.method
     assert_close(scaled.beta_hat, c * fit.beta_hat, rel=1e-12)
     assert_close(scaled.cov_beta.a, c * c * fit.cov_beta.a, rel=1e-12)
+
+
+@pytest.mark.parametrize("family", [IDENTITY, LOG, LOGIT, PROBIT],
+                         ids=["identity", "log", "logit", "probit"])
+@PROPERTY
+@given(st.integers(0, 2**32 - 1))
+def test_two_step_estimate_is_a_root_of_the_numpy_equation(family, seed):
+    # The paper's pseudo-likelihood equation at the fit's R-tilde,
+    #     g(beta) = sum_i X_i' A_i^{1/2} R^{-1} A_i^{-1/2} (y_i - mu_i) = 0,
+    # written in numpy and solved by scipy from the step-1 estimate.  The fit
+    # stops at |g| <= tol and the oracle root is held to the same tol, so to
+    # first order |beta_hat - root| <= |J^{-1}| (|g(beta_hat)| + |g(root)|)
+    # <= 2 |H^{-1}| tol, with the scoring matrix H in place of the Jacobian J
+    _, data, _ = draw((family, seed, 80, 4, 3))
+    fit = converged(two_step_fit(data, family))
+    assume(fit.method == "pseudo_likelihood")
+    R = fit.correlation_used.R_tilde.a
+    Q = np.linalg.inv(R)
+
+    def g(beta):
+        mu, var = mean_variance(family.kind, data.X @ beta)
+        sd = np.sqrt(var)
+        return np.einsum("nmp,nm->p", data.X, sd * (((data.y - mu) / sd) @ Q))
+
+    # judged by its residual: scipy reports "not making good progress" at
+    # |g| near 1e-15 on some of these examples
+    root = optimize.root(g, fit.preliminary.beta_hat).x
+    tol = estimator._GRAD_TOL * (1.0 + np.linalg.norm(np.einsum("nmp,nm->p", data.X, data.y)))
+    assert np.linalg.norm(g(root)) <= tol
+    H_inv = np.linalg.inv(sandwich(data, family, root, R)[0])
+    assert np.max(np.abs(fit.beta_hat - root)) <= 2.0 * np.linalg.norm(H_inv, 2) * tol

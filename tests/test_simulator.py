@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from plgee import simulator
-from plgee.errors import ConfigError, InvalidInputError, NotPositiveDefiniteError, PlgeeError
+from plgee.errors import (ConfigError, EmptyReportError, InvalidInputError,
+                          NotPositiveDefiniteError, PlgeeError)
 from plgee.model import IDENTITY, LOG, LOGIT, PROBIT
 from plgee.simulator import (
     CorrelationSpec,
@@ -604,6 +605,17 @@ class TestHarness:
             f"more than the 0.02 fraction allowed ({n_failures} not-converged)"),) * warns
         assert "causes" not in report.to_json()
         assert "failure_kinds" not in report.to_json()
+
+    def test_empty_report_names_the_failure_kinds(self):
+        # with no replicate to aggregate, the error detail is the only place
+        # the kinds can go: counted as replicates-failed counts them
+        c = config(replications=4)
+        results = [{"rep": r, "ok": False, "kind": kind} for r, kind in enumerate(
+            ["fallback-to-independence", "singular-design"] + ["fallback-to-independence"] * 2)]
+        with pytest.raises(EmptyReportError) as err:
+            summarize_replicates(c, results)
+        assert str(err.value) == ("no replicate gave a two-step estimate; nothing to aggregate "
+                                  "(3 fallback-to-independence, 1 singular-design)")
 
     def test_singular_mean_r_tilde_leaves_tau_oracle_null(self):
         # beta0 (-800, 0) gives y = 1[x1 < 0], separated: replicates 0 and 1
