@@ -32,7 +32,7 @@ class LineSearchFailure(PlgeeError):
 
 
 class LinkOverflowError(PlgeeError):
-    """A theta past the link's limit, naming its subject and time (None if unknown)."""
+    """A theta past the link's limit; subject and time are 0-based (None if unknown)."""
 
     kind = "link-overflow"
 

@@ -248,10 +248,12 @@ def _newton_solve(data, family, beta_init, Q, method):
         causes += (("fewer-subjects-than-covariates",
                     f"n={data.n} subjects < p={data.p} covariates: the sandwich covariance "
                     "is singular, so stderr and wald_ci are not valid"),)
-    if not converged:
+    if not converged:       # stopped by _MAX_ITER, or else by _STEP_TOL
+        stop = (f"it reached the iteration limit of {_MAX_ITER}" if it >= _MAX_ITER else
+                f"its last step fell below the step tolerance {_STEP_TOL:g} * (1 + |beta|)")
         causes += (("not-converged",
                     f"the {method} fit did not converge (iterations={len(trace) - 1}, "
-                    f"gnorm={gnorm:.6g}); beta_hat is its last iterate"),)
+                    f"gnorm={gnorm:.6g}): {stop}; beta_hat is its last iterate"),)
     return FitResult(beta_hat=beta, converged=converged, trace=trace, method=method,
                      cov_beta=SymMatrix(_sandwich(data.X, cells[0], H_inv)), causes=causes)
 

@@ -302,7 +302,8 @@ def eval_model(data, family, beta, rows=slice(None)):
     if not within.all():
         i, j = np.argwhere(~within)[0]
         i, j = range(data.n)[rows][i], int(j)
-        raise LinkOverflowError(f"{family.kind} link overflow at subject {i}, time {j}",
+        raise LinkOverflowError(f"{family.kind} link overflow at subject position {i + 1} "
+                                f"(first-appearance order), time {j + 1}",
                                 subject=i, time=j)
     mu, var = _mean_and_variance(family, theta)
     return ModelEval(theta=theta, mu=mu, var=var, eps=data.y[rows] - mu)

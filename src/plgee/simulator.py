@@ -1,6 +1,6 @@
 """Seeded synthetic-data generators and the Monte Carlo harness.
 
-Generators produce datasets whose marginal mean and variance follow the
+One generator draws datasets whose marginal mean and variance follow the
 canonical-link model exactly (Gaussian for the identity link; Poisson and
 Bernoulli through a latent Gaussian copula for log and logit).  The harness
 runs the two-step and working-independence estimators over replicates with
@@ -20,6 +20,7 @@ from .estimator import CI_LEVEL, Z_95, estimate_correlation, two_step_fit, wald_
 from .matkernel import SymMatrix, max_relative_eigenvalue, sym_eigen
 from .model import (
     _TINY,
+    IDENTITY,
     LinkFamily,
     LongitudinalDataset,
     gauss_cdf,
@@ -51,22 +52,13 @@ def _rng(seed):
     return Generator(PCG64(seed))
 
 
-def _uniforms(seed, shape):
-    return _rng(seed).random(shape)
-
-
-def _standard_normals(seed, shape):
-    # inverse-CDF sampling: all randomness flows through one uniform stream
-    u = _uniforms(seed, shape)
-    u = np.clip(u, 1e-300, 1.0 - 1e-16)
-    return gauss_quantile_array(u)
-
-
 def _correlated_normals(R_bar, seed, shape):
-    """Gaussian (n, m) array whose rows are N(0, R_bar); R_bar must be SPD."""
-    R_bar = SymMatrix(R_bar).a
+    """Gaussian (n, m) array whose rows are N(0, R_bar); R_bar must be SPD.  All
+    randomness flows through one uniform stream, by inverse-CDF sampling."""
+    R_bar = SymMatrix(R_bar)
     sym_eigen(R_bar, require_spd="correlation matrix")
-    return _standard_normals(seed, shape) @ np.linalg.cholesky(R_bar).T
+    u = np.clip(_rng(seed).random(shape), 1e-300, 1.0 - 1e-16)
+    return gauss_quantile_array(u) @ np.linalg.cholesky(R_bar.a).T
 
 
 def exchangeable_matrix(m, rho):
@@ -169,17 +161,7 @@ class SimConfig:
             raise ConfigError(f"beta0 must be finite, got {list(self.beta0)}")
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
-        if self.subject_dependence not in ("independent", "sign_modulated"):
-            raise ConfigError(
-                f"unknown subject_dependence {self.subject_dependence!r}"
-            )
-        if self.family.kind == "probit":
-            raise ConfigError(
-                "no generator exists for the probit variance function; "
-                "fit probit on logit-generated data instead"
-            )
-        if self.family.kind != "identity" and self.subject_dependence != "independent":
-            raise ConfigError("sign_modulated dependence requires the identity link")
+        _check_response_model(self.family, self.subject_dependence)
         self.design.validate()
         object.__setattr__(self, "R_bar", self.correlation.matrix(self.m))
 
@@ -196,20 +178,27 @@ class SimConfig:
     @staticmethod
     def from_json(doc):
         """SimConfig from its JSON object; a key it does not know is an error."""
-        spec = {"lo": float, "hi": float, "rho": float,
-                "R_bar": lambda rows: tuple(map(_floats, rows))}
+        spec = {key: _number(key) for key in ("lo", "hi", "rho")}
+        spec["R_bar"] = lambda rows: tuple(tuple(map(_number("R_bar"), row)) for row in rows)
         try:
             return _from_json(SimConfig, doc, "config", {
-                "family": LinkFamily, "beta0": _floats,
+                "family": LinkFamily, "beta0": lambda values: tuple(map(_number("beta0"), values)),
                 "design": lambda d: _from_json(DesignSpec, d, "design", spec),
                 "correlation": lambda d: _from_json(CorrelationSpec, d, "correlation", spec),
             })
-        except (TypeError, ValueError, InvalidInputError) as exc:   # LinkFamily raises the last
+        # LinkFamily raises InvalidInputError, and float() OverflowError past double range
+        except (TypeError, ValueError, OverflowError, InvalidInputError) as exc:
             raise ConfigError(f"invalid simulation config: {exc}") from exc
 
 
-def _floats(values):
-    return tuple(map(float, values))
+def _number(key):
+    """The converter of a value of `key` to float: a JSON number (an int or a
+    float, not a bool); anything else is a ConfigError naming the key."""
+    def number(value):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{key} takes JSON numbers only, got {value!r}")
+        return float(value)
+    return number
 
 
 def _from_json(cls, doc, where, convert):
@@ -229,8 +218,7 @@ def make_design(config, seed):
     n, m, p = config.n, config.m, config.p
     spec = config.design
     if spec.kind == "iid_uniform":
-        u = _uniforms(seed, (n, m, p))
-        return spec.lo + (spec.hi - spec.lo) * u
+        return spec.lo + (spec.hi - spec.lo) * _rng(seed).random((n, m, p))
     if spec.kind == "grid":
         # deterministic bounded design: 11 equally spaced levels in [-1, 1],
         # phase-shifted per covariate so columns are not collinear
@@ -247,26 +235,6 @@ def make_design(config, seed):
     X = np.zeros((cells, p))
     X[np.arange(cells), levels] = 1.0
     return X.reshape(n, m, p)
-
-
-def gen_gaussian(X, beta0, R_bar, subject_dependence="independent", *, seed):
-    """Identity-link responses y_i = X_i beta0 + L z_i with Cov = R_bar.
-
-    sign_modulated flips each residual vector by a sign that is a function
-    of the previous subjects' first residual components: the flip is
-    past-measurable, so the residuals stay a martingale difference sequence
-    with unchanged marginal covariance.
-    """
-    X = np.asarray(X, dtype=float)
-    beta0 = np.asarray(beta0, dtype=float)
-    eps = _correlated_normals(R_bar, seed, X.shape[:2])
-    if subject_dependence == "sign_modulated":
-        running = 0.0
-        for row in eps:
-            row *= 1.0 if running >= 0.0 else -1.0
-            running += row[0]
-    theta = X @ beta0
-    return LongitudinalDataset(X, theta + eps)
 
 
 def _poisson_quantile_grid(v, lam):
@@ -291,21 +259,43 @@ def _poisson_quantile_grid(v, lam):
     return y
 
 
-def gen_discrete(X, beta0, family, R_bar, seed):
-    """Poisson (log link) or Bernoulli (logit link) marginals with latent
-    Gaussian-copula dependence.
+def _check_response_model(family, subject_dependence):
+    """ConfigError unless a generator exists for the link and the dependence."""
+    if subject_dependence not in ("independent", "sign_modulated"):
+        raise ConfigError(f"unknown subject_dependence {subject_dependence!r}")
+    if family.kind == "probit":
+        raise ConfigError("no generator exists for the probit variance function; "
+                          "fit probit on logit-generated data instead")
+    if family.kind != "identity" and subject_dependence != "independent":
+        raise ConfigError("sign_modulated dependence requires the identity link")
 
-    Marginal means and variances match the canonical-link model exactly;
-    the realized response correlation differs from the latent R_bar (it is
-    attenuated, and for binary data Frechet-bounded)."""
-    if family.kind not in ("log", "logit"):
-        raise ConfigError(
-            f"discrete generator supports log and logit links, not {family.kind!r}"
-        )
+
+def gen_responses(X, beta0, family, R_bar, subject_dependence="independent", *, seed):
+    """Responses with canonical-link marginals at theta = X beta0 and latent
+    correlation R_bar: the rows z_i ~ N(0, R_bar) are drawn once.
+
+    identity: y_i = theta_i + z_i, so Cov(y_i) = R_bar.  sign_modulated flips
+    each z_i by a sign that is a function of the previous subjects' first
+    components: the flip is past-measurable, so the residuals stay a martingale
+    difference sequence with unchanged marginal covariance.
+
+    log and logit: Poisson and Bernoulli marginals through the Gaussian copula
+    Phi(z).  Their means and variances match the model exactly; the realized
+    response correlation differs from the latent R_bar (it is attenuated, and
+    for binary data Frechet-bounded).
+    """
+    _check_response_model(family, subject_dependence)
     X = np.asarray(X, dtype=float)
-    beta0 = np.asarray(beta0, dtype=float)
-    v = gauss_cdf(_correlated_normals(R_bar, seed, X.shape[:2]))
-    theta = X @ beta0
+    z = _correlated_normals(R_bar, seed, X.shape[:2])
+    theta = X @ np.asarray(beta0, dtype=float)
+    if family.kind == "identity":
+        if subject_dependence == "sign_modulated":
+            running = 0.0
+            for row in z:
+                row *= 1.0 if running >= 0.0 else -1.0
+                running += row[0]
+        return LongitudinalDataset(X, theta + z)
+    v = gauss_cdf(z)
     with np.errstate(over="ignore"):    # inf: a mean the quantile grid rejects, or mu = 0
         e = np.exp(theta if family.kind == "log" else -theta)
     if family.kind == "log":
@@ -316,15 +306,16 @@ def gen_discrete(X, beta0, family, R_bar, seed):
     return LongitudinalDataset(X, y)
 
 
+def gen_gaussian(X, beta0, R_bar, subject_dependence="independent", *, seed):
+    """The identity-link case of gen_responses: y_i = X_i beta0 + z_i."""
+    return gen_responses(X, beta0, IDENTITY, R_bar, subject_dependence, seed=seed)
+
+
 def generate_dataset(config, seed):
-    """Dispatch to the generator matching the configured link."""
+    """The dataset of a config at a replicate seed: the design, then the responses."""
     X = make_design(config, seed=mix_seed(seed, _TAG_DESIGN))
-    resp_seed = mix_seed(seed, _TAG_RESPONSE)
-    if config.family.kind == "identity":
-        return gen_gaussian(X, config.beta0, config.R_bar,
-                            subject_dependence=config.subject_dependence,
-                            seed=resp_seed)
-    return gen_discrete(X, config.beta0, config.family, config.R_bar, seed=resp_seed)
+    return gen_responses(X, config.beta0, config.family, config.R_bar,
+                         config.subject_dependence, seed=mix_seed(seed, _TAG_RESPONSE))
 
 
 def _counts(kinds):

@@ -315,6 +315,24 @@ for case in '1e308,1e308 link-overflow identity link overflow at subject' \
   grep -q "\"error\":\"$kind\"" beta.err
   grep -q "$detail" beta.err
 done
+# the theta overflow names its cell as the CSV does: the time value of the
+# first record whose theta = 1e308 + 1e308 x2 overflows, and the position
+# of its subject in first-appearance order
+rc=0
+plgee diagnose --data unit_y.csv --link identity --beta 1e308,1e308 2> beta.err || rc=$?
+test "$rc" -eq 1
+python - <<'EOF'
+import json
+import math
+with open("unit_y.csv") as fh:
+    records = [line.split(",") for line in fh.read().splitlines()[1:]]
+subjects = list(dict.fromkeys(r[0] for r in records))
+subject, time = next((s, t) for s, t, _, _, x in records if math.isinf(1e308 + 1e308 * float(x)))
+assert (subject, time) == ("2", "3"), (subject, time)
+want = (f"identity link overflow at subject position {subjects.index(subject) + 1} "
+        f"(first-appearance order), time {time}")
+assert json.load(open("beta.err"))["detail"] == want, want
+EOF
 # the intervals are 95 %: --ci-level is a usage error, and a config key
 # ci_level a config error (exit 1, one JSON line each)
 rc=0

@@ -109,7 +109,8 @@ for path, edit in (      # numbers a config must give as they are, and finite
         ("sim_width_overflow.json", {"design": {"kind": "iid_uniform", "lo": -1e308, "hi": 1e308}}),
         ("sim_custom_inf.json", {"correlation": {"kind": "custom", "R_bar": [
             [1, float("inf"), 0], [float("inf"), 1, 0], [0, 0, 1]]}}),
-        ("sim_log_overflow.json", {"family": "log", "beta0": [800.0, 0.0]})):
+        ("sim_log_overflow.json", {"family": "log", "beta0": [800.0, 0.0]}),
+        ("sim_rho_string.json", {"correlation": {"kind": "exchangeable", "rho": "0.3"}})):
     configs[path] = {**small, "family": "identity", "m": 3,
                      "correlation": {"kind": "exchangeable", "rho": 0.3}, **edit}
 configs["sim_singular_mean.json"] = {    # separated: the one ok replicate's R-tilde is ~0
@@ -163,6 +164,7 @@ cases=(
   "simulate-width-overflow simulate --config sim_width_overflow.json"
   "simulate-custom-inf simulate --config sim_custom_inf.json"
   "simulate-log-overflow simulate --config sim_log_overflow.json"
+  "simulate-rho-string simulate --config sim_rho_string.json"
   "simulate-singular-mean simulate --config sim_singular_mean.json --replicates-csv @CSV@"
   "simulate-empty-report simulate --config sim_empty_report.json --replicates-csv @CSV@"
 )

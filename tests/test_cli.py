@@ -766,7 +766,8 @@ class TestFit:
         assert [json.loads(line) for line in err.splitlines()] == [
             {"warning": "not-converged",
              "detail": f"the independence fit did not converge (iterations=1, "
-                       f"gnorm={doc['final_gnorm']:.6g}); beta_hat is its last iterate"},
+                       f"gnorm={doc['final_gnorm']:.6g}): it reached the iteration limit "
+                       "of 1; beta_hat is its last iterate"},
             {"warning": "fallback-to-independence",
              "detail": "the two-step fit fell back to the independence fit: "
                        "the preliminary fit did not converge"}]
@@ -817,7 +818,8 @@ class TestFit:
                          for kind, detail in two_step_fit(data, IDENTITY).causes]
         assert lines[1]["detail"] == (
             f"the independence fit did not converge (iterations=1, "
-            f"gnorm={doc['final_gnorm']:.6g}); beta_hat is its last iterate")
+            f"gnorm={doc['final_gnorm']:.6g}): it reached the iteration limit of 1; "
+            "beta_hat is its last iterate")
 
     def test_overflowing_line_search_candidate_writes_no_warning(self, tmp_path):
         # one outlying count makes the log-link fit try a candidate whose
@@ -880,7 +882,8 @@ class TestFit:
 
 class TestDiagnose:
     @pytest.mark.parametrize("beta, kind, detail", [
-        ("1e308,1e308", "link-overflow", "identity link overflow at subject 1, time 2"),
+        ("1e308,1e308", "link-overflow", "identity link overflow at subject position 2 "
+                                          "(first-appearance order), time 3"),
         ("1e200,1e200", "invalid-input", "R-tilde is not finite (it overflows double precision)"),
     ], ids=["theta", "R-tilde"])
     def test_beta_that_overflows_names_what_is_not_finite(self, tmp_path, beta, kind, detail,
@@ -1357,7 +1360,21 @@ class TestSimulate:
         ({"beta0": [float("inf"), 0.0]}, "beta0 must be finite, got [inf, 0.0]"),
         ({"design": {"kind": "iid_uniform", "lo": -1e308, "hi": 1e308}},
          "iid_uniform needs finite lo, hi and hi - lo, got [-1e+308, 1e+308]"),
-    ], ids=["n-fraction", "n-bool", "n-string", "beta0-inf", "width-overflow"])
+        # float keys take JSON numbers only: a string or a bool is not one
+        ({"correlation": {"kind": "exchangeable", "rho": "0.3"}},
+         "rho takes JSON numbers only, got '0.3'"),
+        ({"correlation": {"kind": "exchangeable", "rho": False}},
+         "rho takes JSON numbers only, got False"),
+        ({"design": {"kind": "iid_uniform", "lo": "-2"}}, "lo takes JSON numbers only, got '-2'"),
+        ({"beta0": [True, "-0.5"]}, "beta0 takes JSON numbers only, got True"),
+        ({"beta0": "12"}, "beta0 takes JSON numbers only, got '1'"),
+        ({"correlation": {"kind": "custom", "R_bar": [[1, 0, 0], [0, "1", 0], [0, 0, 1]]}},
+         "R_bar takes JSON numbers only, got '1'"),
+        ({"correlation": {"kind": "exchangeable", "rho": 10 ** 400}},
+         "invalid simulation config: int too large to convert to float"),
+    ], ids=["n-fraction", "n-bool", "n-string", "beta0-inf", "width-overflow", "rho-string",
+            "rho-bool", "lo-string", "beta0-bool-and-string", "beta0-string", "R_bar-string",
+            "rho-past-double-range"])
     def test_number_fault_is_a_config_error_at_load(self, edit, detail, tmp_path, capsys,
                                                     monkeypatch):
         import plgee.simulator as simulator

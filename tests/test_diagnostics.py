@@ -224,7 +224,8 @@ class TestDesignDiagnostics:
         data = LongitudinalDataset(X, np.zeros((6, 2)))
         monkeypatch.setattr(estimator, "_BLOCK_CELLS", 2 * 2 * 1)
         with pytest.raises(LinkOverflowError,
-                           match=r"^log link overflow at subject 4, time 1$") as info:
+                           match=r"^log link overflow at subject position 5 "
+                                 r"\(first-appearance order\), time 2$") as info:
             design_diagnostics(data, LOG, np.ones(1))
         assert (info.value.subject, info.value.time) == (4, 1)
 

@@ -176,15 +176,16 @@ class TestLineSearch:
         data = overflow_dataset()
         corr = estimate_correlation(data, LOG, np.zeros(2))
         with pytest.raises(LineSearchFailure,
-                           match="^link overflow at the initial point: log link overflow at "
-                                 "subject 0, time 0$"):
+                           match=r"^link overflow at the initial point: log link overflow at "
+                                 r"subject position 1 \(first-appearance order\), time 1$"):
             pseudo_likelihood_fit(data, LOG, corr, beta_init=np.array([800.0, 0.0]))
 
     def test_step_tolerance_stops_the_solve(self, monkeypatch):
         monkeypatch.setattr(estimator, "_STEP_TOL", 1.0)
         fit = gee_independence_fit(logit_dataset(), LOGIT)
         assert fit.iterations == 1 and not fit.converged
-        assert [kind for kind, _ in fit.causes] == ["not-converged"]
+        assert fit.causes == (TestCauses.not_converged(
+            fit, "its last step fell below the step tolerance 1 * (1 + |beta|)"),)
 
 
 class TestOverflowingData:
@@ -228,10 +229,12 @@ class TestCauses:
     UNCONVERGED = "the preliminary fit did not converge"
 
     @staticmethod
-    def not_converged(fit):
+    def not_converged(fit, stop=None):
+        """The cause of an unconverged fit; `stop` says why, by default the iteration limit."""
+        stop = stop or f"it reached the iteration limit of {estimator._MAX_ITER}"
         return ("not-converged",
                 f"the {fit.method} fit did not converge (iterations={fit.iterations}, "
-                f"gnorm={fit.final_gnorm:.6g}); beta_hat is its last iterate")
+                f"gnorm={fit.final_gnorm:.6g}): {stop}; beta_hat is its last iterate")
 
     @staticmethod
     def fallback(fit, why):
@@ -557,7 +560,8 @@ class TestSubjectBlocks:
         with pytest.raises(LinkOverflowError) as info:
             estimate_correlation(data, LOG, [1.0])
         assert (info.value.subject, info.value.time) == (7, 1)
-        assert str(info.value) == "log link overflow at subject 7, time 1"
+        assert str(info.value) == ("log link overflow at subject position 8 "
+                                   "(first-appearance order), time 2")
 
 
 class TestTwoStep:

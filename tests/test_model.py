@@ -249,7 +249,8 @@ class TestEvalModel:
         X[:, :, 1] = [[-1.0, 0.9], [0.0, 0.99]]
         d = LongitudinalDataset(X, np.zeros((2, 2)))
         with np.errstate(over="ignore"), pytest.raises(LinkOverflowError, match=(
-                f"^{family.kind} link overflow at subject 0, time 1$")) as exc:
+                f"^{family.kind} link overflow at subject position 1 "
+                r"\(first-appearance order\), time 2$")) as exc:
             eval_model(d, family, np.array([1e308, 1e308]))
         assert (exc.value.subject, exc.value.time) == (0, 1)
 

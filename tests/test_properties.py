@@ -24,7 +24,7 @@ from plgee.estimator import (
 from plgee.matkernel import SymMatrix, max_relative_eigenvalue, sym_eigen
 from plgee.model import (_TINY, IDENTITY, LOG, LOG_THETA_LIMIT, LOGIT, PROBIT, LongitudinalDataset,
                          eval_model)
-from plgee.simulator import CorrelationSpec, exchangeable_matrix, gen_discrete, gen_gaussian
+from plgee.simulator import CorrelationSpec, exchangeable_matrix, gen_gaussian, gen_responses
 from sandwich_oracle import mean_variance, sandwich
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=20)
@@ -48,11 +48,7 @@ def draw(case):
     beta0 = rng.uniform(-0.5, 0.5, size=p)
     R = exchangeable_matrix(m, rng.uniform(0.0, 0.6))
     response_seed = int(rng.integers(2**63))
-    if family is IDENTITY:
-        data = gen_gaussian(X, beta0, R, seed=response_seed)
-    else:
-        data = gen_discrete(X, beta0, LOG if family is LOG else LOGIT, R,
-                            seed=response_seed)
+    data = gen_responses(X, beta0, LOGIT if family is PROBIT else family, R, seed=response_seed)
     return family, data, rng
 
 

@@ -18,8 +18,8 @@ from plgee.simulator import (
     _poisson_quantile_grid,
     ar1_matrix,
     exchangeable_matrix,
-    gen_discrete,
     gen_gaussian,
+    gen_responses,
     generate_dataset,
     ks_distance_to_normal,
     make_design,
@@ -210,7 +210,7 @@ class TestDiscreteGenerators:
         n = 100_000
         X = np.full((n, 1, 1), 1.0)
         beta0 = np.array([np.log(2.0)])     # lambda = 2
-        d = gen_discrete(X, beta0, LOG, np.eye(1), seed=13)
+        d = gen_responses(X, beta0, LOG, np.eye(1), seed=13)
         assert d.y.mean() == pytest.approx(2.0, abs=0.02)
         assert d.y.var() == pytest.approx(2.0, abs=0.05)
         assert np.all(d.y == np.floor(d.y)) and np.all(d.y >= 0)
@@ -220,7 +220,7 @@ class TestDiscreteGenerators:
         X = np.full((n, 1, 1), 1.0)
         theta = 0.4
         mu = 1.0 / (1.0 + np.exp(-theta))
-        d = gen_discrete(X, np.array([theta]), LOGIT, np.eye(1), seed=17)
+        d = gen_responses(X, np.array([theta]), LOGIT, np.eye(1), seed=17)
         assert set(np.unique(d.y)) <= {0.0, 1.0}
         assert d.y.mean() == pytest.approx(mu, abs=0.005)
         assert d.y.var() == pytest.approx(mu * (1 - mu), abs=0.005)
@@ -239,7 +239,7 @@ class TestDiscreteGenerators:
         beta0 = np.array([0.0])
         corrs = []
         for rho in (0.0, 0.5, 0.9):
-            d = gen_discrete(X, beta0, family, exchangeable_matrix(m, rho), seed=23)
+            d = gen_responses(X, beta0, family, exchangeable_matrix(m, rho), seed=23)
             corrs.append(np.corrcoef(d.y[:, 0], d.y[:, 1])[0, 1])
         assert corrs[0] == pytest.approx(0.0, abs=0.03)
         assert corrs[0] < corrs[1] < corrs[2]
@@ -251,16 +251,68 @@ class TestDiscreteGenerators:
         with pytest.raises(TypeError, match="seed"):
             gen_gaussian(X, np.zeros(1), R)
         with pytest.raises(TypeError, match="seed"):
-            gen_discrete(X, np.zeros(1), LOG, R)
+            gen_responses(X, np.zeros(1), LOG, R)
 
-    def test_rejects_identity_family(self):
-        with pytest.raises(ConfigError):
-            gen_discrete(np.zeros((2, 2, 1)), np.zeros(1), IDENTITY, np.eye(2), seed=0)
+    def test_rejects_probit_family(self):
+        # named before R_bar, which is not SPD here, is decomposed
+        with pytest.raises(ConfigError, match="^no generator exists for the probit variance"):
+            gen_responses(np.zeros((2, 2, 1)), np.zeros(1), PROBIT, np.ones((2, 2)), seed=0)
 
     def test_rejects_non_pd_correlation(self):
         with pytest.raises(NotPositiveDefiniteError) as exc:
-            gen_discrete(np.zeros((2, 2, 1)), np.zeros(1), LOG, [[1, 2], [2, 1]], seed=0)
+            gen_responses(np.zeros((2, 2, 1)), np.zeros(1), LOG, [[1, 2], [2, 1]], seed=0)
         assert exc.value.lambda_min == pytest.approx(-1.0)
+
+
+class TestOneGenerator:
+    @pytest.mark.parametrize("family", [IDENTITY, LOG, LOGIT], ids=lambda f: f.kind)
+    def test_each_link_reads_one_latent_draw(self, family):
+        # rebuilt with numpy and scipy: z = ndtri(u) L', u the clipped PCG64
+        # uniforms of the seed, then the link's marginal of theta and Phi(z)
+        from numpy.random import PCG64, Generator
+        from scipy.special import ndtr, ndtri
+        from scipy.stats import poisson
+        rng = np.random.default_rng(6)
+        X = rng.uniform(-1.0, 1.0, size=(200, 3, 2))
+        beta0 = np.array([0.4, -0.7])
+        R = exchangeable_matrix(3, 0.5)
+        u = np.clip(Generator(PCG64(31)).random((200, 3)), 1e-300, 1.0 - 1e-16)
+        z = ndtri(u) @ np.linalg.cholesky(R).T
+        theta = X @ beta0
+        expected = {"identity": theta + z,
+                    "log": poisson.ppf(ndtr(z), np.exp(theta)),
+                    "logit": (ndtr(z) > 1.0 - 1.0 / (1.0 + np.exp(-theta))) * 1.0}
+        d = gen_responses(X, beta0, family, R, seed=31)
+        assert np.array_equal(d.X, X)
+        assert np.array_equal(d.y, expected[family.kind])
+
+    @pytest.mark.parametrize("dependence", ["independent", "sign_modulated"])
+    def test_identity_case_is_gen_gaussian(self, dependence):
+        X = np.random.default_rng(7).uniform(-1.0, 1.0, size=(50, 3, 2))
+        beta0, R = np.array([1.0, -0.5]), ar1_matrix(3, 0.6)
+        a = gen_responses(X, beta0, IDENTITY, R, dependence, seed=8)
+        b = gen_gaussian(X, beta0, R, subject_dependence=dependence, seed=8)
+        assert np.array_equal(a.X, b.X)
+        assert np.array_equal(a.y, b.y)
+
+    @pytest.mark.parametrize("generate", [
+        lambda dependence: gen_gaussian(np.zeros((2, 2, 1)), np.zeros(1), np.eye(2),
+                                        dependence, seed=0),
+        lambda dependence: gen_responses(np.zeros((2, 2, 1)), np.zeros(1), IDENTITY, np.eye(2),
+                                         dependence, seed=0),
+    ], ids=["gen_gaussian", "gen_responses"])
+    def test_misspelled_subject_dependence_is_a_config_error(self, generate):
+        # a misspelling is an error, not read as "independent"
+        with pytest.raises(ConfigError, match="^unknown subject_dependence 'sign-modulated'$"):
+            generate("sign-modulated")
+
+    @pytest.mark.parametrize("family", [LOG, LOGIT], ids=lambda f: f.kind)
+    def test_sign_modulated_requires_the_identity_link(self, family):
+        # named before R_bar, which is not SPD here, is decomposed
+        with pytest.raises(ConfigError,
+                           match="^sign_modulated dependence requires the identity link$"):
+            gen_responses(np.zeros((2, 2, 1)), np.zeros(1), family, np.ones((2, 2)),
+                          "sign_modulated", seed=0)
 
 
 ASYMMETRIC = ((1.0, 0.9, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
