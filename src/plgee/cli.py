@@ -442,8 +442,9 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (PlgeeError, OSError) as exc:
-        _write_notice("error", getattr(exc, "kind", "io"), str(exc))
+    except (PlgeeError, OSError, MemoryError) as exc:   # numpy's MemoryError names its array
+        kind = "out-of-memory" if isinstance(exc, MemoryError) else getattr(exc, "kind", "io")
+        _write_notice("error", kind, str(exc))
         return 1
 
 

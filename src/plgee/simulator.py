@@ -10,7 +10,7 @@ bit for bit.
 
 import os
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .matkernel import SymMatrix, max_relative_eigenvalue, sym_eigen
 from .model import (
     _TINY,
     IDENTITY,
+    LINK_KINDS,
     LinkFamily,
     LongitudinalDataset,
     gauss_cdf,
@@ -29,6 +30,7 @@ from .model import (
 
 MAX_FAILURE_FRACTION = 0.02     # of replicates, before a report warns
 _POISSON_QUANTILE_CAP = 100000  # largest count the Poisson quantile search tries
+_MAX_ENTRIES = np.iinfo(np.intp).max // 8   # float64 entries one numpy array can index
 
 # Stream tags keep the design and response draws on distinct deterministic
 # substreams of each replicate seed.
@@ -65,69 +67,38 @@ def exchangeable_matrix(m, rho):
     return (1.0 - rho) * np.eye(m) + rho * np.ones((m, m))
 
 
-def ar1_matrix(m, rho):
-    idx = np.arange(m)
-    return rho ** np.abs(idx[:, None] - idx[None, :])
-
-
 @dataclass(frozen=True)
 class DesignSpec:
-    kind: str                 # iid_uniform | grid | categorical
+    kind: str                 # iid_uniform
     lo: float = -1.0
     hi: float = 1.0
 
     def validate(self):
-        if self.kind not in ("iid_uniform", "grid", "categorical"):
+        if self.kind != "iid_uniform":
             raise ConfigError(f"unknown design kind {self.kind!r}")
-        if self.kind == "iid_uniform" and not self.lo < self.hi:
+        if not self.lo < self.hi:
             raise ConfigError(f"iid_uniform needs lo < hi, got [{self.lo}, {self.hi}]")
-        if self.kind == "iid_uniform" and not np.isfinite(self.hi - self.lo):
+        if not np.isfinite(self.hi - self.lo):
             raise ConfigError(f"iid_uniform needs finite lo, hi and hi - lo, "
                               f"got [{self.lo}, {self.hi}]")
-        for key, default in (("lo", -1.0), ("hi", 1.0)):
-            if self.kind != "iid_uniform" and getattr(self, key) != default:
-                raise ConfigError(f"a {self.kind} design does not read {key!r}, "
-                                  f"got {key}={getattr(self, key)}")
 
 
 @dataclass(frozen=True)
 class CorrelationSpec:
-    kind: str                 # exchangeable | ar1 | custom
+    kind: str                 # exchangeable
     rho: float = 0.0
-    R_bar: tuple = ()         # nested tuple for custom matrices (hashable)
 
     def matrix(self, m):
         """R_bar for m times, read-only.  A ConfigError unless it meets sym_eigen's
-        SPD floor, which the generators apply (a custom one must also be symmetric
-        with unit diagonal to 1e-10), or if the kind does not read a key given."""
-        if self.kind == "custom":
-            if self.rho != 0.0:
-                raise ConfigError(f"a custom correlation does not read 'rho', got rho={self.rho}")
-            R = np.asarray(self.R_bar, dtype=float)
-            if R.shape != (m, m):
-                raise ConfigError(f"custom correlation must be {m}x{m}, got {R.shape}")
-            if not np.isfinite(R).all():
-                raise ConfigError("custom correlation has non-finite entries")
-            if np.max(np.abs(R - R.T)) > 1e-10:
-                raise ConfigError("custom correlation must be symmetric")
-            if np.max(np.abs(np.diag(R) - 1.0)) > 1e-10:
-                raise ConfigError("custom correlation must have unit diagonal")
-            R = SymMatrix(R).a
-        elif self.kind not in ("exchangeable", "ar1"):
+        SPD floor, which the generators apply."""
+        if self.kind != "exchangeable":
             raise ConfigError(f"unknown correlation kind {self.kind!r}")
-        elif self.R_bar:
-            raise ConfigError(f"an {self.kind} correlation does not read 'R_bar'")
-        elif self.kind == "exchangeable":
-            lower = -1.0 / (m - 1) if m > 1 else -1.0
-            if not lower < self.rho < 1.0:
-                raise ConfigError(f"exchangeable rho must be in ({lower:.4g}, 1), got {self.rho}")
-            R = exchangeable_matrix(m, self.rho)
-        else:
-            if not abs(self.rho) < 1.0:
-                raise ConfigError(f"ar1 rho must satisfy |rho| < 1, got {self.rho}")
-            R = ar1_matrix(m, self.rho)
+        lower = -1.0 / (m - 1) if m > 1 else -1.0
+        if not lower < self.rho < 1.0:
+            raise ConfigError(f"exchangeable rho must be in ({lower:.4g}, 1), got {self.rho}")
+        R = exchangeable_matrix(m, self.rho)
         try:
-            sym_eigen(R, require_spd=f"{self.kind} correlation")
+            sym_eigen(R, require_spd="exchangeable correlation")
         except NotPositiveDefiniteError as exc:
             raise ConfigError(str(exc)) from exc
         R.setflags(write=False)
@@ -153,8 +124,12 @@ class SimConfig:
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
-        if self.n < 1 or self.m < 1 or self.p < 1:
-            raise ConfigError(f"need n, m, p >= 1, got {(self.n, self.m, self.p)}")
+        n, m, p = map(int, (self.n, self.m, self.p))    # numpy integers would wrap
+        if n < 1 or m < 1 or p < 1:
+            raise ConfigError(f"need n, m, p >= 1, got {(n, m, p)}")
+        if max(n * m * p, m * m) > _MAX_ENTRIES:
+            raise ConfigError(f"n, m, p = {(n, m, p)} need an array larger than numpy can "
+                              f"index ({_MAX_ENTRIES} float64 entries)")
         if len(self.beta0) != self.p:
             raise ConfigError(f"beta0 must have length p={self.p}")
         if not np.isfinite(self.beta0).all():
@@ -168,8 +143,7 @@ class SimConfig:
     @property
     def causes(self):
         """(kind, detail) warnings: a latent correlation binary marginals cannot attain."""
-        off_diagonal = self.R_bar[~np.eye(self.m, dtype=bool)]
-        if self.family.kind == "logit" and np.max(off_diagonal, initial=-1.0) > 0.95:
+        if self.family.kind == "logit" and self.m > 1 and self.correlation.rho > 0.95:
             return (("latent-correlation-above-frechet-bound",
                      "latent rho > 0.95 with binary marginals: attainable response "
                      "correlation is Frechet-bounded well below the latent value"),)
@@ -177,64 +151,60 @@ class SimConfig:
 
     @staticmethod
     def from_json(doc):
-        """SimConfig from its JSON object; a key it does not know is an error."""
+        """SimConfig from its JSON object.  An unknown key, an absent key it needs and
+        a value of the wrong JSON shape are ConfigErrors that name the key."""
         spec = {key: _number(key) for key in ("lo", "hi", "rho")}
-        spec["R_bar"] = lambda rows: tuple(tuple(map(_number("R_bar"), row)) for row in rows)
-        try:
-            return _from_json(SimConfig, doc, "config", {
-                "family": LinkFamily, "beta0": lambda values: tuple(map(_number("beta0"), values)),
-                "design": lambda d: _from_json(DesignSpec, d, "design", spec),
-                "correlation": lambda d: _from_json(CorrelationSpec, d, "correlation", spec),
-            })
-        # LinkFamily raises InvalidInputError, and float() OverflowError past double range
-        except (TypeError, ValueError, OverflowError, InvalidInputError) as exc:
-            raise ConfigError(f"invalid simulation config: {exc}") from exc
+        return _from_json(SimConfig, doc, "config", {
+            "family": _family, "beta0": _beta0,
+            "design": lambda d: _from_json(DesignSpec, d, "design", spec),
+            "correlation": lambda d: _from_json(CorrelationSpec, d, "correlation", spec),
+        })
+
+
+def _family(value):
+    if value not in LINK_KINDS:
+        raise ConfigError(f"family must be one of {LINK_KINDS}, got {value!r}")
+    return LinkFamily(value)
+
+
+def _beta0(value):
+    if not isinstance(value, list):
+        raise ConfigError(f"beta0 takes a JSON array of numbers, got {value!r}")
+    return tuple(map(_number("beta0"), value))
 
 
 def _number(key):
-    """The converter of a value of `key` to float: a JSON number (an int or a
-    float, not a bool); anything else is a ConfigError naming the key."""
+    """The converter of a value of `key` to float: a JSON number (an int or a float,
+    not a bool) within double range; anything else is a ConfigError naming the key."""
     def number(value):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{key} takes JSON numbers only, got {value!r}")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{key} is an integer beyond double range") from None
     return number
 
 
 def _from_json(cls, doc, where, convert):
-    """cls built from the keys of `doc` that name its fields, each passed
-    through convert[name] if given, so an absent key takes the field's
-    default; a key that is not a field is a ConfigError naming `where`."""
-    rest = dict(doc)
-    obj = cls(**{f.name: convert.get(f.name, lambda v: v)(rest.pop(f.name))
-                 for f in fields(cls) if f.init and f.name in rest})
-    if rest:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(rest))}")
-    return obj
+    """cls built from the JSON object `doc`, each key passed through convert[key] if
+    given; an absent key takes the field's default.  A doc that is not an object, a
+    key that is not a field and an absent field with no default are ConfigErrors."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {doc!r}")
+    init = [f for f in fields(cls) if f.init]
+    for fault, keys in (("unknown", set(doc) - {f.name for f in init}),
+                        ("missing", {f.name for f in init if f.default is MISSING} - set(doc))):
+        if keys:
+            raise ConfigError(f"{fault} key(s) in {where}: {', '.join(sorted(keys))}")
+    return cls(**{f.name: convert.get(f.name, lambda v: v)(doc[f.name])
+                  for f in init if f.name in doc})
 
 
 def make_design(config, seed):
-    """Design array (n, m, p); deterministic given the seed."""
-    n, m, p = config.n, config.m, config.p
+    """Design array (n, m, p) of iid U(lo, hi) covariates; deterministic given the seed."""
     spec = config.design
-    if spec.kind == "iid_uniform":
-        return spec.lo + (spec.hi - spec.lo) * _rng(seed).random((n, m, p))
-    if spec.kind == "grid":
-        # deterministic bounded design: 11 equally spaced levels in [-1, 1],
-        # phase-shifted per covariate so columns are not collinear
-        levels = np.linspace(-1.0, 1.0, 11)
-        cell = np.arange(n * m).reshape(n, m)
-        X = np.empty((n, m, p))
-        for k in range(p):
-            X[:, :, k] = levels[(cell + 2 * k + k * k) % len(levels)]
-        return X
-    # categorical: levels assigned cyclically over cells, then shuffled
-    cells = n * m
-    levels = np.arange(cells) % p
-    levels = levels[_rng(seed).permutation(cells)]
-    X = np.zeros((cells, p))
-    X[np.arange(cells), levels] = 1.0
-    return X.reshape(n, m, p)
+    return spec.lo + (spec.hi - spec.lo) * _rng(seed).random((config.n, config.m, config.p))
 
 
 def _poisson_quantile_grid(v, lam):

@@ -249,32 +249,57 @@ grep -q '"error":"empty-report"' empty.err
 grep -q '(20 fallback-to-independence)' empty.err
 test "$(tail -n +2 empty.csv | wc -l)" -eq 20
 test "$(cut -d, -f2 empty.csv | tail -n +2 | sort -u)" = 0
-# so does a custom R-bar whose latent correlations are as high; an asymmetric
-# R-bar, and one below the SPD floor of the generators, are one config line
-# each (exit 1), written before any replicate runs
-sed 's/"kind": "exchangeable", "rho": 0.97/"kind": "custom", "R_bar": [[1, 0.97, 0.97], [0.97, 1, 0.97], [0.97, 0.97, 1]]/' \
-  frechet.json > frechet_custom.json
-rc=0
-PYTHONWARNINGS=error plgee simulate --config frechet_custom.json --out frechet_custom_out.json \
-  2> frechet_custom.err || rc=$?
-test "$rc" -eq 2
-cmp frechet.err frechet_custom.err
-sed 's/"kind": "exchangeable", "rho": 0.3/"kind": "custom", "R_bar": [[1, 0.9, 0], [0, 1, 0], [0, 0, 1]]/' \
-  sim.json > asymmetric.json
+# an R-bar below the SPD floor of the generators, a design or correlation
+# kind the config format does not have (grid, categorical, ar1, custom), the
+# key R_bar, a value of the wrong JSON shape, a number past double range and
+# a size numpy cannot index are one config line each (exit 1) that names its
+# key, written before any replicate runs
 sed -e 's/"m": 3/"m": 4/' -e 's/"rho": 0.3/"rho": -0.3333333333333/' sim.json > singular.json
-sed -e 's/"m": 3/"m": 4/' -e 's/"exchangeable", "rho": 0.3/"ar1", "rho": 0.99999999999999/' \
-  sim.json > ar1_singular.json
-for config in asymmetric singular ar1_singular; do
+sed 's/"iid_uniform"/"grid"/' sim.json > grid.json
+sed 's/"iid_uniform"/"categorical"/' sim.json > categorical.json
+sed 's/"exchangeable"/"ar1"/' sim.json > ar1.json
+sed 's/"exchangeable", "rho": 0.3/"custom"/' sim.json > custom.json
+sed 's/"rho": 0.3/"R_bar": [[1, 0.3, 0.3], [0.3, 1, 0.3], [0.3, 0.3, 1]]/' sim.json > R_bar.json
+sed 's/\[1.0, -0.5\]/3/' sim.json > beta0_number.json
+sed 's/{"kind": "iid_uniform"}/"iid_uniform"/' sim.json > design_string.json
+sed 's/"identity"/{"kind": "log"}/' sim.json > family_object.json
+sed "s/\"rho\": 0.3/\"rho\": $(python -c 'print(10 ** 400)')/" sim.json > rho_huge.json
+sed 's/"n": 40/"n": 100000000000000000000/' sim.json > n_index.json
+{ echo "["; cat sim.json; echo "]"; } > array.json
+while IFS='|' read -r config detail; do
   rc=0
-  plgee simulate --config "$config.json" > "$config.out" 2> "$config.err" || rc=$?
+  PYTHONWARNINGS=error plgee simulate --config "$config.json" > "$config.out" \
+    2> "$config.err" || rc=$?
   test "$rc" -eq 1
   test ! -s "$config.out"
   test "$(wc -l < "$config.err")" -eq 1
   grep -q '"error":"config"' "$config.err"
-done
-grep -q 'custom correlation must be symmetric' asymmetric.err
-grep -q 'exchangeable correlation is not positive definite (lambda_min=9.99478e-14' singular.err
-grep -q 'ar1 correlation is not positive definite (lambda_min=5.49669e-15' ar1_singular.err
+  grep -qF "$detail" "$config.err"
+done <<'CASES'
+singular|exchangeable correlation is not positive definite (lambda_min=9.99478e-14
+grid|"unknown design kind 'grid'"
+categorical|"unknown design kind 'categorical'"
+ar1|"unknown correlation kind 'ar1'"
+custom|"unknown correlation kind 'custom'"
+R_bar|"unknown key(s) in correlation: R_bar"
+beta0_number|"beta0 takes a JSON array of numbers, got 3"
+design_string|"design must be a JSON object, got 'iid_uniform'"
+family_object|"family must be one of ('identity', 'log', 'logit', 'probit'), got {'kind': 'log'}"
+rho_huge|"rho is an integer beyond double range"
+n_index|"n, m, p = (100000000000000000000, 3, 2) need an array larger than numpy can index
+array|"config must be a JSON object, got [{
+CASES
+# 2**59 subjects (m = p = 1) load, but no host can allocate the design's
+# 4 EiB: numpy's MemoryError is one out-of-memory line (exit 1)
+sed -e 's/"n": 40, "m": 3, "p": 2/"n": 576460752303423488, "m": 1, "p": 1/' \
+  -e 's/\[1.0, -0.5\]/[1.0]/' sim.json > huge_design.json
+rc=0
+PYTHONWARNINGS=error plgee simulate --config huge_design.json > huge_design.out \
+  2> huge_design.err || rc=$?
+test "$rc" -eq 1
+test ! -s huge_design.out
+test "$(wc -l < huge_design.err)" -eq 1
+grep -q '"error":"out-of-memory"' huge_design.err
 # responses of order 1e200 overflow the estimating function's norm: either
 # method ends in one invalid-input line (exit 1), and no numpy warning,
 # which Python warnings as errors would turn into a traceback.  On data of

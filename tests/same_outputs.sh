@@ -74,12 +74,12 @@ configs = {
                      "correlation": {"kind": "exchangeable", "rho": 0.4},
                      "replications": 10, "base_seed": 7},
     "sim_identity.json": {"n": 50, "m": 4, "p": 2, "family": "identity", "beta0": [1.0, 0.5],
-                          "design": {"kind": "grid"},
-                          "correlation": {"kind": "ar1", "rho": 0.5},
+                          "design": {"kind": "iid_uniform", "lo": 0.0, "hi": 2.0},
+                          "correlation": {"kind": "exchangeable", "rho": 0.5},
                           "subject_dependence": "sign_modulated",
                           "replications": 8, "base_seed": 3},
     "sim_logit.json": {"n": 60, "m": 3, "p": 2, "family": "logit", "beta0": [0.2, -0.4],
-                       "design": {"kind": "categorical"},
+                       "design": {"kind": "iid_uniform"},
                        "correlation": {"kind": "exchangeable", "rho": 0.97},
                        "replications": 5, "base_seed": 5},
     "sim_few.json": {"n": 4, "m": 3, "p": 5, "family": "identity",    # n < p
@@ -87,30 +87,34 @@ configs = {
                      "correlation": {"kind": "exchangeable", "rho": 0.3}, "replications": 5},
     "sim_ci_level.json": {"n": 40, "m": 3, "p": 2, "family": "identity", "beta0": [1.0, -0.5],
                           "design": {"kind": "iid_uniform"},
-                          "correlation": {"kind": "ar1", "rho": 0.3}, "ci_level": 0.9},
+                          "correlation": {"kind": "exchangeable", "rho": 0.3},
+                          "ci_level": 0.9},
 }
 small = {"n": 50, "p": 2, "beta0": [0.2, -0.3], "design": {"kind": "iid_uniform"},
          "replications": 3, "base_seed": 1}
-for path, family, m, correlation in (     # R-bar faults, and a custom R-bar past Frechet
-        ("sim_custom_asymmetric.json", "identity", 3,
-         {"kind": "custom", "R_bar": [[1, 0.9, 0], [0, 1, 0], [0, 0, 1]]}),
-        ("sim_exchangeable_singular.json", "identity", 4,
-         {"kind": "exchangeable", "rho": -0.3333333333333}),
-        ("sim_ar1_singular.json", "identity", 4, {"kind": "ar1", "rho": 0.99999999999999}),
-        ("sim_custom_frechet.json", "logit", 3,
-         {"kind": "custom", "R_bar": [[1, 0.97, 0.97], [0.97, 1, 0.97], [0.97, 0.97, 1]]})):
-    configs[path] = dict(small, family=family, m=m, correlation=correlation)
-configs["sim_grid_lo.json"] = dict(small, family="identity", m=3, design={
-    "kind": "grid", "lo": 0, "hi": 5}, correlation={"kind": "exchangeable", "rho": 0.3})
+configs["sim_exchangeable_singular.json"] = dict(    # R-bar under the SPD floor
+    small, family="identity", m=4, correlation={"kind": "exchangeable", "rho": -0.3333333333333})
 for path, edit in (      # numbers a config must give as they are, and finite
         ("sim_n_fraction.json", {"n": 30.5}), ("sim_n_bool.json", {"n": True}),
         ("sim_n_string.json", {"n": "30"}), ("sim_beta0_inf.json", {"beta0": [float("inf"), 0]}),
         ("sim_beta0_nan.json", {"beta0": [float("nan"), 0]}),
         ("sim_width_overflow.json", {"design": {"kind": "iid_uniform", "lo": -1e308, "hi": 1e308}}),
-        ("sim_custom_inf.json", {"correlation": {"kind": "custom", "R_bar": [
-            [1, float("inf"), 0], [float("inf"), 1, 0], [0, 0, 1]]}}),
         ("sim_log_overflow.json", {"family": "log", "beta0": [800.0, 0.0]}),
-        ("sim_rho_string.json", {"correlation": {"kind": "exchangeable", "rho": "0.3"}})):
+        ("sim_rho_string.json", {"correlation": {"kind": "exchangeable", "rho": "0.3"}}),
+        # design and correlation kinds, and a key, the config format does not have
+        ("sim_grid.json", {"design": {"kind": "grid"}}),
+        ("sim_categorical.json", {"design": {"kind": "categorical"}}),
+        ("sim_ar1.json", {"correlation": {"kind": "ar1", "rho": 0.5}}),
+        ("sim_custom.json", {"correlation": {"kind": "custom"}}),
+        ("sim_R_bar.json", {"correlation": {"kind": "custom", "R_bar": [
+            [1, 0.3, 0.3], [0.3, 1, 0.3], [0.3, 0.3, 1]]}}),
+        # values of the wrong JSON shape, and sizes past numpy's index or memory
+        ("sim_beta0_number.json", {"beta0": 3}),
+        ("sim_design_string.json", {"design": "iid_uniform"}),
+        ("sim_family_object.json", {"family": {"kind": "log"}}),
+        ("sim_rho_huge.json", {"correlation": {"kind": "exchangeable", "rho": 10 ** 400}}),
+        ("sim_n_index.json", {"n": 10 ** 20}),
+        ("sim_huge_design.json", {"n": 2 ** 59, "m": 1, "p": 1, "beta0": [1.0]})):
     configs[path] = {**small, "family": "identity", "m": 3,
                      "correlation": {"kind": "exchangeable", "rho": 0.3}, **edit}
 configs["sim_singular_mean.json"] = {    # separated: the one ok replicate's R-tilde is ~0
@@ -119,6 +123,7 @@ configs["sim_singular_mean.json"] = {    # separated: the one ok replicate's R-t
 configs["sim_empty_report.json"] = {     # n < m: every replicate falls back
     **small, "n": 4, "m": 6, "family": "identity", "beta0": [1.0, 0.5], "replications": 20,
     "correlation": {"kind": "exchangeable", "rho": 0.3}}
+configs["sim_array.json"] = [configs["sim_log.json"]]   # not a JSON object
 for path, doc in configs.items():
     with open(path, "w") as fh:
         json.dump(doc, fh)
@@ -151,20 +156,27 @@ cases=(
   "simulate-logit simulate --config sim_logit.json --replicates-csv @CSV@"
   "simulate-few simulate --config sim_few.json --replicates-csv @CSV@"
   "simulate-ci-level simulate --config sim_ci_level.json"
-  "simulate-custom-asymmetric simulate --config sim_custom_asymmetric.json"
   "simulate-exchangeable-singular simulate --config sim_exchangeable_singular.json"
-  "simulate-ar1-singular simulate --config sim_ar1_singular.json"
-  "simulate-custom-frechet simulate --config sim_custom_frechet.json --replicates-csv @CSV@"
-  "simulate-grid-lo simulate --config sim_grid_lo.json"
   "simulate-n-fraction simulate --config sim_n_fraction.json"
   "simulate-n-bool simulate --config sim_n_bool.json"
   "simulate-n-string simulate --config sim_n_string.json"
   "simulate-beta0-inf simulate --config sim_beta0_inf.json"
   "simulate-beta0-nan simulate --config sim_beta0_nan.json"
   "simulate-width-overflow simulate --config sim_width_overflow.json"
-  "simulate-custom-inf simulate --config sim_custom_inf.json"
   "simulate-log-overflow simulate --config sim_log_overflow.json"
   "simulate-rho-string simulate --config sim_rho_string.json"
+  "simulate-grid simulate --config sim_grid.json"
+  "simulate-categorical simulate --config sim_categorical.json"
+  "simulate-ar1 simulate --config sim_ar1.json"
+  "simulate-custom simulate --config sim_custom.json"
+  "simulate-R-bar simulate --config sim_R_bar.json"
+  "simulate-beta0-number simulate --config sim_beta0_number.json"
+  "simulate-design-string simulate --config sim_design_string.json"
+  "simulate-family-object simulate --config sim_family_object.json"
+  "simulate-rho-huge simulate --config sim_rho_huge.json"
+  "simulate-n-index simulate --config sim_n_index.json"
+  "simulate-huge-design simulate --config sim_huge_design.json"
+  "simulate-array simulate --config sim_array.json"
   "simulate-singular-mean simulate --config sim_singular_mean.json --replicates-csv @CSV@"
   "simulate-empty-report simulate --config sim_empty_report.json --replicates-csv @CSV@"
 )

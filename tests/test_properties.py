@@ -134,24 +134,18 @@ def test_norm_bound_keeps_the_stack_maximum_bit_for_bit(seed, n, m, p, spread, f
 
 
 @settings(PROPERTY, max_examples=300)
-@given(st.sampled_from(["exchangeable", "ar1", "custom"]), st.integers(1, 6),
-       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.integers(0, 2**32 - 1),
-       st.sampled_from([0.0, 1e-12, 1e-9]))
-def test_a_correlation_that_loads_is_one_the_generators_take(kind, m, t, seed, skew):
-    # rho = lower + t (1 - lower) sweeps the kind's open range, its singular
-    # edges included.  A custom matrix scales U(-1, 1) off-diagonals by rho and
-    # skews one entry, on either side of the 1e-10 symmetry tolerance
-    lower = -1.0 / (m - 1) if kind == "exchangeable" and m > 1 else -1.0
+@given(st.integers(1, 6), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       st.integers(0, 2**32 - 1))
+@example(4, 1e-13, 0)           # lambda_min 4e-13, under the SPD floor
+@example(4, 1e-12, 0)           # lambda_min 4e-12, just over it
+@example(2, 1.0 - 1e-12, 0)     # rho 1 - 2e-12, lambda_min 2e-12
+def test_a_correlation_that_loads_is_one_the_generators_take(m, t, seed):
+    # rho = lower + t (1 - lower) sweeps the exchangeable open range, its
+    # singular edges included
+    lower = -1.0 / (m - 1) if m > 1 else -1.0
     rho = lower + t * (1.0 - lower)
-    if kind == "custom":
-        R = np.triu(rho * np.random.default_rng(seed).uniform(-1.0, 1.0, size=(m, m)), 1)
-        R = R + R.T + np.eye(m)
-        R[0, -1] += skew
-        spec = CorrelationSpec("custom", R_bar=tuple(map(tuple, R)))
-    else:
-        spec = CorrelationSpec(kind, rho=rho)
     try:
-        R_bar = spec.matrix(m)
+        R_bar = CorrelationSpec("exchangeable", rho=rho).matrix(m)
     except ConfigError:
         return
     assert np.array_equal(R_bar, R_bar.T)

@@ -16,7 +16,6 @@ from plgee.simulator import (
     MCReport,
     SimConfig,
     _poisson_quantile_grid,
-    ar1_matrix,
     exchangeable_matrix,
     gen_gaussian,
     gen_responses,
@@ -64,11 +63,6 @@ class TestCorrelationMatrices:
         assert np.allclose(np.diag(R), 1.0)
         assert R[0, 1] == R[1, 2] == 0.4
 
-    def test_ar1(self):
-        R = ar1_matrix(3, 0.5)
-        assert R[0, 1] == 0.5 and R[0, 2] == 0.25
-        assert np.allclose(R, R.T)
-
 
 class TestDesigns:
     def test_iid_uniform_range_and_mean(self):
@@ -76,31 +70,6 @@ class TestDesigns:
         X = make_design(c, seed=3)
         assert X.min() >= -1.0 and X.max() <= 1.0
         assert abs(X.mean()) < 0.02   # se ~ 0.0053
-
-    def test_grid_is_seed_free_and_bounded(self):
-        c = config(design=DesignSpec("grid"))
-        X1 = make_design(c, seed=1)
-        X2 = make_design(c, seed=99)
-        assert np.array_equal(X1, X2)
-        assert np.all((X1 >= -1.0) & (X1 <= 1.0))
-        assert len(np.unique(X1)) == 11
-        # columns must not be collinear
-        flat = X1.reshape(-1, c.p)
-        assert abs(np.corrcoef(flat.T)[0, 1]) < 0.999
-
-    def test_categorical_rows_are_basis_vectors_with_balanced_levels(self):
-        c = config(n=33, m=3, p=2, design=DesignSpec("categorical"),
-                   beta0=(1.0, -0.5))
-        X = make_design(c, seed=4)
-        flat = X.reshape(-1, c.p)
-        assert np.all(np.sum(flat, axis=1) == 1.0)
-        assert np.all((flat == 0.0) | (flat == 1.0))
-        counts = flat.sum(axis=0)
-        # cyclic pre-shuffle assignment keeps levels balanced to within one
-        assert counts.max() - counts.min() <= 1.0
-        # shuffle actually happened: not the plain cyclic pattern
-        cyclic = np.arange(c.n * c.m) % c.p
-        assert not np.array_equal(np.argmax(flat, axis=1), cyclic)
 
 
 class TestGaussianGenerator:
@@ -288,8 +257,9 @@ class TestOneGenerator:
 
     @pytest.mark.parametrize("dependence", ["independent", "sign_modulated"])
     def test_identity_case_is_gen_gaussian(self, dependence):
+        # the generators take any SPD R_bar, here an AR(1) one, which no config gives
         X = np.random.default_rng(7).uniform(-1.0, 1.0, size=(50, 3, 2))
-        beta0, R = np.array([1.0, -0.5]), ar1_matrix(3, 0.6)
+        beta0, R = np.array([1.0, -0.5]), 0.6 ** np.abs(np.subtract.outer(range(3), range(3)))
         a = gen_responses(X, beta0, IDENTITY, R, dependence, seed=8)
         b = gen_gaussian(X, beta0, R, subject_dependence=dependence, seed=8)
         assert np.array_equal(a.X, b.X)
@@ -315,10 +285,6 @@ class TestOneGenerator:
                           "sign_modulated", seed=0)
 
 
-ASYMMETRIC = ((1.0, 0.9, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-EXCHANGEABLE_09 = ((1.0, 0.9, 0.9), (0.9, 1.0, 0.9), (0.9, 0.9, 1.0))
-
-
 class TestConfigValidation:
     @pytest.mark.parametrize("kw, message", [
         (dict(n=0), r"need n, m, p >= 1, got \(0, 3, 2\)"),
@@ -330,24 +296,13 @@ class TestConfigValidation:
          r"iid_uniform needs lo < hi, got \[1.0, 1.0\]"),
         (dict(design=DesignSpec("iid_uniform", lo=2.0, hi=-1.0)), "iid_uniform needs lo < hi"),
         (dict(correlation=CorrelationSpec("toeplitz")), "unknown correlation kind 'toeplitz'"),
-        (dict(correlation=CorrelationSpec("custom", R_bar=((1.0, 0.0), (0.0, 1.0)))),
-         r"custom correlation must be 3x3, got \(2, 2\)"),
-        (dict(correlation=CorrelationSpec("custom", R_bar=ASYMMETRIC)),
-         "^custom correlation must be symmetric$"),
         (dict(m=4, correlation=CorrelationSpec("exchangeable", rho=-0.3333333333333)),
          r"^exchangeable correlation is not positive definite \(lambda_min=9.99478e-14, "),
-        (dict(m=4, correlation=CorrelationSpec("ar1", rho=0.99999999999999)),
-         r"^ar1 correlation is not positive definite \(lambda_min=5.49669e-15, "),
-        (dict(design=DesignSpec("grid", lo=0.0, hi=5.0)),
-         "^a grid design does not read 'lo', got lo=0.0$"),
-        (dict(design=DesignSpec("categorical", hi=5.0)),
-         "^a categorical design does not read 'hi', got hi=5.0$"),
-        (dict(correlation=CorrelationSpec("exchangeable", rho=0.3, R_bar=EXCHANGEABLE_09)),
-         "^an exchangeable correlation does not read 'R_bar'$"),
-        (dict(correlation=CorrelationSpec("ar1", rho=0.3, R_bar=EXCHANGEABLE_09)),
-         "^an ar1 correlation does not read 'R_bar'$"),
-        (dict(correlation=CorrelationSpec("custom", rho=0.3, R_bar=EXCHANGEABLE_09)),
-         "^a custom correlation does not read 'rho', got rho=0.3$"),
+        # design and correlation kinds the config format does not have
+        (dict(design=DesignSpec("grid")), "^unknown design kind 'grid'$"),
+        (dict(design=DesignSpec("categorical")), "^unknown design kind 'categorical'$"),
+        (dict(correlation=CorrelationSpec("ar1", rho=0.5)), "^unknown correlation kind 'ar1'$"),
+        (dict(correlation=CorrelationSpec("custom")), "^unknown correlation kind 'custom'$"),
         (dict(n=30.5), "^n must be an integer, got 30.5$"),
         (dict(n=True), "^n must be an integer, got True$"),
         (dict(n="30"), "^n must be an integer, got '30'$"),
@@ -359,23 +314,29 @@ class TestConfigValidation:
          r"^iid_uniform needs finite lo, hi and hi - lo, got \[-1.0, inf\]$"),
         (dict(design=DesignSpec("iid_uniform", lo=-1e308, hi=1e308)),
          r"^iid_uniform needs finite lo, hi and hi - lo, got \[-1e\+308, 1e\+308\]$"),
-        (dict(correlation=CorrelationSpec("custom", R_bar=((1.0, math.inf, 0.0),
-                                                            (math.inf, 1.0, 0.0),
-                                                            (0.0, 0.0, 1.0)))),
-         "^custom correlation has non-finite entries$"),
+        # n m p entries, or an m x m R_bar, past what one numpy array can index
+        (dict(n=10 ** 20), r"^n, m, p = \(100000000000000000000, 3, 2\) need an array larger "
+                           r"than numpy can index \(1152921504606846975 float64 entries\)$"),
+        (dict(n=1, m=2 ** 31, p=1, beta0=(1.0,)),
+         r"^n, m, p = \(1, 2147483648, 1\) need an array"),
+        (dict(n=np.int64(2 ** 40), m=np.int64(2 ** 40)),    # whose int64 product wraps to 0
+         r"^n, m, p = \(1099511627776, 1099511627776, 2\) need an array"),
     ], ids=["n", "m", "replications", "subject_dependence",
-            "design-kind", "lo-equals-hi", "lo-above-hi", "correlation-kind", "custom-shape",
-            "custom-asymmetric", "exchangeable-singular", "ar1-singular", "grid-lo",
-            "categorical-hi", "exchangeable-R_bar", "ar1-R_bar", "custom-rho",
+            "design-kind", "lo-equals-hi", "lo-above-hi", "correlation-kind",
+            "exchangeable-singular", "grid", "categorical", "ar1", "custom",
             "n-fraction", "n-bool", "n-string", "replications-float", "base_seed-string",
-            "beta0-inf", "beta0-nan", "hi-inf", "width-overflow", "custom-inf"])
+            "beta0-inf", "beta0-nan", "hi-inf", "width-overflow", "n-past-numpy-index",
+            "m-squared-past-numpy-index", "numpy-integers-past-numpy-index"])
     def test_rejected_config_names_its_fault(self, kw, message):
         with pytest.raises(ConfigError, match=message):
             config(**kw)
 
-    def test_ar1_matrix_of_the_spec(self):
-        R = config(correlation=CorrelationSpec("ar1", rho=-0.5)).correlation.matrix(3)
-        assert np.array_equal(R, [[1.0, -0.5, 0.25], [-0.5, 1.0, -0.5], [0.25, -0.5, 1.0]])
+    def test_numpy_index_limit_is_exact(self):
+        # n m p = 2**60 - 1 float64 entries (2**63 - 8 bytes) loads, allocating
+        # nothing of that size; one subject more does not
+        config(n=2 ** 60 // 3, m=3, p=1, beta0=(1.0,))
+        with pytest.raises(ConfigError, match="need an array larger than numpy can index"):
+            config(n=2 ** 60 // 3 + 1, m=3, p=1, beta0=(1.0,))
 
     def test_probit_rejected(self):
         with pytest.raises(ConfigError, match="probit"):
@@ -392,28 +353,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             config(correlation=CorrelationSpec("exchangeable", rho=-0.6), m=3)
 
-    def test_ar1_rho_range(self):
-        with pytest.raises(ConfigError):
-            config(correlation=CorrelationSpec("ar1", rho=1.2))
-
-    def test_custom_matrix_checked(self):
-        bad_diag = ((2.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-        with pytest.raises(ConfigError):
-            config(correlation=CorrelationSpec("custom", R_bar=bad_diag))
-        not_pd = ((1.0, 1.0, 1.0), (1.0, 1.0, 1.0), (1.0, 1.0, 1.0))
-        with pytest.raises(ConfigError):
-            config(correlation=CorrelationSpec("custom", R_bar=not_pd))
-
-    def test_keys_at_their_defaults_are_not_faults(self):
-        config(design=DesignSpec("grid", lo=-1.0, hi=1.0))
-        config(correlation=CorrelationSpec("custom", rho=0.0, R_bar=EXCHANGEABLE_09))
-
     def test_R_bar_is_built_once_and_read_by_every_stage(self, monkeypatch):
         calls = []
         real = CorrelationSpec.matrix
         monkeypatch.setattr(CorrelationSpec, "matrix",
                             lambda spec, m: calls.append(m) or real(spec, m))
-        c = config(family=LOGIT, correlation=CorrelationSpec("ar1", rho=0.5), replications=3)
+        c = config(family=LOGIT, correlation=CorrelationSpec("exchangeable", rho=0.5),
+                   replications=3)
         assert calls == [3]
         assert c.causes == ()
         monte_carlo_run(c)
@@ -421,29 +367,18 @@ class TestConfigValidation:
 
     def test_R_bar_is_derived_and_read_only(self):
         import pickle
-        c = config(correlation=CorrelationSpec("custom", R_bar=EXCHANGEABLE_09))
-        assert np.array_equal(c.R_bar, EXCHANGEABLE_09)
+        c = config(correlation=CorrelationSpec("exchangeable", rho=0.9))
+        assert np.array_equal(c.R_bar, exchangeable_matrix(3, 0.9))
         assert not c.R_bar.flags.writeable
         assert "R_bar=array" not in repr(c)
         assert "R_bar" not in [f.name for f in fields(c) if f.init]
         again = pickle.loads(pickle.dumps(c))
         assert again == c and hash(again) == hash(c)
         assert np.array_equal(again.R_bar, c.R_bar)
-        moved = replace(c, correlation=CorrelationSpec("ar1", rho=-0.5))
-        assert np.array_equal(moved.R_bar, ar1_matrix(3, -0.5))
+        moved = replace(c, correlation=CorrelationSpec("exchangeable", rho=-0.4))
+        assert np.array_equal(moved.R_bar, exchangeable_matrix(3, -0.4))
         with pytest.raises(ValueError):
             c.R_bar[0, 1] = 0.5
-
-    def test_nearly_symmetric_custom_R_bar_is_symmetrized(self):
-        # within 1e-10 of symmetric, a custom matrix is averaged with its
-        # transpose; an exactly symmetric one is kept bit for bit
-        nearly = np.array(EXCHANGEABLE_09)
-        nearly[0, 1] += 1e-11
-        c = config(correlation=CorrelationSpec("custom", R_bar=tuple(map(tuple, nearly))))
-        assert np.array_equal(c.R_bar, c.R_bar.T)
-        assert c.R_bar[0, 1] == 0.5 * (nearly[0, 1] + 0.9)
-        assert np.array_equal(config(correlation=CorrelationSpec("exchangeable", rho=0.9)).R_bar,
-                              exchangeable_matrix(3, 0.9))
 
     def test_beta0_length(self):
         with pytest.raises(ConfigError):
@@ -459,15 +394,13 @@ class TestConfigValidation:
             "latent rho > 0.95 with binary marginals: attainable response "
             "correlation is Frechet-bounded well below the latent value"),)
 
-    @pytest.mark.parametrize("correlation", [
-        CorrelationSpec("custom", R_bar=tuple(tuple(1.0 if i == j else 0.97 for j in range(3))
-                                              for i in range(3))),
-        CorrelationSpec("custom", R_bar=((1.0, 0.0, 0.97), (0.0, 1.0, 0.0), (0.97, 0.0, 1.0))),
-        CorrelationSpec("ar1", rho=-0.98),      # times 1 and 3: 0.9604
-    ], ids=["custom-0.97", "custom-one-pair", "ar1-negative"])
-    def test_frechet_cause_reads_the_largest_latent_correlation(self, correlation):
-        assert config(family=LOGIT, correlation=correlation).causes == config(
-            family=LOGIT, correlation=CorrelationSpec("exchangeable", rho=0.97)).causes != ()
+    @pytest.mark.parametrize("m, rho", [(2, 0.97), (6, 0.951), (3, 0.99)],
+                             ids=["m2-0.97", "m6-0.951", "m3-0.99"])
+    def test_frechet_cause_reads_the_largest_latent_correlation(self, m, rho):
+        # every off-diagonal entry of an exchangeable R_bar is rho, at any m > 1
+        assert config(family=LOGIT, m=m, correlation=CorrelationSpec("exchangeable", rho=rho)
+                      ).causes == config(family=LOGIT, correlation=CorrelationSpec(
+                          "exchangeable", rho=0.97)).causes != ()
 
     @pytest.mark.parametrize("family, rho", [(LOGIT, 0.95), (IDENTITY, 0.97), (LOG, 0.97)],
                              ids=["logit-0.95", "identity-0.97", "log-0.97"])
@@ -484,8 +417,7 @@ class TestConfigValidation:
             "n": 40, "m": 2, "p": 2, "family": "identity",
             "beta0": [1.0, -0.5],
             "design": {"kind": "iid_uniform", "lo": -1, "hi": 1},
-            "correlation": {"kind": "custom",
-                            "R_bar": [[1.0, 0.3], [0.3, 1.0]]},
+            "correlation": {"kind": "exchangeable", "rho": 0.3},
             "replications": 3, "base_seed": 7,
         }
         c = SimConfig.from_json(doc)
@@ -501,7 +433,8 @@ class TestConfigValidation:
     ], ids=["n-fraction", "m-bool", "p-string", "beta0-Infinity", "beta0-NaN"])
     def test_from_json_takes_numbers_as_they_are(self, text, message):
         doc = json.loads('{"n": 40, "m": 2, "p": 2, "beta0": [1, -0.5], ' + text + "}")
-        doc.update(family="identity", design={"kind": "grid"}, correlation={"kind": "ar1"})
+        doc.update(family="identity", design={"kind": "iid_uniform"},
+                   correlation={"kind": "exchangeable"})
         with pytest.raises(ConfigError, match=message):
             SimConfig.from_json(doc)
 
@@ -514,31 +447,31 @@ class TestConfigValidation:
     ])
     def test_from_json_missing_key_is_named(self, where, key):
         doc = {"n": 40, "m": 2, "p": 2, "family": "identity", "beta0": [1.0, -0.5],
-               "design": {"kind": "grid"}, "correlation": {"kind": "ar1"}}
+               "design": {"kind": "iid_uniform"}, "correlation": {"kind": "exchangeable"}}
         del (doc if where is None else doc[where])[key]
-        with pytest.raises(ConfigError, match=f"missing .*'{key}'"):
+        with pytest.raises(ConfigError,
+                           match=rf"^missing key\(s\) in {where or 'config'}: {key}$"):
             SimConfig.from_json(doc)
 
     def test_from_json_unknown_family_is_config_error(self):
         doc = {"n": 40, "m": 2, "p": 2, "family": "probitx", "beta0": [1.0, -0.5],
-               "design": {"kind": "grid"}, "correlation": {"kind": "ar1"}}
-        with pytest.raises(ConfigError, match="unknown link kind 'probitx'"):
+               "design": {"kind": "iid_uniform"}, "correlation": {"kind": "exchangeable"}}
+        with pytest.raises(ConfigError, match="^family must be one of .*, got 'probitx'$"):
             SimConfig.from_json(doc)
 
     def test_from_json_absent_keys_take_field_defaults(self):
         c = SimConfig.from_json({
             "n": 40, "m": 2, "p": 2, "family": "identity", "beta0": [1, -0.5],
-            "design": {"kind": "iid_uniform"}, "correlation": {"kind": "custom",
-                                                              "R_bar": [[1, 0], [0, 1]]}})
+            "design": {"kind": "iid_uniform"}, "correlation": {"kind": "exchangeable"}})
         assert c == SimConfig(n=40, m=2, p=2, family=IDENTITY, beta0=(1.0, -0.5),
                               design=DesignSpec("iid_uniform"),
-                              correlation=CorrelationSpec("custom",
-                                                          R_bar=((1.0, 0.0), (0.0, 1.0))))
+                              correlation=CorrelationSpec("exchangeable", rho=0.0))
         assert type(c.n) is int and type(c.beta0[0]) is float
 
     @pytest.mark.parametrize("where, key", [
         (None, "replicatons"), ("correlation", "rh0"), ("design", "hi_"), (None, "ci_level"),
         (None, "R_bar"),    # SimConfig's R_bar is derived, not read
+        ("correlation", "R_bar"),   # a correlation is exchangeable: R_bar is its matrix
     ])
     def test_from_json_unknown_key(self, where, key):
         doc = {
